@@ -39,12 +39,13 @@ type Options struct {
 	// batch of mutated children across. 0 or 1 selects the sequential
 	// engine, whose behavior is identical to the classic single-threaded
 	// campaign for a fixed Seed. Values > 1 enable batched execution:
-	// children are generated up front, executed in parallel (each worker
-	// owning its own EVM, state copy, trace buffer, and per-child seeded
-	// rand.Rand), and their feedback is merged on the coordinator in
-	// deterministic batch order — results are reproducible for a fixed
-	// (Seed, Workers) pair but differ from the sequential engine's. A
-	// negative value selects runtime.NumCPU().
+	// each child of a round is mutated from its own rng seed, drawn up front
+	// from the coordinator rng; children execute in parallel (each worker
+	// owning its own EVM, state copy, and trace buffer), and their feedback
+	// is merged on the coordinator in deterministic batch order.
+	// The batched schedule depends on Seed alone: results are identical at
+	// every Workers > 1 (and under ForceBatched at Workers=1) but differ from
+	// the sequential engine's. A negative value selects runtime.NumCPU().
 	Workers int
 	// NoPrefixCache disables the intermediate-state checkpoint optimization
 	// (paper §VI); used for ablation and equivalence testing.
@@ -197,6 +198,10 @@ type Campaign struct {
 	// round, shut down when RunSlice returns so a parked campaign holds no
 	// goroutines.
 	workerPool *workerPool
+	// childRng mutates the pipelined engine's children: one Rand over a
+	// childSource, reseeded per child. Created by the first pipelined round
+	// and never snapshotted, since every use starts with a reseed.
+	childRng *rand.Rand
 
 	// identities
 	genesis      *state.State
@@ -1362,11 +1367,14 @@ func (c *Campaign) fuzzRound(seed *Seed, energy int, qi *int) {
 // fuzzRoundBarrier spends one seed's energy as a fork-join batch: the
 // round's children are generated and executed across Options.Workers
 // goroutines, each worker owning its own executor (EVM, state copies, trace
-// buffer) and a per-child rand.Rand seeded from the coordinator rng; a
-// WaitGroup barrier joins them all before the coordinator merges outcomes in
-// batch order. This is the legacy batched engine, kept verbatim as the
-// Options.NoPipeline ablation — the reference the pipelined engine is proven
-// byte-identical against.
+// buffer) and a fresh per-child rand.New(rand.NewSource(seed)) seeded from
+// the coordinator rng; a WaitGroup barrier joins them all before the
+// coordinator merges outcomes in batch order. This is the legacy batched
+// engine, kept verbatim as the Options.NoPipeline ablation — the reference
+// the pipelined engine is proven byte-identical against. It keeps the stock
+// math/rand source on purpose: the pipelined engine reseeds a childSource
+// instead, so every barrier-vs-pipelined conformance pair also proves end to
+// end that the two sources emit the same stream.
 func (c *Campaign) fuzzRoundBarrier(seed *Seed, energy int, qi *int) {
 	n := energy
 	if remaining := c.opts.Iterations - c.executions; n > remaining {
@@ -1461,12 +1469,16 @@ func (c *Campaign) stopWorkerPool() {
 // barrier.
 //
 // The schedule is byte-identical to fuzzRoundBarrier's. Per-child rng seeds
-// come from the same coordinator draws; children are a pure function of the
-// round-start feedback state (mutation happens before any fold of this round
-// touches the value pool, masks, or distance frontier — exactly the state
-// the barrier engine's workers read); executors are pure; and the reorder
-// buffer releases outcomes in batch order, so every fold sees the state the
-// serial merge would have produced.
+// come from the same coordinator draws. Instead of a fresh rand.NewSource per
+// child, the coordinator reseeds its one childRng (a childSource, which
+// replays rand.NewSource's stream for a seed while filling its register
+// lazily), so a child's set-up costs the few draws it makes rather than a
+// full 607-word seeding on the coordinator goroutine. Children are a pure
+// function of the round-start feedback state (mutation happens before any
+// fold of this round touches the value pool, masks, or distance frontier —
+// exactly the state the barrier engine's workers read); executors are pure;
+// and the reorder buffer releases outcomes in batch order, so every fold sees
+// the state the serial merge would have produced.
 func (c *Campaign) fuzzRoundPipelined(seed *Seed, energy int, qi *int) {
 	n := energy
 	if remaining := c.opts.Iterations - c.executions; n > remaining {
@@ -1479,11 +1491,14 @@ func (c *Campaign) fuzzRoundPipelined(seed *Seed, energy int, qi *int) {
 	for i := range childSeeds {
 		childSeeds[i] = c.rng.Int63()
 	}
+	if c.childRng == nil {
+		c.childRng = rand.New(newChildSource(0))
+	}
 	children := make([]*Seed, n)
 	muts := make([]int, n)
 	for i := 0; i < n; i++ {
-		rng := rand.New(rand.NewSource(childSeeds[i]))
-		children[i], muts[i] = c.mutateSeedRand(seed, rng)
+		c.childRng.Seed(childSeeds[i])
+		children[i], muts[i] = c.mutateSeedRand(seed, c.childRng)
 	}
 
 	p := c.ensureWorkerPool()

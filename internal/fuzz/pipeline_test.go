@@ -115,10 +115,14 @@ func TestReorderBufferUnderGOMAXPROCSChurn(t *testing.T) {
 }
 
 // TestPipelineScalingSmoke is the CI multi-core gate: on a machine with at
-// least two CPUs, workers=2 must beat workers=1 on the fixture corpus.
-// Self-skips unless MUFUZZ_SCALING_SMOKE=1 (throughput measurement has no
-// place in the default unit-test wall clock) or when the host is
-// single-core, where the assertion is unfalsifiable.
+// least two CPUs, the pipelined engine at workers=2 must beat the sequential
+// engine that workers=1 selects on the fixture corpus. The baseline is what a
+// user gets without parallelism, not ForceBatched at workers=1: that engine
+// pays the same per-child costs on the coordinator as workers=2, so beating
+// it does not show that parallelism pays. Self-skips unless
+// MUFUZZ_SCALING_SMOKE=1 (throughput measurement has no place in the default
+// unit-test wall clock) or when the host is single-core, where the assertion
+// is unfalsifiable.
 func TestPipelineScalingSmoke(t *testing.T) {
 	if os.Getenv("MUFUZZ_SCALING_SMOKE") == "" {
 		t.Skip("set MUFUZZ_SCALING_SMOKE=1 to run the scaling gate")
@@ -132,7 +136,7 @@ func TestPipelineScalingSmoke(t *testing.T) {
 		best := 0.0
 		// Three trials, best-of: absorbs scheduler noise on shared CI runners.
 		for trial := 0; trial < 3; trial++ {
-			c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 1, Iterations: iters, Workers: workers, ForceBatched: true})
+			c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 1, Iterations: iters, Workers: workers})
 			start := time.Now()
 			res := c.Run()
 			if eps := float64(res.Executions) / time.Since(start).Seconds(); eps > best {
@@ -143,9 +147,9 @@ func TestPipelineScalingSmoke(t *testing.T) {
 	}
 	e1 := measure(1)
 	e2 := measure(2)
-	t.Logf("workers=1: %.0f execs/s, workers=2: %.0f execs/s (%.2fx)", e1, e2, e2/e1)
+	t.Logf("sequential workers=1: %.0f execs/s, pipelined workers=2: %.0f execs/s (%.2fx)", e1, e2, e2/e1)
 	if e2 <= e1 {
-		t.Errorf("workers=2 (%.0f execs/s) does not beat workers=1 (%.0f execs/s)", e2, e1)
+		t.Errorf("pipelined workers=2 (%.0f execs/s) does not beat sequential workers=1 (%.0f execs/s)", e2, e1)
 	}
 }
 
