@@ -24,9 +24,10 @@
 //
 // Contract names come from the corpus: "crowdsale", "crowdsale-buggy",
 // "game", or any labelled suite name (run `-mode list` to enumerate).
-// Mode diff additionally runs the multi-contract world-w1/world-wN pair on
+// Mode diff additionally runs the multi-contract world-w2/world-wN pair on
 // the ingest fixtures (bank-reentrant primary + token member + synthesized
-// attacker) when the fixture dir is present.
+// attacker) when the fixture dir is present. The batched class compares the
+// two-worker reference against N workers, with N raised to at least 4.
 package main
 
 import (
@@ -75,7 +76,7 @@ func main() {
 		contracts = flag.String("contracts", "", "comma-separated contract names (default: the 3-contract diff set)")
 		iters     = flag.Int("iters", 400, "iteration budget per campaign (gate defaults to the fixed gate budget)")
 		seed      = flag.Int64("seed", 1, "campaign seed")
-		workers   = flag.Int("workers", 0, "batched-class worker count (0 = NumCPU, capped at 8)")
+		workers   = flag.Int("workers", 0, "batched-class worker count (0 = NumCPU, capped at 8, raised to at least 4)")
 		out       = flag.String("out", "", "transcript output path (modes record, fleet-ref)")
 		in        = flag.String("in", "", "transcript input path (mode replay)")
 		specPath  = flag.String("spec", "", "campaign spec JSON path (mode fleet-ref)")
@@ -235,7 +236,7 @@ func main() {
 	}
 }
 
-// worldPair builds the world-w1/world-wN differential pair from the ingest
+// worldPair builds the world-w2/world-wN differential pair from the ingest
 // fixtures: the reentrant bank as primary, the token as a member, attacker
 // synthesis on — so member deployment, callee routing, and attacker-spec
 // compilation all sit inside the equivalence check. Returns ok=false (with

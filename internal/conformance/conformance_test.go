@@ -60,6 +60,17 @@ func TestTranscriptEncodeDecodeRoundTrip(t *testing.T) {
 	if !bytes.Equal(enc, dec.EncodeBytes()) {
 		t.Error("encode(decode(encode(t))) != encode(t)")
 	}
+	// Transcripts recorded under the retired batched and copystate options
+	// still decode; the flags are ignored and re-encode as 0.
+	old := bytes.Replace(enc, []byte(" batched=0 copystate=0 "), []byte(" batched=1 copystate=1 "), 1)
+	if bytes.Equal(old, enc) {
+		t.Fatal("options line lacks the batched/copystate tokens")
+	}
+	if decOld, err := Decode(bytes.NewReader(old)); err != nil {
+		t.Errorf("decode with retired flags set: %v", err)
+	} else if !bytes.Equal(enc, decOld.EncodeBytes()) {
+		t.Error("retired flags were not ignored on decode")
+	}
 	if len(dec.Records) != run.Result.Executions {
 		t.Errorf("decoded %d records, campaign ran %d executions", len(dec.Records), run.Result.Executions)
 	}
@@ -98,8 +109,8 @@ func TestVerifySequences(t *testing.T) {
 }
 
 // TestDifferentialMatrix proves the engine-variant equivalences on three
-// corpus contracts: sequential {Fork/Copy, cache on/off} and batched
-// {workers 1/N, Fork/Copy, cache on/off} must be execution-for-execution
+// corpus contracts: sequential {cache on/off, IR on/off} and batched
+// {workers 2/N, cache on/off, IR on/off} must be execution-for-execution
 // identical.
 func TestDifferentialMatrix(t *testing.T) {
 	workers := runtime.NumCPU()

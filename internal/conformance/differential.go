@@ -157,30 +157,21 @@ type Variant struct {
 
 // SequentialVariants returns the sequential-schedule equivalence class: the
 // classic Workers=1 engine (reference) against the same schedule with the
-// copy-on-write layer swapped for deep copies, and with the prefix cache
-// disabled. All three must produce byte-identical transcripts.
+// prefix cache disabled and with the IR disabled. All three must produce
+// byte-identical transcripts.
 func SequentialVariants() []Variant {
 	return []Variant{
 		{"seq-w1", func(o fuzz.Options) fuzz.Options {
 			o.Workers = 1
-			o.ForceBatched = false
-			return o
-		}},
-		{"seq-w1-copystate", func(o fuzz.Options) fuzz.Options {
-			o.Workers = 1
-			o.ForceBatched = false
-			o.UseCopyState = true
 			return o
 		}},
 		{"seq-w1-nocache", func(o fuzz.Options) fuzz.Options {
 			o.Workers = 1
-			o.ForceBatched = false
 			o.NoPrefixCache = true
 			return o
 		}},
 		{"seq-w1-noir", func(o fuzz.Options) fuzz.Options {
 			o.Workers = 1
-			o.ForceBatched = false
 			o.NoIR = true
 			return o
 		}},
@@ -188,39 +179,22 @@ func SequentialVariants() []Variant {
 }
 
 // BatchedVariants returns the batched-schedule equivalence class: the
-// pipelined engine pinned to one worker (reference) against the pipelined
-// engine at N workers, the legacy fork-join barrier engine (NoPipeline) at
-// both widths, and the N-worker pipeline on deep copies, without the prefix
-// cache, and without the IR. The batched schedule is a pure function of the
-// campaign seed, so every variant must produce byte-identical transcripts
-// regardless of engine shape, worker count, or executor completion order —
-// the end-to-end proof that the persistent pool, the streaming in-order
-// fold, and the speculative line search changed nothing observable.
+// pipelined engine at two workers (reference) against the pipelined engine
+// at N workers, and at N workers without the prefix cache and without the
+// IR. The batched schedule is a pure function of the campaign seed, so every
+// variant must produce byte-identical transcripts regardless of worker count
+// or executor completion order — the end-to-end proof that the persistent
+// pool, the streaming in-order fold, and the speculative line search leak
+// nothing observable. workers must differ from 2 for the class to compare
+// two widths.
 func BatchedVariants(workers int) []Variant {
 	return []Variant{
-		{"pipelined-w1", func(o fuzz.Options) fuzz.Options {
-			o.Workers = 1
-			o.ForceBatched = true
+		{"pipelined-w2", func(o fuzz.Options) fuzz.Options {
+			o.Workers = 2
 			return o
 		}},
 		{fmt.Sprintf("pipelined-w%d", workers), func(o fuzz.Options) fuzz.Options {
 			o.Workers = workers
-			return o
-		}},
-		{"barrier-w1", func(o fuzz.Options) fuzz.Options {
-			o.Workers = 1
-			o.ForceBatched = true
-			o.NoPipeline = true
-			return o
-		}},
-		{fmt.Sprintf("barrier-w%d", workers), func(o fuzz.Options) fuzz.Options {
-			o.Workers = workers
-			o.NoPipeline = true
-			return o
-		}},
-		{fmt.Sprintf("pipelined-w%d-copystate", workers), func(o fuzz.Options) fuzz.Options {
-			o.Workers = workers
-			o.UseCopyState = true
 			return o
 		}},
 		{fmt.Sprintf("pipelined-w%d-nocache", workers), func(o fuzz.Options) fuzz.Options {
@@ -236,45 +210,38 @@ func BatchedVariants(workers int) []Variant {
 	}
 }
 
+// minBatchedWidth is the smallest N the batched class runs against its
+// two-worker reference: raising smaller requests keeps every batched pair a
+// comparison of two different widths, even on a two-CPU host.
+const minBatchedWidth = 4
+
 // WorldDifferentialMatrix runs the batched equivalence class on a
-// multi-contract world campaign: the pipelined engine pinned to one worker
-// ("world-w1", ForceBatched) against the same world at N workers
-// ("world-wN"). Multi-contract deployment, cross-contract callee routing,
-// and attacker-spec compilation all execute on the worker side, so the pair
+// multi-contract world campaign: the pipelined engine at two workers
+// ("world-w2") against the same world at N workers ("world-wN", N raised to
+// at least 4). Multi-contract deployment, cross-contract callee routing, and
+// attacker-spec compilation all execute on the worker side, so the pair
 // proves none of them leaks schedule nondeterminism. mk builds a fresh
 // (target, world) pair per recording — world options carry live member
 // targets and an attacker model, which must not be shared across engines.
 func WorldDifferentialMatrix(name string, mk func() (fuzz.Target, *fuzz.WorldOptions), base fuzz.Options, workers int) []PairResult {
-	if workers < 2 {
-		workers = 2
-	}
-	base.ForceBatched = false
-	base.UseCopyState = false
+	workers = max(workers, minBatchedWidth)
 	base.NoPrefixCache = false
 	base.NoIR = false
-	base.NoPipeline = false
-	record := func(apply func(fuzz.Options) fuzz.Options) *Run {
+	record := func(workers int) *Run {
 		t, w := mk()
-		o := apply(base)
+		o := base
+		o.Workers = workers
 		o.World = w
 		return RecordTargetCampaign(name, t, o)
 	}
-	ref := record(func(o fuzz.Options) fuzz.Options {
-		o.Workers = 1
-		o.ForceBatched = true
-		return o
-	})
-	run := record(func(o fuzz.Options) fuzz.Options {
-		o.Workers = workers
-		return o
-	})
+	ref, run := record(2), record(workers)
 	d := Diff(ref.Transcript, run.Transcript)
 	if d != nil {
 		MinimizePoCs(d, ref, run)
 	}
 	return []PairResult{{
 		Contract:   name,
-		Reference:  "world-w1",
+		Reference:  "world-w2",
 		Variant:    fmt.Sprintf("world-w%d", workers),
 		Equal:      d == nil,
 		Divergence: d,
@@ -292,19 +259,14 @@ type PairResult struct {
 
 // DifferentialMatrix runs both equivalence classes on one contract and
 // compares every variant against its class reference. workers selects the
-// parallel fan-out of the batched class (values < 2 are raised to 2 so the
-// matrix genuinely exercises concurrency).
+// fan-out of the batched class's variants (values below 4 are raised to 4,
+// so they never share the two-worker reference's width).
 func DifferentialMatrix(name string, comp *minisol.Compiled, base fuzz.Options, workers int) []PairResult {
-	if workers < 2 {
-		workers = 2
-	}
+	workers = max(workers, minBatchedWidth)
 	// The matrix owns the engine-variant dimensions; a base carrying one of
 	// them would silently collapse an equivalence class onto itself.
-	base.ForceBatched = false
-	base.UseCopyState = false
 	base.NoPrefixCache = false
 	base.NoIR = false
-	base.NoPipeline = false
 	var out []PairResult
 	for _, class := range [][]Variant{SequentialVariants(), BatchedVariants(workers)} {
 		ref := RecordCampaign(name, comp, class[0].Apply(base))

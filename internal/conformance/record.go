@@ -211,8 +211,6 @@ func optionsFrom(o OptionsSummary) fuzz.Options {
 		EnergyBase:    o.EnergyBase,
 		InitialSeeds:  o.InitialSeeds,
 		Workers:       o.Workers,
-		ForceBatched:  o.ForceBatched,
-		UseCopyState:  o.UseCopyState,
 		NoPrefixCache: o.NoPrefixCache,
 	}
 }

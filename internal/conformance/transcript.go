@@ -61,8 +61,6 @@ type OptionsSummary struct {
 	EnergyBase    int
 	InitialSeeds  int
 	Workers       int
-	ForceBatched  bool
-	UseCopyState  bool
 	NoPrefixCache bool
 	// World summarizes a multi-contract world ("member,member;attacker"),
 	// empty for single-contract campaigns. The live member targets and
@@ -133,8 +131,6 @@ func summarizeOptions(o fuzz.Options) OptionsSummary {
 		EnergyBase:    o.EnergyBase,
 		InitialSeeds:  o.InitialSeeds,
 		Workers:       o.Workers,
-		ForceBatched:  o.ForceBatched,
-		UseCopyState:  o.UseCopyState,
 		NoPrefixCache: o.NoPrefixCache,
 		World:         worldToken(o.World),
 	}
@@ -234,9 +230,11 @@ func (t *Transcript) Encode(w io.Writer) error {
 func encodeHeader(bw *bufio.Writer, version int, contract string, o OptionsSummary) {
 	fmt.Fprintf(bw, "%s v%d\n", magic, version)
 	fmt.Fprintf(bw, "contract %s\n", contract)
-	fmt.Fprintf(bw, "options strategy=%q seed=%d iters=%d maxseq=%d gas=%d energy=%d initseeds=%d workers=%d batched=%d copystate=%d nocache=%d",
+	// batched= and copystate= name retired engine options; they stay in the
+	// line, always 0, so committed transcripts and their hashes are unchanged.
+	fmt.Fprintf(bw, "options strategy=%q seed=%d iters=%d maxseq=%d gas=%d energy=%d initseeds=%d workers=%d batched=0 copystate=0 nocache=%d",
 		o.Strategy, o.Seed, o.Iterations, o.MaxSeqLen, o.GasPerTx, o.EnergyBase,
-		o.InitialSeeds, o.Workers, boolBit(o.ForceBatched), boolBit(o.UseCopyState), boolBit(o.NoPrefixCache))
+		o.InitialSeeds, o.Workers, boolBit(o.NoPrefixCache))
 	if o.World != "" {
 		fmt.Fprintf(bw, " world=%q", o.World)
 	}
@@ -405,15 +403,12 @@ func Decode(r io.Reader) (*Transcript, error) {
 		new(int), new(int), new(int)); err != nil {
 		return nil, decodeErr(line, "bad options: %v", err)
 	}
-	// Sscanf cannot target bools through %d; re-extract the three flags and
+	// Sscanf cannot target bools through %d; re-extract the nocache flag and
 	// the optional trailing world token (member names carry no whitespace, so
-	// the quoted token is a single field).
+	// the quoted token is a single field). The retired batched= and
+	// copystate= flags are ignored.
 	for _, kv := range strings.Fields(line) {
 		switch {
-		case kv == "batched=1":
-			t.Options.ForceBatched = true
-		case kv == "copystate=1":
-			t.Options.UseCopyState = true
 		case kv == "nocache=1":
 			t.Options.NoPrefixCache = true
 		case strings.HasPrefix(kv, "world="):

@@ -31,48 +31,47 @@ func loadFixtureTarget(t *testing.T, name string) fuzz.Target {
 
 // TestWorldTranscriptIdentity is the world analogue of the batched
 // differential class: the same world campaign — bank fixture, synthesized
-// attacker — recorded at Workers=1 under ForceBatched (world-w1) and at
-// Workers=4 (world-wN) must produce identical record streams and final
-// summaries, and both transcripts must survive independent sequence
-// verification. Multi-contract deployment, callee routing, and attacker
-// compilation all live on the executor; this pins that none of them leaks
-// schedule nondeterminism.
+// attacker — recorded at Workers=2 (world-w2) and at Workers=4 (world-w4)
+// must produce identical record streams and final summaries, and both
+// transcripts must survive independent sequence verification.
+// Multi-contract deployment, callee routing, and attacker compilation all
+// live on the executor; this pins that none of them leaks schedule
+// nondeterminism.
 func TestWorldTranscriptIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaigns are slow")
 	}
 	base := fuzz.Options{Strategy: fuzz.MuFuzz(), Seed: 2, Iterations: 1500}
 
-	record := func(name string, workers int, forceBatched bool) *Run {
+	record := func(name string, workers int) *Run {
 		tgt := loadFixtureTarget(t, "bank-reentrant")
 		o := base
 		o.Workers = workers
-		o.ForceBatched = forceBatched
 		o.World = &fuzz.WorldOptions{Attacker: world.NewModel(tgt.Methods())}
 		return RecordTargetCampaign(name, tgt, o)
 	}
-	w1 := record("world-w1", 1, true)
-	wN := record("world-wN", 4, false)
+	w2 := record("world-w2", 2)
+	w4 := record("world-w4", 4)
 
-	if d := Diff(w1.Transcript, wN.Transcript); d != nil {
-		MinimizePoCs(d, w1, wN)
-		t.Fatalf("world-w1 vs world-wN diverged: %s", d)
+	if d := Diff(w2.Transcript, w4.Transcript); d != nil {
+		MinimizePoCs(d, w2, w4)
+		t.Fatalf("world-w2 vs world-w4 diverged: %s", d)
 	}
-	if err := VerifySequences(w1.Campaign, w1.Transcript); err != nil {
-		t.Fatalf("world-w1 sequence verification: %v", err)
+	if err := VerifySequences(w2.Campaign, w2.Transcript); err != nil {
+		t.Fatalf("world-w2 sequence verification: %v", err)
 	}
-	if err := VerifySequences(wN.Campaign, wN.Transcript); err != nil {
-		t.Fatalf("world-wN sequence verification: %v", err)
+	if err := VerifySequences(w4.Campaign, w4.Transcript); err != nil {
+		t.Fatalf("world-w4 sequence verification: %v", err)
 	}
 
 	// The transcript must actually exercise the extended format: the anchor
 	// carries an attacker spec, and the options line carries the world token.
-	enc := w1.Transcript.EncodeBytes()
+	enc := w2.Transcript.EncodeBytes()
 	if !bytes.Contains(enc, []byte(`world=";attacker"`)) {
 		t.Fatal("world token missing from options line")
 	}
 	found := false
-	for _, r := range w1.Transcript.Records {
+	for _, r := range w2.Transcript.Records {
 		if len(r.Seq) > 0 && len(r.Seq[0].Attacker) > 0 {
 			found = true
 			break

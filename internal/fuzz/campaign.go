@@ -4,8 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mufuzz/internal/abi"
@@ -44,37 +42,17 @@ type Options struct {
 	// owning its own EVM, state copy, and trace buffer), and their feedback
 	// is merged on the coordinator in deterministic batch order.
 	// The batched schedule depends on Seed alone: results are identical at
-	// every Workers > 1 (and under ForceBatched at Workers=1) but differ from
-	// the sequential engine's. A negative value selects runtime.NumCPU().
+	// every Workers > 1 but differ from the sequential engine's. A negative
+	// value selects runtime.NumCPU().
 	Workers int
 	// NoPrefixCache disables the intermediate-state checkpoint optimization
 	// (paper §VI); used for ablation and equivalence testing.
 	NoPrefixCache bool
-	// ForceBatched runs the batched (coordinator/executor) engine even when
-	// Workers is 1. The batched schedule — per-child rng seeds drawn from the
-	// coordinator rng, outcomes folded in batch order — is a pure function of
-	// Seed and independent of the worker count, so ForceBatched at Workers=1
-	// produces byte-identical results to any Workers=N run of the same Seed.
-	// The conformance differential runner uses it to prove that equivalence.
-	ForceBatched bool
-	// UseCopyState makes the executors hand off world state with the deep
-	// State.Copy instead of the copy-on-write State.Fork at every handoff
-	// (genesis, checkpoint resume, checkpoint store). Copy is the semantic
-	// specification Fork is tested against; running a whole campaign under
-	// Copy must be byte-identical to the Fork engine (conformance check).
-	UseCopyState bool
 	// NoIR pins every executor EVM to the reference switch-loop interpreter
 	// instead of the compiled-IR hot path. The IR engine must be
 	// byte-identical to the switch loop; running a whole campaign under NoIR
 	// is the conformance ablation that proves it end-to-end.
 	NoIR bool
-	// NoPipeline pins the batched engine to the legacy fork-join shape: spawn
-	// workers per round, wg.Wait(), then fold every slot serially. The default
-	// pipelined engine (persistent worker pool, streaming in-order fold,
-	// speculative line search) must be byte-identical to this barrier engine;
-	// running a whole campaign under NoPipeline is the conformance ablation
-	// that proves it end-to-end. Irrelevant when the sequential engine runs.
-	NoPipeline bool
 	// Observer, when non-nil, receives one ExecRecord per execution on the
 	// coordinator goroutine in deterministic fold order. Observing never
 	// changes campaign behavior; it is the conformance transcript hook.
@@ -409,7 +387,6 @@ func NewTargetCampaign(t Target, opts Options) *Campaign {
 		worldAddrs:    c.worldAddrs,
 		worldTargets:  c.worldTargets,
 		attackerModel: c.attackerModel,
-		copyState:     o.UseCopyState,
 		// Compile the contract's IR once per campaign; worker clones share the
 		// read-only Program, so no worker ever pays the decode+fuse pass.
 		prog: evm.CompileProgram(code),
@@ -1222,12 +1199,8 @@ func (c *Campaign) RunSlice(ctx context.Context, maxRounds int) (*Result, bool) 
 		seed := c.pickSeed(&c.qi)
 		c.ensureMasks(seed)
 		energy := c.energyFor(seed)
-		if c.opts.Workers > 1 || c.opts.ForceBatched {
-			if c.opts.NoPipeline {
-				c.fuzzRoundBarrier(seed, energy, &c.qi)
-			} else {
-				c.fuzzRoundPipelined(seed, energy, &c.qi)
-			}
+		if c.opts.Workers > 1 {
+			c.fuzzRoundPipelined(seed, energy, &c.qi)
 		} else {
 			c.fuzzRound(seed, energy, &c.qi)
 		}
@@ -1364,82 +1337,6 @@ func (c *Campaign) fuzzRound(seed *Seed, energy int, qi *int) {
 	}
 }
 
-// fuzzRoundBarrier spends one seed's energy as a fork-join batch: the
-// round's children are generated and executed across Options.Workers
-// goroutines, each worker owning its own executor (EVM, state copies, trace
-// buffer) and a fresh per-child rand.New(rand.NewSource(seed)) seeded from
-// the coordinator rng; a WaitGroup barrier joins them all before the
-// coordinator merges outcomes in batch order. This is the legacy batched
-// engine, kept verbatim as the Options.NoPipeline ablation — the reference
-// the pipelined engine is proven byte-identical against. It keeps the stock
-// math/rand source on purpose: the pipelined engine reseeds a childSource
-// instead, so every barrier-vs-pipelined conformance pair also proves end to
-// end that the two sources emit the same stream.
-func (c *Campaign) fuzzRoundBarrier(seed *Seed, energy int, qi *int) {
-	n := energy
-	if remaining := c.opts.Iterations - c.executions; n > remaining {
-		n = remaining
-	}
-	if n <= 0 {
-		return
-	}
-	// Per-child rng seeds drawn sequentially from the coordinator rng keep
-	// the whole batch a pure function of Options.Seed.
-	childSeeds := make([]int64, n)
-	for i := range childSeeds {
-		childSeeds[i] = c.rng.Int63()
-	}
-
-	type slot struct {
-		child      *Seed
-		out        execOutcome
-		seqMutated int
-	}
-	slots := make([]slot, n)
-	workers := c.opts.Workers
-	if workers > n {
-		workers = n
-	}
-	c.pendingExecs = n
-
-	for len(c.workerExecs) < workers {
-		c.workerExecs = append(c.workerExecs, c.exec.clone())
-	}
-
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		x := c.workerExecs[w]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				rng := rand.New(rand.NewSource(childSeeds[i]))
-				child, seqMutated := c.mutateSeedRand(seed, rng)
-				out := x.run(child.Seq)
-				slots[i] = slot{child: child, out: out, seqMutated: seqMutated}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Deterministic batch-order merge on the coordinator. Every dispatched
-	// execution counts, so all slots fold even if the time budget expired
-	// mid-batch.
-	for i := range slots {
-		c.pendingExecs--
-		c.executions++
-		c.sequencesMutated += slots[i].seqMutated
-		r := c.foldOutcome(slots[i].child.Seq, &slots[i].out)
-		child, r := c.maybeLineSearch(slots[i].child, r)
-		c.admit(child, r, qi)
-	}
-}
-
 // ensureWorkerPool lazily starts the pipelined engine's persistent pool over
 // the campaign's warmed worker executors.
 func (c *Campaign) ensureWorkerPool() *workerPool {
@@ -1468,17 +1365,19 @@ func (c *Campaign) stopWorkerPool() {
 // early slots overlap the execution of later ones, and nothing joins on a
 // barrier.
 //
-// The schedule is byte-identical to fuzzRoundBarrier's. Per-child rng seeds
-// come from the same coordinator draws. Instead of a fresh rand.NewSource per
-// child, the coordinator reseeds its one childRng (a childSource, which
-// replays rand.NewSource's stream for a seed while filling its register
-// lazily), so a child's set-up costs the few draws it makes rather than a
-// full 607-word seeding on the coordinator goroutine. Children are a pure
-// function of the round-start feedback state (mutation happens before any
-// fold of this round touches the value pool, masks, or distance frontier —
-// exactly the state the barrier engine's workers read); executors are pure;
+// The batched schedule is a pure function of Options.Seed at every width:
+// per-child rng seeds are drawn sequentially from the coordinator rng, and
+// each child is mutated from its own seed. Instead of a fresh
+// rand.NewSource per child, the coordinator reseeds its one childRng (a
+// childSource, which replays rand.NewSource's stream for a seed while filling
+// its register lazily), so a child's set-up costs the few draws it makes
+// rather than a full 607-word seeding on the coordinator goroutine; the
+// batched goldens, recorded when every child had a stock rand.NewSource,
+// pin that the two streams agree. Children are a pure function of the
+// round-start feedback state (mutation happens before any fold of this round
+// touches the value pool, masks, or distance frontier); executors are pure;
 // and the reorder buffer releases outcomes in batch order, so every fold sees
-// the state the serial merge would have produced.
+// the state a serial batch-order merge would have produced.
 func (c *Campaign) fuzzRoundPipelined(seed *Seed, energy int, qi *int) {
 	n := energy
 	if remaining := c.opts.Iterations - c.executions; n > remaining {
@@ -1523,8 +1422,7 @@ func (c *Campaign) fuzzRoundPipelined(seed *Seed, energy int, qi *int) {
 			ready[i] = true
 		}
 		// Reorder buffer: release every contiguous completed slot in batch
-		// order. Counter updates, fold, line search, and admission mirror the
-		// barrier engine's serial merge statement for statement.
+		// order: counter updates, fold, line search, and admission.
 		for next < n && ready[next] {
 			i := next
 			next++

@@ -96,10 +96,6 @@ type executor struct {
 	// pre-interning engine re-hashed the signature on every transaction.
 	methods   map[string]abi.Method
 	selectors map[string][4]byte
-	// copyState selects the deep State.Copy for every state handoff instead
-	// of the copy-on-write State.Fork — the Options.UseCopyState conformance
-	// mode that pins Fork's semantics end-to-end.
-	copyState bool
 	// prog is the contract's compiled IR program, built once per campaign and
 	// shared read-only by every worker's EVM (the decode-once hot path).
 	prog *evm.Program
@@ -151,38 +147,17 @@ func (x *executor) clone() *executor {
 // detached returns a clone that bypasses the prefix cache; replays and
 // minimization use it so they neither consume nor pollute checkpoints.
 func (x *executor) detached() *executor {
-	nx := *x
-	nx.trace = nil
-	nx.txBuf = nil
-	nx.vm = nil
-	nx.attacker = nil
-	nx.scratch = nil
-	nx.hashBuf = nil
-	nx.brArena = nil
+	nx := x.clone()
 	nx.prefixes = nil
-	nx.view = prefixView{}
-	return &nx
-}
-
-// forkOf hands off a frozen state: a copy-on-write Fork on the hot path, or
-// the deep semantic-specification Copy under Options.UseCopyState. Both are
-// safe to call concurrently on states that are not being mutated (genesis and
-// checkpoint entries are frozen after Commit/store).
-func (x *executor) forkOf(s *state.State) *state.State {
-	if x.copyState {
-		return s.Copy()
-	}
-	return s.Fork()
+	return nx
 }
 
 // workState forks s into the executor's reusable scratch state — the
-// per-execution working copy nothing retains (checkpoint stores fork the
-// scratch again via forkOf, so cache entries are always independent states).
-// Under UseCopyState the deep-copy specification path is kept unpooled.
+// per-execution working copy nothing retains (checkpoint stores Fork the
+// scratch again, so cache entries are always independent states). s must be
+// frozen (genesis or a checkpoint entry), which makes the fork safe from any
+// number of workers at once.
 func (x *executor) workState(s *state.State) *state.State {
-	if x.copyState {
-		return s.Copy()
-	}
 	x.scratch = s.ForkInto(x.scratch)
 	return x.scratch
 }
@@ -404,7 +379,7 @@ func (x *executor) run(seq Sequence) execOutcome {
 		if i == bestStore && x.prefixes.admissible(out.branchesByTx) {
 			key := hashes[i]
 			if !x.prefixes.contains(key) {
-				x.prefixes.storeKeyed(key, i+1, x.forkOf(st), e.TaintSnapshot(), out.branchesByTx, out.reports, out.nestedDepth)
+				x.prefixes.storeKeyed(key, i+1, st.Fork(), e.TaintSnapshot(), out.branchesByTx, out.reports, out.nestedDepth)
 			}
 		}
 	}

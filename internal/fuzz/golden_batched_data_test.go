@@ -3,12 +3,11 @@ package fuzz
 // goldenBatchedFingerprints pins the observable behavior of the batched
 // engine — the coordinator/executor schedule that is a pure function of
 // Options.Seed, independent of worker count. Captured from the fork-join
-// barrier engine (pre-pipeline, PR 6); the pipelined engine must reproduce
-// every byte at any worker count, and the barrier engine itself stays
-// available as the Options.NoPipeline ablation pinned to the same strings.
-// One fingerprint per campaign suffices because workers=1 and workers=N are
-// asserted equal to it separately. Regenerate with MUFUZZ_GOLDEN_REGEN=1
-// only after an intentional schedule change.
+// engine that preceded the pipelined one, which seeded every child with a
+// stock rand.NewSource; the pipelined engine must reproduce every byte at
+// any worker count. One fingerprint per campaign suffices because workers=2
+// and workers=4 are asserted equal to it separately. Regenerate with
+// MUFUZZ_GOLDEN_REGEN=1 only after an intentional schedule change.
 var goldenBatchedFingerprints = map[string]string{
 	"crowdsale-seed1": `strategy=MuFuzz covered=21/24 cov=0.875000 execs=300 queue=8 masks=4 seqmut=74
 findings=[IO@130:ADD wraps mod 2^256 and the result persists; IO@152:ADD wraps mod 2^256 and the result persists]

@@ -408,9 +408,11 @@ func (s *Snapshot) Encode(w io.Writer) error {
 		boolBit01(st.BranchDistance), boolBit01(st.MutationMasking), boolBit01(st.DynamicEnergy),
 		boolBit01(st.CmpFeedback), boolBit01(st.MinedDictionary))
 	o := s.Options
-	fmt.Fprintf(bw, "options seed=%d iters=%d maxseq=%d gas=%d energybase=%d initseeds=%d workers=%d batched=%d copystate=%d nocache=%d timebudgetns=%d\n",
+	// batched= and copystate= name retired engine options; they stay in the
+	// line, always 0, so the encoding is unchanged.
+	fmt.Fprintf(bw, "options seed=%d iters=%d maxseq=%d gas=%d energybase=%d initseeds=%d workers=%d batched=0 copystate=0 nocache=%d timebudgetns=%d\n",
 		o.Seed, o.Iterations, o.MaxSeqLen, o.GasPerTx, o.EnergyBase, o.InitialSeeds, o.Workers,
-		boolBit01(o.ForceBatched), boolBit01(o.UseCopyState), boolBit01(o.NoPrefixCache), int64(o.TimeBudget))
+		boolBit01(o.NoPrefixCache), int64(o.TimeBudget))
 	fmt.Fprintf(bw, "progress execs=%d qi=%d corpus=%d rngdraws=%d lastnew=%d maskprobes=%d maskscomputed=%d seqmut=%d linesearches=%d linesteps=%d elapsedns=%d\n",
 		s.Executions, s.QI, s.CorpusSeeded, s.RngDraws, s.LastNewEdgeExec, s.MaskProbes,
 		s.MasksComputed, s.SequencesMutated, s.LineSearches, s.LineSteps, int64(s.Elapsed))
@@ -639,17 +641,16 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	if !ok || !strings.HasPrefix(line, "options ") {
 		return nil, snapErr(line, "missing options line")
 	}
-	var ob [3]int
+	var nocache int
 	var tbNS int64
+	// The retired batched= and copystate= flags are read and ignored.
 	if _, err := fmt.Sscanf(line, "options seed=%d iters=%d maxseq=%d gas=%d energybase=%d initseeds=%d workers=%d batched=%d copystate=%d nocache=%d timebudgetns=%d",
 		&s.Options.Seed, &s.Options.Iterations, &s.Options.MaxSeqLen, &s.Options.GasPerTx,
 		&s.Options.EnergyBase, &s.Options.InitialSeeds, &s.Options.Workers,
-		&ob[0], &ob[1], &ob[2], &tbNS); err != nil {
+		new(int), new(int), &nocache, &tbNS); err != nil {
 		return nil, snapErr(line, "bad options: %v", err)
 	}
-	s.Options.ForceBatched = ob[0] == 1
-	s.Options.UseCopyState = ob[1] == 1
-	s.Options.NoPrefixCache = ob[2] == 1
+	s.Options.NoPrefixCache = nocache == 1
 	s.Options.TimeBudget = time.Duration(tbNS)
 
 	line, ok = readLine()

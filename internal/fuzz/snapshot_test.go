@@ -153,7 +153,8 @@ func TestSnapshotRejectsNewerVersion(t *testing.T) {
 // TestSnapshotDecodesV1 pins backward compatibility: a v1 snapshot — strategy
 // line without the cmpfeed/dict fields, no cmpop records — must still decode,
 // with the comparison-feedback flags off (they postdate the format) and
-// resume into a runnable campaign.
+// resume into a runnable campaign. Its options line sets the retired batched
+// and copystate flags, which decoding ignores.
 func TestSnapshotDecodesV1(t *testing.T) {
 	comp := compileT(t, corpus.Crowdsale())
 	c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 1, Iterations: 200, Workers: 1})
@@ -170,11 +171,16 @@ func TestSnapshotDecodesV1(t *testing.T) {
 			v1.WriteString(strings.Replace(line, " valueout=0", "", 1))
 		case strings.HasPrefix(line, "strategy "):
 			v1.WriteString(strings.Replace(line, " cmpfeed=1 dict=1", "", 1))
+		case strings.HasPrefix(line, "options "):
+			v1.WriteString(strings.Replace(line, " batched=0 copystate=0 ", " batched=1 copystate=1 ", 1))
 		case strings.HasPrefix(line, "cmpop "):
 			// v1 had no operand table
 		default:
 			v1.WriteString(line)
 		}
+	}
+	if !strings.Contains(v1.String(), " batched=1 copystate=1 ") {
+		t.Fatal("options line lacks the batched/copystate tokens")
 	}
 	snap, err := DecodeSnapshot(bytes.NewReader(v1.Bytes()))
 	if err != nil {

@@ -140,38 +140,62 @@ func TestForkNeverLeaksIntoParentOrSiblings(t *testing.T) {
 	}
 }
 
-// TestForkMatchesCopyTransactionForTransaction drives a Fork and a Copy of
-// the same state through an identical random script of writes and
+// transact applies one random "transaction" to s: snapshot, a few ops, then
+// commit or revert — mirroring how the EVM drives the state.
+func transact(s *State, rng *rand.Rand) {
+	snap := s.Snapshot()
+	nOps := 1 + rng.Intn(4)
+	for op := 0; op < nOps; op++ {
+		mutateRandomly(s, rng)
+	}
+	if rng.Intn(3) == 0 {
+		s.RevertTo(snap)
+	}
+}
+
+// TestForkMatchesCopyTransactionForTransaction drives forks and a Copy of the
+// same state through an identical random script of writes and
 // Snapshot/RevertTo cycles, asserting observational equality after every
-// step — Fork must match the deep-copy specification exactly, including
-// journal semantics.
+// step — a fork must match the deep-copy specification exactly, including
+// journal semantics. The forks are a Fork and a ForkInto scratch reused
+// across rounds and re-forked from the parent each round, as the fuzzing
+// executors reuse theirs. The parent keeps writing after every fork, so a
+// fork that fails to retire the parent's write generation shows up as a
+// parent write leaking into the child; the parent itself must end up exactly
+// as a Copy that received only the parent's writes.
 func TestForkMatchesCopyTransactionForTransaction(t *testing.T) {
 	for trial := int64(0); trial < 10; trial++ {
-		base := seedWorld(trial)
-		fork := base.Fork()
-		copyRef := base.Copy()
+		parent := seedWorld(trial)
+		parentRef := parent.Copy()
+		rngP := rand.New(rand.NewSource(trial + 7777))
+		rngPRef := rand.New(rand.NewSource(trial + 7777))
 
-		rngF := rand.New(rand.NewSource(trial * 31))
-		rngC := rand.New(rand.NewSource(trial * 31))
-		for step := 0; step < 120; step++ {
-			// One "transaction": snapshot, a few ops, commit or revert —
-			// mirroring how the EVM drives the state.
-			snapF, snapC := fork.Snapshot(), copyRef.Snapshot()
-			nOps := 1 + rngF.Intn(4)
-			_ = 1 + rngC.Intn(4)
-			for op := 0; op < nOps; op++ {
-				mutateRandomly(fork, rngF)
-				mutateRandomly(copyRef, rngC)
+		check := func(label string, child *State, seed int64, steps int) {
+			t.Helper()
+			copyRef := parent.Copy()
+			rngF := rand.New(rand.NewSource(seed))
+			rngC := rand.New(rand.NewSource(seed))
+			for step := 0; step < steps; step++ {
+				transact(child, rngF)
+				transact(copyRef, rngC)
+				transact(parent, rngP)
+				transact(parentRef, rngPRef)
+				if df, dc := dump(child), dump(copyRef); df != dc {
+					t.Fatalf("trial %d %s step %d: fork diverged from copy\nfork:\n%s\ncopy:\n%s", trial, label, step, df, dc)
+				}
 			}
-			if rngF.Intn(3) == 0 {
-				fork.RevertTo(snapF)
-			}
-			if rngC.Intn(3) == 0 {
-				copyRef.RevertTo(snapC)
-			}
-			if df, dc := dump(fork), dump(copyRef); df != dc {
-				t.Fatalf("trial %d step %d: fork diverged from copy\nfork:\n%s\ncopy:\n%s", trial, step, df, dc)
-			}
+		}
+
+		check("Fork", parent.Fork(), trial*31, 120)
+		// Round 0 has no scratch yet and falls back to Fork; later rounds
+		// reuse it.
+		var scratch *State
+		for round := int64(0); round < 3; round++ {
+			scratch = parent.ForkInto(scratch)
+			check(fmt.Sprintf("ForkInto round %d", round), scratch, trial*31+round+1, 40)
+		}
+		if dp, dr := dump(parent), dump(parentRef); dp != dr {
+			t.Fatalf("trial %d: child writes leaked into parent\nparent:\n%s\nref:\n%s", trial, dp, dr)
 		}
 	}
 }
