@@ -167,6 +167,11 @@ type Campaign struct {
 	ctorOrder     []string
 	attackerModel AttackerModel
 	reConfirmed   bool
+	// replayExecs are the two detached executors reentrancyDiverges replays
+	// on, one per side of the comparison. They are caches, built on first
+	// use and kept warm for the rest of the campaign; snapshots leave them
+	// out, and a resumed campaign builds them again.
+	replayExecs [2]*executor
 	// workerExecs are the per-worker executors of the batched engine, built
 	// once and reused across rounds so each worker's EVM, attacker native,
 	// jumpdest cache, and trace buffer stay warm for the whole campaign.
@@ -565,8 +570,11 @@ func (c *Campaign) confirmReport(prefix Sequence, rep oracle.Report) (oracle.Rep
 func (c *Campaign) reentrancyDiverges(prefix Sequence) bool {
 	stripped := prefix.Clone()
 	stripped[0].Attacker = nil
-	withAtk := c.exec.detached().runFinalState(prefix)
-	plain := c.exec.detached().runFinalState(stripped)
+	if c.replayExecs[0] == nil {
+		c.replayExecs = [2]*executor{c.exec.detached(), c.exec.detached()}
+	}
+	withAtk := c.replayExecs[0].runFinalState(prefix)
+	plain := c.replayExecs[1].runFinalState(stripped)
 	for _, a := range c.worldAddrs {
 		if !withAtk.AccountEqual(plain, a) {
 			return true

@@ -77,7 +77,11 @@ type executor struct {
 	worldAddrs    []state.Address
 	worldTargets  []Target
 	attackerModel AttackerModel
-	inspector     *oracle.Inspector
+	// attackerCode memoizes attackerModel.Compile by the encoded spec's
+	// content (see compileAttacker). It is per executor, like vm, so workers
+	// share nothing.
+	attackerCode map[string][]byte
+	inspector    *oracle.Inspector
 	// prefixes is the shared sharded checkpoint cache; nil disables the
 	// intermediate-state optimization (ablation / replay).
 	prefixes *prefixCache
@@ -137,6 +141,7 @@ func (x *executor) clone() *executor {
 	nx.txBuf = nil
 	nx.vm = nil
 	nx.attacker = nil
+	nx.attackerCode = nil
 	nx.scratch = nil
 	nx.hashBuf = nil
 	nx.brArena = nil
@@ -216,11 +221,37 @@ func (x *executor) deployWorld(st *state.State, seq Sequence) {
 		}
 	}
 	if x.attackerModel != nil && len(seq) > 0 {
-		if code := x.attackerModel.Compile(seq[0].Attacker); len(code) > 0 {
+		if code := x.compileAttacker(seq[0].Attacker); len(code) > 0 {
 			st.CreateContract(x.attackerAddr, code, x.deployer)
 			st.Commit()
 		}
 	}
+}
+
+// attackerMemoCap bounds the attacker build memo. It matches the EVM's
+// program cache bound, which is reset the same way when full.
+const attackerMemoCap = 64
+
+// compileAttacker is attackerModel.Compile memoized by the content of the
+// encoded spec. Every deploy from genesis builds the anchor's attacker, and
+// most of them repeat a spec already built. The memo hands back the same
+// slice for the same spec, so the EVM's identity-keyed program cache hits
+// too and the attacker's IR is not recompiled either. Code slices are
+// never written after the build, which makes sharing them across
+// executions safe. Specs churn as they mutate, so the memo is cleared when
+// it reaches attackerMemoCap entries.
+func (x *executor) compileAttacker(enc []byte) []byte {
+	if code, ok := x.attackerCode[string(enc)]; ok {
+		return code
+	}
+	code := x.attackerModel.Compile(enc)
+	if x.attackerCode == nil {
+		x.attackerCode = make(map[string][]byte, 8)
+	} else if len(x.attackerCode) >= attackerMemoCap {
+		clear(x.attackerCode)
+	}
+	x.attackerCode[string(enc)] = code
+	return code
 }
 
 // calleeAddr resolves a transaction's destination: the primary contract for

@@ -37,6 +37,10 @@ func (m MutType) String() string {
 // target property (Algorithm 2). A nil Mask permits everything.
 type Mask struct {
 	allowed [][numMutTypes]bool
+	// count is the number of permitted (position, type) pairs. Every builder
+	// keeps it (Allow, the snapshot seed copy, decodeMask), so AllowedCount
+	// never walks the mask.
+	count int
 }
 
 // NewEmptyMask returns a mask of the given length permitting nothing
@@ -47,8 +51,9 @@ func NewEmptyMask(n int) *Mask {
 
 // Allow marks mutation type x permitted at position i.
 func (m *Mask) Allow(i int, x MutType) {
-	if i >= 0 && i < len(m.allowed) {
+	if i >= 0 && i < len(m.allowed) && !m.allowed[i][x] {
 		m.allowed[i][x] = true
+		m.count++
 	}
 }
 
@@ -68,17 +73,7 @@ func (m *Mask) OK(x MutType, i int) bool {
 }
 
 // AllowedCount returns how many (position, type) pairs are permitted.
-func (m *Mask) AllowedCount() int {
-	n := 0
-	for _, a := range m.allowed {
-		for _, ok := range a {
-			if ok {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (m *Mask) AllowedCount() int { return m.count }
 
 // Len returns the mask length.
 func (m *Mask) Len() int { return len(m.allowed) }

@@ -158,3 +158,38 @@ func TestWriteWordAtMasked(t *testing.T) {
 		t.Error("nil-mask write must equal the unmasked write")
 	}
 }
+
+// TestMaskStoredCountMatchesRecount pins the stored allowed count against a
+// walk of the mask, for every way a mask is built: Allow (ComputeMask, with
+// repeated grants of one pair), the snapshot's seed copy, and decodeMask.
+func TestMaskStoredCountMatchesRecount(t *testing.T) {
+	recount := func(m *Mask) int {
+		n := 0
+		for _, a := range m.allowed {
+			for _, ok := range a {
+				if ok {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		stream := make([]byte, rng.Intn(80))
+		m := ComputeMask(stream, rng, nil, func([]byte) bool { return rng.Intn(3) == 0 })
+		for k := 0; k < 8; k++ {
+			m.Allow(rng.Intn(len(stream)+2)-1, MutType(rng.Intn(int(numMutTypes))))
+		}
+		seed := &Seed{Seq: Sequence{{Func: "f"}}, masks: []*Mask{m, nil}}
+		decoded, err := decodeMask(encodeMask(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for way, got := range map[string]*Mask{"Allow": m, "seed copy": seed.snapClone().masks[0], "decodeMask": decoded} {
+			if want := recount(got); got.AllowedCount() != want {
+				t.Fatalf("mask %d via %s: stored count %d, recount %d", i, way, got.AllowedCount(), want)
+			}
+		}
+	}
+}

@@ -185,7 +185,7 @@ func defaultValuePool() []u256.Int {
 	return pool
 }
 
-// FormatFinding renders a short human-readable seed description.
+// String renders a short human-readable seed description.
 func (s *Seed) String() string {
 	return fmt.Sprintf("seed{%s gen=%d w=%.1f}", s.Seq, s.Gen, s.PathWeight)
 }

@@ -162,7 +162,7 @@ func (s *Seed) snapClone() *Seed {
 			if m == nil {
 				continue
 			}
-			nm := &Mask{allowed: make([][numMutTypes]bool, len(m.allowed))}
+			nm := &Mask{allowed: make([][numMutTypes]bool, len(m.allowed)), count: m.count}
 			copy(nm.allowed, m.allowed)
 			ns.masks[i] = nm
 		}
@@ -529,7 +529,10 @@ func decodeMask(s string) (*Mask, error) {
 			return nil, fmt.Errorf("bad mask nibble %q", string(ch))
 		}
 		for k := 0; k < int(numMutTypes); k++ {
-			m.allowed[i][k] = n&(1<<k) != 0
+			if n&(1<<k) != 0 {
+				m.allowed[i][k] = true
+				m.count++
+			}
 		}
 	}
 	return m, nil

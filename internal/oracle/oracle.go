@@ -51,9 +51,18 @@ type Finding struct {
 	Description string
 }
 
+// FindingKey is the dedup identity of a finding: its class and location.
+// It is comparable, so it keys maps directly, and it is never encoded:
+// State and Finalize order findings by class and PC.
+type FindingKey struct {
+	Class BugClass
+	Addr  state.Address
+	PC    uint64
+}
+
 // Key dedups findings per (class, location).
-func (f Finding) Key() string {
-	return fmt.Sprintf("%s@%s:%d", f.Class, f.Addr, f.PC)
+func (f Finding) Key() FindingKey {
+	return FindingKey{Class: f.Class, Addr: f.Addr, PC: f.PC}
 }
 
 // Report is what one transaction's inspection observed: the findings the
@@ -124,23 +133,16 @@ func NewWitnessedInspector(addr state.Address, code []byte, attacker state.Addre
 	return ins
 }
 
-// report collects findings for one trace, deduping by Key within the trace.
-type report struct {
-	Report
-	seen map[string]bool
-}
-
-func (r *report) add(f Finding) {
-	if r.seen[f.Key()] {
-		return
+// add records a finding unless the report already holds one with the same
+// Key. A trace yields a handful of findings at most, so a scan of the
+// report's own list dedups without building a set per inspection.
+func (r *Report) add(f Finding) {
+	k := f.Key()
+	for _, g := range r.Findings {
+		if g.Key() == k {
+			return
+		}
 	}
-	if r.seen == nil {
-		// Allocated on the first finding only: the overwhelming majority of
-		// executions observe nothing, and the campaign hot path calls Inspect
-		// once per transaction.
-		r.seen = make(map[string]bool)
-	}
-	r.seen[f.Key()] = true
 	r.Findings = append(r.Findings, f)
 }
 
@@ -153,7 +155,7 @@ func (ins *Inspector) Inspect(tr *evm.Trace, txValue u256.Int, txOK bool) Report
 	if tr == nil {
 		return Report{}
 	}
-	var r report
+	var r Report
 	if txOK && !txValue.IsZero() {
 		r.ReceivedValue = true
 	}
@@ -166,14 +168,14 @@ func (ins *Inspector) Inspect(tr *evm.Trace, txValue u256.Int, txOK bool) Report
 	if ins.witness {
 		ins.inspectValueOut(tr, &r)
 	}
-	return r.Report
+	return r
 }
 
 // inspectValueOut (witnessed mode) records whether the contract actually
 // moved value out in this execution: a successful value-bearing CALL it
 // issued, or a selfdestruct (which sweeps the balance to the beneficiary).
 // The detector aggregates this into the trace-based EF oracle.
-func (ins *Inspector) inspectValueOut(tr *evm.Trace, r *report) {
+func (ins *Inspector) inspectValueOut(tr *evm.Trace, r *Report) {
 	for _, c := range tr.Calls {
 		if c.Op == evm.CALL && c.From == ins.addr && c.Success && !c.Value.IsZero() {
 			r.ValueOutOK = true
@@ -189,7 +191,7 @@ func (ins *Inspector) inspectValueOut(tr *evm.Trace, r *report) {
 }
 
 // inspectSinks covers BD, SE, and TO, which are all source→sink taint rules.
-func (ins *Inspector) inspectSinks(tr *evm.Trace, r *report) {
+func (ins *Inspector) inspectSinks(tr *evm.Trace, r *Report) {
 	for _, s := range tr.Sinks {
 		if s.Addr != ins.addr {
 			continue
@@ -224,7 +226,7 @@ func (ins *Inspector) inspectSinks(tr *evm.Trace, r *report) {
 
 // inspectOverflows covers IO: a wrapping ADD/SUB/MUL whose result reached
 // persistent storage or a call value in the same transaction.
-func (ins *Inspector) inspectOverflows(tr *evm.Trace, r *report) {
+func (ins *Inspector) inspectOverflows(tr *evm.Trace, r *Report) {
 	if len(tr.Overflows) == 0 {
 		return
 	}
@@ -252,7 +254,7 @@ func (ins *Inspector) inspectOverflows(tr *evm.Trace, r *report) {
 
 // inspectCalls covers UE: an external call failed and its status word was
 // never consumed by a conditional jump.
-func (ins *Inspector) inspectCalls(tr *evm.Trace, r *report) {
+func (ins *Inspector) inspectCalls(tr *evm.Trace, r *Report) {
 	for _, c := range tr.Calls {
 		if c.From != ins.addr || c.Op != evm.CALL {
 			continue
@@ -273,7 +275,7 @@ func (ins *Inspector) inspectCalls(tr *evm.Trace, r *report) {
 // happened, value-enabled or not — and relies on the campaign's
 // state-divergence confirm to discard harmless reentries before the finding
 // is absorbed.
-func (ins *Inspector) inspectReentry(tr *evm.Trace, r *report) {
+func (ins *Inspector) inspectReentry(tr *evm.Trace, r *Report) {
 	for _, re := range tr.Reentries {
 		if re.Addr != ins.addr {
 			continue
@@ -297,7 +299,7 @@ func (ins *Inspector) inspectReentry(tr *evm.Trace, r *report) {
 
 // inspectSelfDestructs covers US: SELFDESTRUCT executed by a caller that is
 // neither the creator nor sent by the creator.
-func (ins *Inspector) inspectSelfDestructs(tr *evm.Trace, r *report) {
+func (ins *Inspector) inspectSelfDestructs(tr *evm.Trace, r *Report) {
 	for _, sd := range tr.SelfDestructs {
 		if sd.Addr != ins.addr {
 			continue
@@ -317,7 +319,7 @@ func (ins *Inspector) inspectSelfDestructs(tr *evm.Trace, r *report) {
 // executed attacker-controlled code in the contract's storage context — the
 // call trace shows a successful DELEGATECALL into the synthesized attacker
 // account, which is the real exploit, not its taint shadow.
-func (ins *Inspector) inspectDelegates(tr *evm.Trace, r *report) {
+func (ins *Inspector) inspectDelegates(tr *evm.Trace, r *Report) {
 	if ins.witness {
 		for _, c := range tr.Calls {
 			if c.Op == evm.DELEGATECALL && c.From == ins.addr && c.To == ins.attacker && c.Success {
@@ -353,24 +355,29 @@ type Detector struct {
 	// valueOutSeen aggregates witnessed-mode ValueOutOK reports: some
 	// execution of the campaign actually moved value out of the contract.
 	valueOutSeen bool
-	findings     map[string]Finding
+	findings     map[FindingKey]Finding
+	// classes is the set of classes findings holds, kept in step with it so
+	// Absorb and Classes never walk the findings.
+	classes map[BugClass]bool
 }
 
 // NewDetector builds a detector (and its embedded inspector) for the
 // contract at addr with the given runtime code.
 func NewDetector(addr state.Address, code []byte) *Detector {
-	return &Detector{
-		insp:     NewInspector(addr, code),
-		findings: make(map[string]Finding),
-	}
+	return newDetector(NewInspector(addr, code))
 }
 
 // NewWitnessedDetector is NewDetector over a witnessed-mode inspector (world
 // campaigns; see NewWitnessedInspector).
 func NewWitnessedDetector(addr state.Address, code []byte, attacker state.Address) *Detector {
+	return newDetector(NewWitnessedInspector(addr, code, attacker))
+}
+
+func newDetector(insp *Inspector) *Detector {
 	return &Detector{
-		insp:     NewWitnessedInspector(addr, code, attacker),
-		findings: make(map[string]Finding),
+		insp:     insp,
+		findings: make(map[FindingKey]Finding),
+		classes:  make(map[BugClass]bool),
 	}
 }
 
@@ -380,8 +387,10 @@ func (d *Detector) Inspector() *Inspector {
 }
 
 func (d *Detector) add(f Finding) {
-	if _, dup := d.findings[f.Key()]; !dup {
-		d.findings[f.Key()] = f
+	k := f.Key()
+	if _, dup := d.findings[k]; !dup {
+		d.findings[k] = f
+		d.classes[f.Class] = true
 	}
 }
 
@@ -395,18 +404,15 @@ func (d *Detector) Absorb(r Report) []BugClass {
 	if r.ValueOutOK {
 		d.valueOutSeen = true
 	}
-	before := make(map[BugClass]bool)
-	for _, f := range d.findings {
-		before[f.Class] = true
-	}
 	var fresh []BugClass
-	seen := make(map[BugClass]bool)
 	for _, f := range r.Findings {
-		d.add(f)
-		if !before[f.Class] && !seen[f.Class] {
+		// A class is fresh when no finding held it before this one; adding
+		// the finding puts it in the set, so later findings of the same
+		// class in this report are not reported again.
+		if !d.classes[f.Class] {
 			fresh = append(fresh, f.Class)
-			seen[f.Class] = true
 		}
+		d.add(f)
 	}
 	return fresh
 }
@@ -441,9 +447,11 @@ func (d *Detector) State() (receivedValue bool, findings []Finding) {
 // State. The inspector half is untouched (it is stateless).
 func (d *Detector) Restore(receivedValue bool, findings []Finding) {
 	d.receivedValue = receivedValue
-	d.findings = make(map[string]Finding, len(findings))
+	d.findings = make(map[FindingKey]Finding, len(findings))
+	d.classes = make(map[BugClass]bool)
 	for _, f := range findings {
 		d.findings[f.Key()] = f
+		d.classes[f.Class] = true
 	}
 }
 
@@ -501,9 +509,9 @@ func (d *Detector) Finalize() []Finding {
 
 // Classes returns the distinct bug classes found so far.
 func (d *Detector) Classes() map[BugClass]bool {
-	out := make(map[BugClass]bool)
-	for _, f := range d.findings {
-		out[f.Class] = true
+	out := make(map[BugClass]bool, len(d.classes)+1)
+	for class := range d.classes {
+		out[class] = true
 	}
 	if d.frozen() {
 		out[EF] = true
