@@ -1,36 +1,31 @@
 // Command benchtab regenerates every table and figure of the paper's
-// evaluation section on the synthetic corpora.
+// evaluation section on the synthetic corpora, and measures what the
+// campaign service and the fleet coordinator cost over bare engines.
 //
 // Usage:
 //
 //	benchtab -exp all
-//	benchtab -exp fig5a|fig5b|fig6|table2|table3|fig7|table4|motivating
-//	benchtab -exp campaign [-campaign-json BENCH_campaign.json]
+//	benchtab -exp fig5a|fig5b|fig6|table2|table3|fig7|table4|motivating|overhead
 //	         [-n 24] [-iters 2500] [-seed 1]
-//	benchtab -exp service
 //
-// The campaign experiment measures end-to-end engine throughput (the
-// BenchmarkCampaignThroughput hot path) at Workers ∈ {1, NumCPU} and writes
-// the series as machine-readable JSON, so successive PRs have a perf
-// trajectory to regress against. The service experiment measures the
-// campaign-service scheduler's multiplexing overhead (N campaigns
-// time-sliced over one slot vs N sequential engine runs) and merges the
-// result into the same JSON.
+// `-n 8 -iters 1200` runs the quick budgets. Engine throughput is not
+// measured here: the performance ledger (`bash bench/run.sh`) is the one
+// harness for it.
 //
 // Absolute numbers differ from the paper (different corpora, different
 // hardware); the comparisons — who wins, by roughly what factor — are the
-// reproduction target. See EXPERIMENTS.md for the per-experiment analysis.
+// reproduction target. README's Evaluation section lists the experiments.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"net/http/httptest"
 	"os"
-	"runtime"
+	"slices"
+	"strings"
 	"time"
 
 	"mufuzz/internal/corpus"
@@ -41,451 +36,130 @@ import (
 	"mufuzz/internal/service"
 )
 
+// experiment is one named table, figure or measurement; -exp selects it.
+type experiment struct {
+	name string
+	run  func() error
+}
+
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: all | fig5a | fig5b | fig6 | table2 | table3 | fig7 | table4 | motivating | campaign | service | fleet")
-		n       = flag.Int("n", 24, "contracts per generated dataset")
-		iters   = flag.Int("iters", 2500, "fuzzing budget (sequence executions) per contract")
-		seed    = flag.Int64("seed", 1, "corpus + campaign seed")
-		benchJS = flag.String("campaign-json", "BENCH_campaign.json", "output path for the campaign throughput JSON")
+		n     = flag.Int("n", 24, "contracts per generated dataset")
+		iters = flag.Int("iters", 2500, "fuzzing budget (sequence executions) per contract")
+		seed  = flag.Int64("seed", 1, "corpus + campaign seed")
 	)
+	exps := []experiment{
+		{"table2", func() error {
+			stats, err := experiments.Datasets(*seed, *n, *n/2, *n/2)
+			if err != nil {
+				return err
+			}
+			experiments.PrintDatasets(os.Stdout, stats)
+			return nil
+		}},
+		{"motivating", func() error {
+			rows, err := experiments.Motivating(*iters, *seed)
+			if err != nil {
+				return err
+			}
+			experiments.PrintMotivating(os.Stdout, rows)
+			return nil
+		}},
+		{"fig5a", func() error {
+			gens := corpus.GenerateSmall(*seed, *n)
+			curves, err := experiments.CoverageOverTime(gens, experiments.StandardFuzzers(), *iters, *seed)
+			if err != nil {
+				return err
+			}
+			experiments.PrintCoverageCurves(os.Stdout,
+				fmt.Sprintf("Fig. 5(a) analog — coverage over budget, %d small contracts", len(gens)), curves)
+			return nil
+		}},
+		{"fig5b", func() error {
+			gens := corpus.GenerateLarge(*seed, *n/2)
+			curves, err := experiments.CoverageOverTime(gens, experiments.StandardFuzzers(), *iters*2, *seed)
+			if err != nil {
+				return err
+			}
+			experiments.PrintCoverageCurves(os.Stdout,
+				fmt.Sprintf("Fig. 5(b) analog — coverage over budget, %d large contracts", len(gens)), curves)
+			return nil
+		}},
+		{"fig6", func() error {
+			small := corpus.GenerateSmall(*seed, *n)
+			large := corpus.GenerateLarge(*seed, *n/2)
+			bs, err := experiments.OverallCoverage(small, experiments.StandardFuzzers(), *iters, *seed)
+			if err != nil {
+				return err
+			}
+			experiments.PrintCoverageBars(os.Stdout, "Fig. 6 analog — overall coverage, small contracts", bs)
+			bl, err := experiments.OverallCoverage(large, experiments.StandardFuzzers(), *iters*2, *seed)
+			if err != nil {
+				return err
+			}
+			experiments.PrintCoverageBars(os.Stdout, "Fig. 6 analog — overall coverage, large contracts", bl)
+			return nil
+		}},
+		{"table3", func() error {
+			results, err := experiments.BugDetection(
+				corpus.VulnSuite(), corpus.SafeSuite(),
+				experiments.StandardTools(), *iters, *seed)
+			if err != nil {
+				return err
+			}
+			experiments.PrintDetectionTable(os.Stdout, results)
+			return nil
+		}},
+		{"fig7", func() error {
+			small := corpus.GenerateSmall(*seed+100, *n)
+			large := corpus.GenerateLarge(*seed+100, *n/2)
+			rs, err := experiments.Ablation(small, *iters, *seed)
+			if err != nil {
+				return err
+			}
+			experiments.PrintAblation(os.Stdout, "Fig. 7 analog — ablation, small contracts (share of full MuFuzz)", rs)
+			rl, err := experiments.Ablation(large, *iters*2, *seed)
+			if err != nil {
+				return err
+			}
+			experiments.PrintAblation(os.Stdout, "Fig. 7 analog — ablation, large contracts (share of full MuFuzz)", rl)
+			return nil
+		}},
+		{"table4", func() error {
+			gens := corpus.GenerateComplex(*seed+200, *n/2)
+			res, err := experiments.CaseStudy(gens, *iters*2, *seed)
+			if err != nil {
+				return err
+			}
+			experiments.PrintCaseStudy(os.Stdout, res)
+			return nil
+		}},
+		{"overhead", func() error {
+			return overhead(*iters, *seed)
+		}},
+	}
+	names := make([]string, len(exps))
+	for i, e := range exps {
+		names[i] = e.name
+	}
+	exp := flag.String("exp", "all", "experiment: all | "+strings.Join(names, " | "))
 	flag.Parse()
+	if *exp != "all" && !slices.Contains(names, *exp) {
+		fmt.Fprintf(os.Stderr, "benchtab: unknown experiment %q; valid: all, %s\n", *exp, strings.Join(names, ", "))
+		os.Exit(2)
+	}
 
-	run := func(name string, fn func() error) {
-		if *exp != "all" && *exp != name {
-			return
+	for _, e := range exps {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
 		start := time.Now()
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab %s: %v\n", name, err)
+		if err := e.run(); err != nil {
+			fmt.Fprintf(os.Stderr, "benchtab %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("  (%s finished in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("  (%s finished in %v)\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
-
-	run("table2", func() error {
-		stats, err := experiments.Datasets(*seed, *n, *n/2, *n/2)
-		if err != nil {
-			return err
-		}
-		experiments.PrintDatasets(os.Stdout, stats)
-		return nil
-	})
-
-	run("motivating", func() error {
-		rows, err := experiments.Motivating(*iters, *seed)
-		if err != nil {
-			return err
-		}
-		experiments.PrintMotivating(os.Stdout, rows)
-		return nil
-	})
-
-	run("fig5a", func() error {
-		gens := corpus.GenerateSmall(*seed, *n)
-		curves, err := experiments.CoverageOverTime(gens, experiments.StandardFuzzers(), *iters, *seed)
-		if err != nil {
-			return err
-		}
-		experiments.PrintCoverageCurves(os.Stdout,
-			fmt.Sprintf("Fig. 5(a) analog — coverage over budget, %d small contracts", len(gens)), curves)
-		return nil
-	})
-
-	run("fig5b", func() error {
-		gens := corpus.GenerateLarge(*seed, *n/2)
-		curves, err := experiments.CoverageOverTime(gens, experiments.StandardFuzzers(), *iters*2, *seed)
-		if err != nil {
-			return err
-		}
-		experiments.PrintCoverageCurves(os.Stdout,
-			fmt.Sprintf("Fig. 5(b) analog — coverage over budget, %d large contracts", len(gens)), curves)
-		return nil
-	})
-
-	run("fig6", func() error {
-		small := corpus.GenerateSmall(*seed, *n)
-		large := corpus.GenerateLarge(*seed, *n/2)
-		bs, err := experiments.OverallCoverage(small, experiments.StandardFuzzers(), *iters, *seed)
-		if err != nil {
-			return err
-		}
-		experiments.PrintCoverageBars(os.Stdout, "Fig. 6 analog — overall coverage, small contracts", bs)
-		bl, err := experiments.OverallCoverage(large, experiments.StandardFuzzers(), *iters*2, *seed)
-		if err != nil {
-			return err
-		}
-		experiments.PrintCoverageBars(os.Stdout, "Fig. 6 analog — overall coverage, large contracts", bl)
-		return nil
-	})
-
-	run("table3", func() error {
-		results, err := experiments.BugDetection(
-			corpus.VulnSuite(), corpus.SafeSuite(),
-			experiments.StandardTools(), *iters, *seed)
-		if err != nil {
-			return err
-		}
-		experiments.PrintDetectionTable(os.Stdout, results)
-		return nil
-	})
-
-	run("fig7", func() error {
-		small := corpus.GenerateSmall(*seed+100, *n)
-		large := corpus.GenerateLarge(*seed+100, *n/2)
-		rs, err := experiments.Ablation(small, *iters, *seed)
-		if err != nil {
-			return err
-		}
-		experiments.PrintAblation(os.Stdout, "Fig. 7 analog — ablation, small contracts (share of full MuFuzz)", rs)
-		rl, err := experiments.Ablation(large, *iters*2, *seed)
-		if err != nil {
-			return err
-		}
-		experiments.PrintAblation(os.Stdout, "Fig. 7 analog — ablation, large contracts (share of full MuFuzz)", rl)
-		return nil
-	})
-
-	run("table4", func() error {
-		gens := corpus.GenerateComplex(*seed+200, *n/2)
-		res, err := experiments.CaseStudy(gens, *iters*2, *seed)
-		if err != nil {
-			return err
-		}
-		experiments.PrintCaseStudy(os.Stdout, res)
-		return nil
-	})
-
-	run("campaign", func() error {
-		return campaignThroughput(*benchJS, *iters, *seed)
-	})
-
-	run("service", func() error {
-		return serviceOverhead(*benchJS, *iters, *seed)
-	})
-
-	run("fleet", func() error {
-		return fleetOverhead(*benchJS, *iters, *seed)
-	})
-}
-
-// campaignRun is one measured configuration of the campaign throughput
-// benchmark.
-type campaignRun struct {
-	// Timestamp (RFC 3339 UTC) orders the retained history; runs recorded
-	// before the history schema have none and sort first.
-	Timestamp    string  `json:"timestamp,omitempty"`
-	Iterations   int     `json:"iterations,omitempty"`
-	Workers      int     `json:"workers"`
-	Campaigns    int     `json:"campaigns"`
-	Executions   int     `json:"executions"`
-	ElapsedSec   float64 `json:"elapsed_sec"`
-	ExecsPerSec  float64 `json:"execs_per_sec"`
-	CoverageMean float64 `json:"coverage_mean"`
-	// Allocation stats (runtime.MemStats deltas over the measured runs,
-	// normalized per executed sequence) make memory-model changes — like the
-	// copy-on-write state layer — visible in the perf trajectory alongside
-	// throughput.
-	AllocBytesPerExec float64 `json:"alloc_bytes_per_exec"`
-	AllocsPerExec     float64 `json:"allocs_per_exec"`
-	// ScalingEfficiency is this run's execs/s over the same invocation's
-	// Workers=1 run, normalized by the worker count — 1.0 is perfectly linear
-	// scaling, omitted on the Workers=1 row itself. Recorded per row so the
-	// history shows how parallel efficiency trends across PRs at every
-	// measured width.
-	ScalingEfficiency float64 `json:"scaling_efficiency,omitempty"`
-}
-
-// campaignBench is the BENCH_campaign.json schema.
-type campaignBench struct {
-	Benchmark  string `json:"benchmark"`
-	Contract   string `json:"contract"`
-	Iterations int    `json:"iterations"`
-	NumCPU     int    `json:"num_cpu"`
-	Seed       int64  `json:"seed"`
-	// Runs is the retained measurement history: each benchtab invocation
-	// APPENDS its timestamped measurements (one per worker count) instead of
-	// overwriting, so the file records the perf trajectory across PRs. At
-	// most maxRetainedRuns entries are kept, oldest dropped first.
-	Runs []campaignRun `json:"runs"`
-	// Speedup is the newest Workers=1 run's execs/s over the OLDEST retained
-	// comparable baseline (same workers and iterations) — the cumulative
-	// perf-trajectory multiplier, 1.0 when the file starts fresh.
-	Speedup float64 `json:"speedup"`
-	// ParallelSpeedup is execs/s at Workers=NumCPU over Workers=1 within the
-	// newest invocation (0 when the machine is single-core).
-	ParallelSpeedup float64 `json:"parallel_speedup,omitempty"`
-	// Service is the scheduler-overhead measurement (-exp service): N
-	// campaigns multiplexed through the campaign service's bounded slot
-	// pool versus the same N run back to back on bare engines.
-	Service *serviceBench `json:"service,omitempty"`
-	// Fleet is the coordination-overhead measurement (-exp fleet): N
-	// campaigns executed as leased slices through the fleet coordinator
-	// on one worker versus the same N through the single-node service.
-	Fleet *fleetBench `json:"fleet,omitempty"`
-}
-
-// serviceBench quantifies what the campaign-service scheduler costs: the
-// same four campaigns run multiplexed (time-sliced over one slot, with
-// snapshot-capable slice boundaries and status publication) and
-// sequentially (bare fuzz.Run), in executions per second.
-type serviceBench struct {
-	Campaigns              int     `json:"campaigns"`
-	Iterations             int     `json:"iterations"`
-	Slots                  int     `json:"slots"`
-	SliceRounds            int     `json:"slice_rounds"`
-	SequentialExecsPerSec  float64 `json:"sequential_execs_per_sec"`
-	MultiplexedExecsPerSec float64 `json:"multiplexed_execs_per_sec"`
-	// OverheadPct is how much throughput multiplexing gives up relative to
-	// sequential runs (negative = the scheduler was faster, e.g. warm
-	// caches).
-	OverheadPct float64 `json:"overhead_pct"`
-}
-
-// campaignThroughput measures end-to-end campaign executions/sec on the
-// Crowdsale contract over the scaling matrix Workers ∈ {1, 2, 4, NumCPU}
-// (deduplicated, capped at NumCPU) and writes the result as JSON, each
-// multi-worker row annotated with its scaling efficiency.
-// iterations is the per-campaign budget (the -iters flag); the JSON records
-// it so trajectory comparisons only pair like with like.
-// maxRetainedRuns bounds the trajectory history kept in the JSON; the oldest
-// entries past the cap are dropped (but never the oldest comparable baseline
-// the speedup is measured against, which by construction is among the
-// retained prefix).
-const maxRetainedRuns = 32
-
-func campaignThroughput(path string, iterations int, seed int64) error {
-	comp, err := minisol.Compile(corpus.Crowdsale())
-	if err != nil {
-		return err
-	}
-	const campaigns = 8
-
-	// Load the existing trajectory so this invocation appends to the history
-	// instead of erasing it.
-	bench := campaignBench{}
-	if data, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(data, &bench)
-	}
-	if bench.Benchmark == "" {
-		bench = campaignBench{Benchmark: "CampaignThroughput", Contract: "Crowdsale"}
-	}
-	bench.Iterations = iterations
-	bench.NumCPU = runtime.NumCPU()
-	bench.Seed = seed
-
-	now := time.Now().UTC().Format(time.RFC3339)
-	// Scaling matrix: workers ∈ {1, 2, 4, NumCPU}, deduplicated and capped at
-	// the machine's core count (a width the scheduler must time-slice measures
-	// contention, not scaling). Single-core machines measure only workers=1.
-	workerCounts := []int{1}
-	for _, w := range []int{2, 4, runtime.NumCPU()} {
-		if w <= runtime.NumCPU() && w > workerCounts[len(workerCounts)-1] {
-			workerCounts = append(workerCounts, w)
-		}
-	}
-	var newRuns []campaignRun
-	for _, workers := range workerCounts {
-		var execs int
-		var cov float64
-		var msBefore, msAfter runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&msBefore)
-		start := time.Now()
-		for i := 0; i < campaigns; i++ {
-			res := fuzz.Run(comp, fuzz.Options{
-				Strategy:   fuzz.MuFuzz(),
-				Seed:       seed + int64(i),
-				Iterations: iterations,
-				Workers:    workers,
-			})
-			execs += res.Executions
-			cov += res.Coverage
-		}
-		elapsed := time.Since(start).Seconds()
-		runtime.ReadMemStats(&msAfter)
-		newRuns = append(newRuns, campaignRun{
-			Timestamp:         now,
-			Iterations:        iterations,
-			Workers:           workers,
-			Campaigns:         campaigns,
-			Executions:        execs,
-			ElapsedSec:        elapsed,
-			ExecsPerSec:       float64(execs) / elapsed,
-			CoverageMean:      cov / campaigns,
-			AllocBytesPerExec: float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / float64(execs),
-			AllocsPerExec:     float64(msAfter.Mallocs-msBefore.Mallocs) / float64(execs),
-		})
-		if workers > 1 && newRuns[0].ExecsPerSec > 0 {
-			r := &newRuns[len(newRuns)-1]
-			r.ScalingEfficiency = r.ExecsPerSec / newRuns[0].ExecsPerSec / float64(workers)
-		}
-	}
-	bench.Runs = append(bench.Runs, newRuns...)
-	if len(bench.Runs) > maxRetainedRuns {
-		bench.Runs = bench.Runs[len(bench.Runs)-maxRetainedRuns:]
-	}
-
-	// Trajectory speedup: newest Workers=1 run against the oldest retained
-	// comparable baseline. Pre-history baselines recorded no per-run
-	// iteration count; they ran at the file-level setting, so they compare
-	// when that matches.
-	bench.Speedup = 1
-	if base := oldestComparable(bench.Runs, 1, iterations); base != nil && base.ExecsPerSec > 0 {
-		bench.Speedup = newRuns[0].ExecsPerSec / base.ExecsPerSec
-	}
-	// ParallelSpeedup pairs the widest measured run against workers=1 within
-	// this invocation (0 when the machine is single-core).
-	bench.ParallelSpeedup = 0
-	if len(newRuns) > 1 && newRuns[0].ExecsPerSec > 0 {
-		bench.ParallelSpeedup = newRuns[len(newRuns)-1].ExecsPerSec / newRuns[0].ExecsPerSec
-	}
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(bench); err != nil {
-		return err
-	}
-	for _, r := range newRuns {
-		eff := ""
-		if r.ScalingEfficiency > 0 {
-			eff = fmt.Sprintf("  eff=%.2f", r.ScalingEfficiency)
-		}
-		fmt.Printf("  campaign throughput: workers=%d  %8.0f execs/s  %7.0f B/exec  %5.0f allocs/exec  (%.1f%% mean coverage)%s\n",
-			r.Workers, r.ExecsPerSec, r.AllocBytesPerExec, r.AllocsPerExec, r.CoverageMean*100, eff)
-	}
-	fmt.Printf("  trajectory speedup %0.2fx vs oldest retained baseline; %d runs in history; JSON written to %s\n",
-		bench.Speedup, len(bench.Runs), path)
-	return nil
-}
-
-// oldestComparable returns the earliest retained run matching the given
-// worker count and iteration budget (a zero Iterations on a legacy entry
-// matches any budget — the pre-history schema recorded it only at file
-// level).
-func oldestComparable(runs []campaignRun, workers, iterations int) *campaignRun {
-	for i := range runs {
-		r := &runs[i]
-		if r.Workers == workers && (r.Iterations == 0 || r.Iterations == iterations) {
-			return r
-		}
-	}
-	return nil
-}
-
-// serviceOverhead measures the campaign-service scheduler tax: four
-// campaigns multiplexed over one service slot versus the same four run
-// sequentially on bare engines. The result is merged into the existing
-// BENCH_campaign.json (the service block rides along with the engine
-// trajectory).
-func serviceOverhead(path string, iterations int, seed int64) error {
-	comp, err := minisol.Compile(corpus.Crowdsale())
-	if err != nil {
-		return err
-	}
-	const campaigns = 4
-	const sliceRounds = 8
-
-	// Sequential baseline: bare engines back to back.
-	seqStart := time.Now()
-	seqExecs := 0
-	for i := 0; i < campaigns; i++ {
-		res := fuzz.Run(comp, fuzz.Options{
-			Strategy: fuzz.MuFuzz(), Seed: seed + int64(i), Iterations: iterations, Workers: 1,
-		})
-		seqExecs += res.Executions
-	}
-	seqRate := float64(seqExecs) / time.Since(seqStart).Seconds()
-
-	// Multiplexed: the same campaigns through the service scheduler on one
-	// slot (no store: measuring pure scheduling overhead, not disk I/O).
-	svc := service.New(service.Config{Slots: 1, SliceRounds: sliceRounds, Workers: 1})
-	if err := svc.Start(); err != nil {
-		return err
-	}
-	defer svc.Close()
-	muxStart := time.Now()
-	for i := 0; i < campaigns; i++ {
-		if _, err := svc.Submit(service.CampaignSpec{
-			Source: corpus.Crowdsale(), Seed: seed + int64(i), Iterations: iterations,
-		}); err != nil {
-			return err
-		}
-	}
-	muxExecs := 0
-	for {
-		done := 0
-		muxExecs = 0
-		for _, st := range svc.Statuses() {
-			muxExecs += st.Executions
-			if st.State == service.StateDone {
-				done++
-			}
-		}
-		if done == campaigns {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	muxRate := float64(muxExecs) / time.Since(muxStart).Seconds()
-
-	// Merge into the existing trajectory file.
-	bench := campaignBench{}
-	if data, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(data, &bench)
-	}
-	if bench.Benchmark == "" {
-		bench = campaignBench{Benchmark: "CampaignThroughput", Contract: "Crowdsale",
-			Iterations: iterations, NumCPU: runtime.NumCPU(), Seed: seed, Speedup: 1}
-	}
-	bench.Service = &serviceBench{
-		Campaigns:              campaigns,
-		Iterations:             iterations,
-		Slots:                  1,
-		SliceRounds:            sliceRounds,
-		SequentialExecsPerSec:  seqRate,
-		MultiplexedExecsPerSec: muxRate,
-		OverheadPct:            100 * (1 - muxRate/seqRate),
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(bench); err != nil {
-		return err
-	}
-	fmt.Printf("  service scheduler: %d campaigns  sequential %8.0f execs/s  multiplexed %8.0f execs/s  overhead %.1f%%\n",
-		campaigns, seqRate, muxRate, bench.Service.OverheadPct)
-	fmt.Printf("  JSON merged into %s\n", path)
-	return nil
-}
-
-// fleetBench quantifies what fleet coordination costs over the plain
-// campaign service: the same campaigns executed as HTTP-leased slices —
-// snapshot commit per slice, lease traffic, scheduling — on a single
-// worker, versus the single-node service scheduler. The gated number runs
-// without conformance transcripts (pure coordination, functionally equal
-// to the service baseline); the recorded number adds the per-execution
-// transcript chunks that buy the byte-identical migration proof, reported
-// for visibility but not gated.
-type fleetBench struct {
-	Campaigns                int     `json:"campaigns"`
-	Iterations               int     `json:"iterations"`
-	Rounds                   int     `json:"rounds"`
-	ServiceExecsPerSec       float64 `json:"service_execs_per_sec"`
-	FleetExecsPerSec         float64 `json:"fleet_execs_per_sec"`
-	OverheadPct              float64 `json:"overhead_pct"`
-	FleetRecordedExecsPerSec float64 `json:"fleet_recorded_execs_per_sec"`
-	RecordedOverheadPct      float64 `json:"recorded_overhead_pct"`
-	GatePct                  float64 `json:"gate_pct"`
 }
 
 // fleetGatePct is the acceptance ceiling on fleet coordination overhead:
@@ -493,16 +167,39 @@ type fleetBench struct {
 // service (the coordination tax a real fleet amortizes across nodes).
 const fleetGatePct = 5.0
 
-// fleetOverhead measures the fleet coordination tax and gates it. The
-// result is merged into BENCH_campaign.json alongside the engine
-// trajectory.
-func fleetOverhead(path string, iterations int, seed int64) error {
+// overhead measures what each campaign-lifecycle layer costs on the same
+// campaigns: the service's slice scheduler over bare engines run back to
+// back, and the fleet's HTTP-leased slices on one worker over the service.
+// The fleet runs twice. Without conformance transcripts it is functionally
+// equal to the service, so its overhead is pure coordination and is gated.
+// With them it adds the per-execution transcript chunks that buy the
+// byte-identical migration proof, reported but not gated. No side uses a
+// store: the measurement is scheduling, not disk I/O.
+func overhead(iterations int, seed int64) error {
+	comp, err := minisol.Compile(corpus.Crowdsale())
+	if err != nil {
+		return err
+	}
 	const campaigns = 4
 	const sliceRounds = 8
+	spec := func(i int) service.CampaignSpec {
+		return service.CampaignSpec{Source: corpus.Crowdsale(), Seed: seed + int64(i), Iterations: iterations}
+	}
 
-	// Baseline: the single-node service scheduler, one slot, no store —
-	// the fleet's own baseline semantics (time-sliced campaigns, snapshot
-	// boundaries), minus the distribution layer.
+	runEngines := func() (float64, error) {
+		start := time.Now()
+		execs := 0
+		for i := 0; i < campaigns; i++ {
+			res := fuzz.Run(comp, fuzz.Options{
+				Strategy: fuzz.MuFuzz(), Seed: seed + int64(i), Iterations: iterations, Workers: 1,
+			})
+			execs += res.Executions
+		}
+		return float64(execs) / time.Since(start).Seconds(), nil
+	}
+
+	// The service multiplexes the campaigns over one slot, with
+	// snapshot-capable slice boundaries and status publication.
 	runService := func() (float64, error) {
 		svc := service.New(service.Config{Slots: 1, SliceRounds: sliceRounds, Workers: 1})
 		if err := svc.Start(); err != nil {
@@ -511,9 +208,7 @@ func fleetOverhead(path string, iterations int, seed int64) error {
 		defer svc.Close()
 		start := time.Now()
 		for i := 0; i < campaigns; i++ {
-			if _, err := svc.Submit(service.CampaignSpec{
-				Source: corpus.Crowdsale(), Seed: seed + int64(i), Iterations: iterations,
-			}); err != nil {
+			if _, err := svc.Submit(spec(i)); err != nil {
 				return 0, err
 			}
 		}
@@ -535,11 +230,6 @@ func fleetOverhead(path string, iterations int, seed int64) error {
 		return float64(execs) / time.Since(start).Seconds(), nil
 	}
 
-	// Fleet: the same campaigns leased slice by slice over live HTTP to
-	// one worker (no store: pure coordination overhead, not disk I/O).
-	// Measured twice — without conformance transcripts (the gated number,
-	// functionally equal to the service baseline) and with them (the price
-	// of the migration proof, informational).
 	runFleet := func(noTranscript bool) (float64, error) {
 		co := fleet.NewCoordinator(fleet.CoordinatorConfig{Rounds: sliceRounds, DefaultIterations: iterations})
 		srv := httptest.NewServer(co.Handler())
@@ -549,12 +239,7 @@ func fleetOverhead(path string, iterations int, seed int64) error {
 		start := time.Now()
 		var ids []string
 		for i := 0; i < campaigns; i++ {
-			st, err := client.Submit(ctx, fleet.SubmitRequest{
-				NoTranscript: noTranscript,
-				Spec: service.CampaignSpec{
-					Source: corpus.Crowdsale(), Seed: seed + int64(i), Iterations: iterations,
-				},
-			})
+			st, err := client.Submit(ctx, fleet.SubmitRequest{NoTranscript: noTranscript, Spec: spec(i)})
 			if err != nil {
 				return 0, err
 			}
@@ -596,69 +281,43 @@ func fleetOverhead(path string, iterations int, seed int64) error {
 		}
 		return float64(execs) / time.Since(start).Seconds(), nil
 	}
-	// Both sides run the identical deterministic workload, so throughput
+
+	// Every side runs the identical deterministic workload, so throughput
 	// differences are pure scheduling/coordination cost plus machine noise.
 	// Alternate the sides over several trials and keep each side's best
 	// rate — best-of-N discards the noise (GC pauses, co-tenant CPU spikes)
 	// that a single short trial on a shared machine cannot.
-	const trials = 3
-	var svcRate, fleetRate, recordedRate float64
-	for t := 0; t < trials; t++ {
-		r, err := runService()
-		if err != nil {
-			return err
-		}
-		svcRate = math.Max(svcRate, r)
-		if r, err = runFleet(true); err != nil {
-			return err
-		}
-		fleetRate = math.Max(fleetRate, r)
-		if r, err = runFleet(false); err != nil {
-			return err
-		}
-		recordedRate = math.Max(recordedRate, r)
+	sides := []func() (float64, error){
+		runEngines,
+		runService,
+		func() (float64, error) { return runFleet(true) },
+		func() (float64, error) { return runFleet(false) },
 	}
-
-	overhead := 100 * (1 - fleetRate/svcRate)
+	best := make([]float64, len(sides))
+	const trials = 3
+	for t := 0; t < trials; t++ {
+		for i, run := range sides {
+			r, err := run()
+			if err != nil {
+				return err
+			}
+			best[i] = math.Max(best[i], r)
+		}
+	}
+	engineRate, svcRate, fleetRate, recordedRate := best[0], best[1], best[2], best[3]
+	svcOverhead := 100 * (1 - svcRate/engineRate)
+	fleetOverhead := 100 * (1 - fleetRate/svcRate)
 	recordedOverhead := 100 * (1 - recordedRate/svcRate)
 
-	// Merge into the existing trajectory file.
-	bench := campaignBench{}
-	if data, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(data, &bench)
-	}
-	if bench.Benchmark == "" {
-		bench = campaignBench{Benchmark: "CampaignThroughput", Contract: "Crowdsale",
-			Iterations: iterations, NumCPU: runtime.NumCPU(), Seed: seed, Speedup: 1}
-	}
-	bench.Fleet = &fleetBench{
-		Campaigns:                campaigns,
-		Iterations:               iterations,
-		Rounds:                   sliceRounds,
-		ServiceExecsPerSec:       svcRate,
-		FleetExecsPerSec:         fleetRate,
-		OverheadPct:              overhead,
-		FleetRecordedExecsPerSec: recordedRate,
-		RecordedOverheadPct:      recordedOverhead,
-		GatePct:                  fleetGatePct,
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(bench); err != nil {
-		return err
-	}
-	fmt.Printf("  fleet coordination: %d campaigns  service %8.0f execs/s  fleet %8.0f execs/s  overhead %.1f%% (gate <%.0f%%)\n",
-		campaigns, svcRate, fleetRate, overhead, fleetGatePct)
-	fmt.Printf("  with transcripts:   %36s fleet %8.0f execs/s  overhead %.1f%% (informational)\n",
-		"", recordedRate, recordedOverhead)
-	fmt.Printf("  JSON merged into %s\n", path)
-	if overhead >= fleetGatePct {
-		return fmt.Errorf("fleet coordination overhead %.1f%% breaches the %.0f%% gate", overhead, fleetGatePct)
+	fmt.Printf("Layer overhead — %d Crowdsale campaigns × %d executions, best of %d\n", campaigns, iterations, trials)
+	fmt.Printf("  bare engines    %8.0f execs/s\n", engineRate)
+	fmt.Printf("  service         %8.0f execs/s  %5.1f%% over bare engines\n", svcRate, svcOverhead)
+	fmt.Printf("  fleet           %8.0f execs/s  %5.1f%% over the service (gate <%.0f%%)\n",
+		fleetRate, fleetOverhead, fleetGatePct)
+	fmt.Printf("  recorded fleet  %8.0f execs/s  %5.1f%% over the service (informational)\n",
+		recordedRate, recordedOverhead)
+	if fleetOverhead >= fleetGatePct {
+		return fmt.Errorf("fleet coordination overhead %.1f%% breaches the %.0f%% gate", fleetOverhead, fleetGatePct)
 	}
 	return nil
 }

@@ -36,8 +36,8 @@
 //
 // -workers N fans each energy round's batch of mutated children across N
 // executor goroutines (0 = all CPU cores). N=1 is the sequential engine,
-// fully reproducible across machines for a fixed seed; N>1 is reproducible
-// for a fixed (seed, N) pair.
+// fully reproducible across machines for a fixed seed; every N>1 runs the
+// batched schedule, which depends on the seed alone.
 //
 // -corpus-dir connects the campaign to a persistent seed store: seeds other
 // campaigns on the same contract exported are injected at startup, and the

@@ -1,8 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§V). Each experiment is a pure function from a dataset and
-// budget to a structured result, shared by the benchtab CLI and the
-// top-level benchmarks; printers render the same rows/series the paper
-// reports.
+// budget to a structured result; cmd/benchtab is the only driver, and the
+// tests here check each result's shape. Printers render the same
+// rows/series the paper reports.
 package experiments
 
 import (

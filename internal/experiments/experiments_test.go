@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -55,7 +56,8 @@ func TestOverallCoverageOrdering(t *testing.T) {
 		byName[b.Fuzzer] = b.Coverage
 	}
 	// The headline shape: MuFuzz >= sFuzz on average. (Small budgets are
-	// noisy; full-strength comparisons live in benchtab/EXPERIMENTS.md.)
+	// noisy; full-strength comparisons come from cmd/benchtab, listed in
+	// README's Evaluation section.)
 	if byName["MuFuzz"] < byName["sFuzz"]-0.05 {
 		t.Errorf("MuFuzz %.2f clearly below sFuzz %.2f", byName["MuFuzz"], byName["sFuzz"])
 	}
@@ -145,22 +147,33 @@ func TestCaseStudyAccounting(t *testing.T) {
 }
 
 func TestMotivatingSeparation(t *testing.T) {
-	rows, err := Motivating(1500, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]bool{}
-	for _, r := range rows {
-		byName[r.Fuzzer] = r.DeepBranch
-	}
-	if !byName["MuFuzz"] {
-		t.Error("MuFuzz must reach the deep branch")
-	}
-	if byName["sFuzz"] {
-		t.Error("sFuzz (permutation sequences) must not reach the deep branch")
-	}
-	if byName["ConFuzzius"] {
-		t.Error("ConFuzzius (no repetition) must not reach the deep branch")
+	for _, tc := range []struct {
+		iters int
+		seed  int64
+	}{
+		{1500, 3},
+		// benchtab's quick budget, `-exp motivating -iters 1200 -seed 1`.
+		{1200, 1},
+	} {
+		t.Run(fmt.Sprintf("iters=%d,seed=%d", tc.iters, tc.seed), func(t *testing.T) {
+			rows, err := Motivating(tc.iters, tc.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byName := map[string]bool{}
+			for _, r := range rows {
+				byName[r.Fuzzer] = r.DeepBranch
+			}
+			if !byName["MuFuzz"] {
+				t.Error("MuFuzz must reach the deep branch")
+			}
+			if byName["sFuzz"] {
+				t.Error("sFuzz (permutation sequences) must not reach the deep branch")
+			}
+			if byName["ConFuzzius"] {
+				t.Error("ConFuzzius (no repetition) must not reach the deep branch")
+			}
+		})
 	}
 }
 

@@ -22,8 +22,9 @@
 // goroutines, each owning its own EVM, state copy, and trace buffer, with
 // outcomes merged deterministically on the coordinator: Workers 1 (the
 // default) is the sequential engine, reproducible across machines for a
-// fixed Seed; Workers N > 1 is reproducible for a fixed (Seed, N) pair; a
-// negative value uses all CPU cores.
+// fixed Seed; every Workers N > 1 runs the batched schedule, which depends
+// on Seed alone, so all widths above 1 give the same results; a negative
+// value uses all CPU cores.
 package mufuzz
 
 import (
