@@ -2,7 +2,9 @@ package conformance
 
 import (
 	"bytes"
+	"regexp"
 	"runtime"
+	"strings"
 	"testing"
 
 	"mufuzz/internal/corpus"
@@ -76,9 +78,27 @@ func TestTranscriptEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	// the decoded sequences must rebuild into the originals
 	for i := range dec.Records {
-		if got, want := callOrder(dec.Records[i].Sequence()), callOrder(run.Transcript.Records[i].Sequence()); got != want {
+		if got, want := callOrder(dec.Records[i].Seq), callOrder(run.Transcript.Records[i].Seq); got != want {
 			t.Fatalf("record %d: sequence %q != %q", i, got, want)
 		}
+	}
+}
+
+// TestDecodeRejectsNegativeSender pins that transcripts share the engine's
+// tx parser: a negative sender index, which would panic a replay, fails
+// Decode like it fails a snapshot or a corpus seed.
+func TestDecodeRejectsNegativeSender(t *testing.T) {
+	comp, err := minisol.Compile(corpus.Crowdsale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := RecordCampaign("crowdsale", comp, baseOptions(3, 40)).Transcript.EncodeBytes()
+	bad := regexp.MustCompile(`(?m)^(tx \S+) \d+ `).ReplaceAll(enc, []byte("$1 -1 "))
+	if bytes.Equal(bad, enc) {
+		t.Fatal("transcript carries no tx line")
+	}
+	if _, err := Decode(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "bad sender") {
+		t.Fatalf("transcript with sender -1 decoded: err = %v", err)
 	}
 }
 

@@ -58,7 +58,7 @@ func (d *Divergence) String() string {
 
 // renderRecord gives one record's canonical encoding (for divergence
 // reports and record-stream comparison).
-func renderRecord(r *Record) string {
+func renderRecord(r *fuzz.ExecRecord) string {
 	var b bytes.Buffer
 	encodeRecord(&b, r)
 	return b.String()

@@ -10,31 +10,21 @@ import (
 	"mufuzz/internal/evm"
 	"mufuzz/internal/fuzz"
 	"mufuzz/internal/minisol"
-	"mufuzz/internal/oracle"
 )
 
-// Recorder implements fuzz.ExecObserver by accumulating serialized records.
+// Recorder implements fuzz.ExecObserver by accumulating the engine's records.
 // The coordinator calls OnExec on one goroutine in fold order, so no locking
 // is needed. Fleet workers install one per leased slice and ship the
 // accumulated chunk (EncodeRecords) back with the slice commit.
 type Recorder struct {
-	records []Record
+	records []fuzz.ExecRecord
 }
 
 // Records returns the accumulated records in execution order.
-func (r *Recorder) Records() []Record { return r.records }
+func (r *Recorder) Records() []fuzz.ExecRecord { return r.records }
 
-func (r *Recorder) OnExec(rec fuzz.ExecRecord) {
-	r.records = append(r.records, Record{
-		Index:        rec.Index,
-		Seq:          sequenceToTxs(rec.Seq),
-		NewEdges:     rec.NewEdges,
-		CoveredAfter: rec.CoveredAfter,
-		NestedDepth:  rec.NestedDepth,
-		DistImproved: rec.DistImproved,
-		NewClasses:   classStrings(rec.NewClasses),
-	})
-}
+// OnExec keeps rec as is, which fuzz.ExecRecord allows.
+func (r *Recorder) OnExec(rec fuzz.ExecRecord) { r.records = append(r.records, rec) }
 
 // Run is one recorded campaign: the live campaign (kept for replay and
 // minimization), its result, and the transcript.
@@ -72,9 +62,9 @@ func RecordTargetCampaign(name string, target fuzz.Target, opts fuzz.Options) *R
 	t := &Transcript{
 		Version:  Version,
 		Contract: name,
-		Options:  summarizeOptions(opts),
+		Options:  SummarizeOptions(opts),
 		Records:  rec.records,
-		Final:    summarize(c, res),
+		Final:    Summarize(c, res),
 	}
 	return &Run{Name: name, Campaign: c, Result: res, Transcript: t}
 }
@@ -113,29 +103,19 @@ func RecordInterrupted(name string, comp *minisol.Compiled, opts fuzz.Options, p
 	t := &Transcript{
 		Version:  Version,
 		Contract: name,
-		Options:  summarizeOptions(opts),
+		Options:  SummarizeOptions(opts),
 		Records:  rec.records,
-		Final:    summarize(c, res),
+		Final:    Summarize(c, res),
 	}
 	return &Run{Name: name, Campaign: c, Result: res, Transcript: t}, nil
 }
 
 // Summarize projects the deterministic portion of a completed campaign's
-// result into the transcript's final summary — exported so a fleet worker
-// finishing the last slice of a distributed campaign can hand the coordinator
-// the exact summary an uninterrupted single-node recording would carry.
-func Summarize(c *fuzz.Campaign, res *fuzz.Result) Summary { return summarize(c, res) }
-
-// SummarizeOptions projects normalized engine options into the transcript's
-// options line. The caller must pass the defaults-applied form
-// (Options.Normalized()); fleet coordinators and workers both derive it from
-// the campaign spec so the assembled transcript pins the configuration
-// exactly as RecordTargetCampaign would.
-func SummarizeOptions(o fuzz.Options) OptionsSummary { return summarizeOptions(o) }
-
-// summarize projects the deterministic portion of a campaign result,
-// including the final covered-edge set in canonical order.
-func summarize(c *fuzz.Campaign, res *fuzz.Result) Summary {
+// result into the transcript's final summary, including the final
+// covered-edge set in canonical order. A fleet worker finishing the last
+// slice of a distributed campaign hands the coordinator exactly the summary
+// an uninterrupted single-node recording would carry.
+func Summarize(c *fuzz.Campaign, res *fuzz.Result) Summary {
 	s := Summary{
 		CoveredEdges:     res.CoveredEdges,
 		TotalEdges:       res.TotalEdges,
@@ -273,14 +253,14 @@ func VerifySequences(c *fuzz.Campaign, t *Transcript) error {
 		if len(r.NewEdges) == 0 && len(r.NewClasses) == 0 {
 			continue // nothing to re-verify; skip the replay cost
 		}
-		rr := c.Replay(r.Sequence())
+		rr := c.Replay(r.Seq)
 		for _, e := range r.NewEdges {
 			if !rr.Edges[evm.BranchKey{Addr: addr, PC: e.PC, Taken: e.Taken}] {
 				return fmt.Errorf("record %d: edge (pc=%d taken=%v) not covered by standalone replay", r.Index, e.PC, e.Taken)
 			}
 		}
 		for _, cl := range r.NewClasses {
-			if !rr.BugClasses[oracle.BugClass(cl)] {
+			if !rr.BugClasses[cl] {
 				return fmt.Errorf("record %d: class %s not triggered by standalone replay", r.Index, cl)
 			}
 		}

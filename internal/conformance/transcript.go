@@ -5,19 +5,21 @@
 // provides three instruments:
 //
 //   - Deterministic campaign transcripts: a versioned, byte-stable recording
-//     of every execution a campaign performed — the sequence run, the
-//     coverage delta, the oracle classes discovered — replayable to a
-//     byte-identical re-recording (Record / ReplayCheck) and re-executable
-//     through a detached engine for independent verification
-//     (VerifySequences).
+//     of every execution a campaign performed — the engine's own
+//     fuzz.ExecRecord: the sequence run, the coverage delta, the oracle
+//     classes discovered — replayable to a byte-identical re-recording
+//     (Record / ReplayCheck) and re-executable through a detached engine for
+//     independent verification (VerifySequences).
 //
 //   - A differential runner (DifferentialMatrix) that executes the same
-//     (contract, seed, budget) under engine variants — workers ∈ {1, N},
-//     State.Fork vs State.Copy, prefix cache on/off — and proves their
-//     coverage sets, crash sets, and detector output identical, with
-//     minimized divergence reports when they are not. StrategyMatrix runs
-//     the five strategy presets and diffs their (intentionally different)
-//     results for inspection.
+//     (contract, seed, budget) under two equivalence classes of engine
+//     variants — seq-w1 against seq-w1-nocache and seq-w1-noir, and
+//     pipelined-w2 against pipelined-wN plain, -nocache and -noir — and
+//     proves their coverage sets, crash sets, and detector output
+//     identical, with minimized divergence reports when they are not.
+//     (State.Fork ≡ State.Copy is checked below the campaign level.)
+//     StrategyMatrix runs the five strategy presets and diffs their
+//     (intentionally different) results for inspection.
 //
 //   - Wiring for the corpus-wide detection gates in internal/experiments:
 //     see experiments.DetectionGate.
@@ -28,17 +30,14 @@ package conformance
 import (
 	"bufio"
 	"bytes"
-	"encoding/hex"
 	"fmt"
 	"io"
-	"math/big"
 	"sort"
 	"strconv"
 	"strings"
 
 	"mufuzz/internal/fuzz"
 	"mufuzz/internal/oracle"
-	"mufuzz/internal/u256"
 )
 
 // Version is the transcript format version this package reads and writes.
@@ -69,30 +68,6 @@ type OptionsSummary struct {
 	World string
 }
 
-// Tx is the serialized form of one transaction of a recorded sequence.
-// Callee and Attacker are the multi-contract world extensions: plain
-// transactions keep both at their zero values and serialize in the
-// historical 5-field line form.
-type Tx struct {
-	Func     string
-	Args     []byte
-	Value    u256.Int
-	Sender   int
-	Callee   int
-	Attacker []byte
-}
-
-// Record is the serialized form of one fuzz.ExecRecord.
-type Record struct {
-	Index        int
-	Seq          []Tx
-	NewEdges     []fuzz.BranchEdge
-	CoveredAfter int
-	NestedDepth  int
-	DistImproved bool
-	NewClasses   []string
-}
-
 // Summary captures the deterministic portion of a campaign's final Result,
 // plus the full covered-edge set (the coverage outcome the differential
 // runner diffs).
@@ -109,19 +84,23 @@ type Summary struct {
 	Edges            []fuzz.BranchEdge
 }
 
-// Transcript is a complete deterministic recording of one campaign.
+// Transcript is a complete deterministic recording of one campaign: one
+// fuzz.ExecRecord per execution, in execution order, and the final summary.
 type Transcript struct {
 	Version  int
 	Contract string
 	Options  OptionsSummary
-	Records  []Record
+	Records  []fuzz.ExecRecord
 	Final    Summary
 }
 
-// summarizeOptions projects the schedule-relevant fields of fuzz.Options.
-// The Options must already have defaults applied the way the campaign sees
-// them; RecordCampaign normalizes before recording.
-func summarizeOptions(o fuzz.Options) OptionsSummary {
+// SummarizeOptions projects the schedule-relevant fields of fuzz.Options
+// into the transcript's options line. The caller must pass the
+// defaults-applied form (Options.Normalized()); RecordCampaign normalizes
+// before recording, and fleet coordinators and workers derive it from the
+// campaign spec, so an assembled transcript pins the configuration exactly
+// as RecordTargetCampaign would.
+func SummarizeOptions(o fuzz.Options) OptionsSummary {
 	return OptionsSummary{
 		Strategy:      o.Strategy.Name,
 		Seed:          o.Seed,
@@ -154,38 +133,6 @@ func worldToken(w *fuzz.WorldOptions) string {
 	return s
 }
 
-// sequenceToTxs converts an engine sequence into its serialized form.
-func sequenceToTxs(seq fuzz.Sequence) []Tx {
-	out := make([]Tx, len(seq))
-	for i, t := range seq {
-		out[i] = Tx{
-			Func:     t.Func,
-			Args:     append([]byte(nil), t.Args...),
-			Value:    t.Value,
-			Sender:   t.Sender,
-			Callee:   t.Callee,
-			Attacker: append([]byte(nil), t.Attacker...),
-		}
-	}
-	return out
-}
-
-// Sequence rebuilds the engine sequence of a record (for standalone replay).
-func (r *Record) Sequence() fuzz.Sequence {
-	seq := make(fuzz.Sequence, len(r.Seq))
-	for i, t := range r.Seq {
-		seq[i] = fuzz.TxInput{
-			Func:     t.Func,
-			Args:     append([]byte(nil), t.Args...),
-			Value:    t.Value,
-			Sender:   t.Sender,
-			Callee:   t.Callee,
-			Attacker: append([]byte(nil), t.Attacker...),
-		}
-	}
-	return seq
-}
-
 // sortEdges orders a covered-edge set canonically (PC ascending, not-taken
 // before taken) — the same deterministic branch order the engine uses.
 func sortEdges(edges []fuzz.BranchEdge) {
@@ -202,13 +149,6 @@ func boolBit(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-func hexOrDash(b []byte) string {
-	if len(b) == 0 {
-		return "-"
-	}
-	return hex.EncodeToString(b)
 }
 
 // Encode writes the transcript in the stable v1 text encoding. Encoding the
@@ -282,7 +222,8 @@ func EncodeAssembled(w io.Writer, contract string, opts OptionsSummary, chunks [
 // never drift from the on-disk format. Records are the bulk of every
 // transcript and fleet workers encode one per execution, so the lines are
 // built with manual appends rather than fmt (≈5× cheaper, identical bytes).
-func encodeRecord(w io.Writer, r *Record) {
+// Transactions use fuzz.AppendTx, the line snapshots and seeds carry too.
+func encodeRecord(w io.Writer, r *fuzz.ExecRecord) {
 	buf := make([]byte, 0, 64+len(r.Seq)*48+len(r.NewEdges)*12)
 	buf = append(buf, "rec "...)
 	buf = strconv.AppendInt(buf, int64(r.Index), 10)
@@ -294,22 +235,7 @@ func encodeRecord(w io.Writer, r *Record) {
 	buf = strconv.AppendInt(buf, int64(r.CoveredAfter), 10)
 	buf = append(buf, '\n')
 	for i := range r.Seq {
-		tx := &r.Seq[i]
-		buf = append(buf, "tx "...)
-		buf = append(buf, tx.Func...)
-		buf = append(buf, ' ')
-		buf = strconv.AppendInt(buf, int64(tx.Sender), 10)
-		buf = append(buf, ' ')
-		buf = tx.Value.AppendHex(buf)
-		buf = append(buf, ' ')
-		buf = appendHexOrDash(buf, tx.Args)
-		if tx.Callee != 0 || len(tx.Attacker) != 0 {
-			buf = append(buf, ' ')
-			buf = strconv.AppendInt(buf, int64(tx.Callee), 10)
-			buf = append(buf, ' ')
-			buf = appendHexOrDash(buf, tx.Attacker)
-		}
-		buf = append(buf, '\n')
+		buf = fuzz.AppendTx(buf, &r.Seq[i])
 	}
 	for _, e := range r.NewEdges {
 		buf = append(buf, "edge "...)
@@ -327,17 +253,6 @@ func encodeRecord(w io.Writer, r *Record) {
 	_, _ = w.Write(buf)
 }
 
-// appendHexOrDash appends hexOrDash(b) without the intermediate string.
-func appendHexOrDash(buf, b []byte) []byte {
-	if len(b) == 0 {
-		return append(buf, '-')
-	}
-	n := len(buf)
-	buf = append(buf, make([]byte, hex.EncodedLen(len(b)))...)
-	hex.Encode(buf[n:], b)
-	return buf
-}
-
 // EncodeBytes renders the transcript to its canonical byte form.
 func (t *Transcript) EncodeBytes() []byte {
 	var buf bytes.Buffer
@@ -348,21 +263,6 @@ func (t *Transcript) EncodeBytes() []byte {
 // decodeErr wraps a decoding failure with the offending line.
 func decodeErr(line string, format string, args ...any) error {
 	return fmt.Errorf("conformance: decode %q: %s", line, fmt.Sprintf(format, args...))
-}
-
-func parseU256(s string) (u256.Int, error) {
-	n, ok := new(big.Int).SetString(s, 0)
-	if !ok {
-		return u256.Int{}, fmt.Errorf("bad u256 %q", s)
-	}
-	return u256.FromBig(n), nil
-}
-
-func parseHexOrDash(s string) ([]byte, error) {
-	if s == "-" {
-		return nil, nil
-	}
-	return hex.DecodeString(s)
 }
 
 // Decode parses a transcript from its v1 text encoding.
@@ -487,17 +387,17 @@ func Decode(r io.Reader) (*Transcript, error) {
 }
 
 // recordScanner parses the canonical record lines (rec/tx/edge/class/end)
-// shared by full transcripts and standalone record chunks. Decode and
-// DecodeRecords both feed lines through it, so the chunk format a fleet
-// worker ships can never drift from the on-disk transcript format.
+// of a transcript's record section — the concatenation of the record chunks
+// fleet workers ship — into fuzz.ExecRecords. Tx lines go through
+// fuzz.ParseTx, the parser snapshots and corpus seeds use too.
 type recordScanner struct {
-	records []Record
+	records []fuzz.ExecRecord
 	inRec   bool
 }
 
 func (rs *recordScanner) open() bool { return rs.inRec }
 
-func (rs *recordScanner) cur() *Record { return &rs.records[len(rs.records)-1] }
+func (rs *recordScanner) cur() *fuzz.ExecRecord { return &rs.records[len(rs.records)-1] }
 
 // feed consumes one line. It reports whether the line belonged to the record
 // grammar; lines of the surrounding transcript grammar (options, final, eof)
@@ -508,7 +408,7 @@ func (rs *recordScanner) feed(line string, fields []string) (bool, error) {
 		if rs.inRec {
 			return true, decodeErr(line, "rec inside rec")
 		}
-		r := Record{}
+		r := fuzz.ExecRecord{}
 		if _, err := fmt.Sscanf(line, "rec %d nested=%d dist=%d covered=%d",
 			&r.Index, &r.NestedDepth, new(int), &r.CoveredAfter); err != nil {
 			return true, decodeErr(line, "bad rec: %v", err)
@@ -517,31 +417,12 @@ func (rs *recordScanner) feed(line string, fields []string) (bool, error) {
 		rs.records = append(rs.records, r)
 		rs.inRec = true
 	case "tx":
-		if !rs.inRec || (len(fields) != 5 && len(fields) != 7) {
-			return true, decodeErr(line, "tx outside rec or malformed")
+		if !rs.inRec {
+			return true, decodeErr(line, "tx outside rec")
 		}
-		sender, err := strconv.Atoi(fields[2])
+		tx, err := fuzz.ParseTx(fields)
 		if err != nil {
-			return true, decodeErr(line, "bad sender: %v", err)
-		}
-		val, err := parseU256(fields[3])
-		if err != nil {
-			return true, decodeErr(line, "bad value: %v", err)
-		}
-		args, err := parseHexOrDash(fields[4])
-		if err != nil {
-			return true, decodeErr(line, "bad args: %v", err)
-		}
-		tx := Tx{Func: fields[1], Sender: sender, Value: val, Args: args}
-		if len(fields) == 7 {
-			tx.Callee, err = strconv.Atoi(fields[5])
-			if err != nil || tx.Callee < 0 {
-				return true, decodeErr(line, "bad callee")
-			}
-			tx.Attacker, err = parseHexOrDash(fields[6])
-			if err != nil {
-				return true, decodeErr(line, "bad attacker spec: %v", err)
-			}
+			return true, decodeErr(line, "%v", err)
 		}
 		rs.cur().Seq = append(rs.cur().Seq, tx)
 	case "edge":
@@ -557,7 +438,7 @@ func (rs *recordScanner) feed(line string, fields []string) (bool, error) {
 		if !rs.inRec || len(fields) != 2 {
 			return true, decodeErr(line, "class outside rec or malformed")
 		}
-		rs.cur().NewClasses = append(rs.cur().NewClasses, fields[1])
+		rs.cur().NewClasses = append(rs.cur().NewClasses, oracle.BugClass(fields[1]))
 	case "end":
 		if !rs.inRec {
 			return true, decodeErr(line, "end outside rec")
@@ -573,40 +454,12 @@ func (rs *recordScanner) feed(line string, fields []string) (bool, error) {
 // — the transcript chunk a fleet worker returns with each completed slice.
 // Concatenating every slice's chunk in commit order reproduces the record
 // section of the uninterrupted campaign's transcript byte for byte.
-func EncodeRecords(records []Record) []byte {
+func EncodeRecords(records []fuzz.ExecRecord) []byte {
 	var buf bytes.Buffer
 	for i := range records {
 		encodeRecord(&buf, &records[i])
 	}
 	return buf.Bytes()
-}
-
-// DecodeRecords parses a standalone record chunk produced by EncodeRecords.
-func DecodeRecords(data []byte) ([]Record, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	rs := &recordScanner{}
-	for sc.Scan() {
-		line := sc.Text()
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			return nil, decodeErr(line, "blank line")
-		}
-		handled, err := rs.feed(line, fields)
-		if err != nil {
-			return nil, err
-		}
-		if !handled {
-			return nil, decodeErr(line, "unexpected line in record chunk")
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("conformance: decode records: %w", err)
-	}
-	if rs.open() {
-		return nil, decodeErr("", "truncated record chunk (no end)")
-	}
-	return rs.records, nil
 }
 
 // ChunkStats summarizes an EncodeRecords chunk: the first and last record
@@ -621,8 +474,7 @@ type ChunkStats struct {
 // (rec/tx/edge/class/end prefixes) and rec/end nesting — and extracts the
 // record indexes, without parsing transaction payloads. The fleet
 // coordinator runs it on every slice commit to check chunk continuity;
-// it is an order of magnitude cheaper than DecodeRecords, which remains
-// the full semantic parse for replay tooling.
+// transcript Decode is the full parse, of the assembled transcript.
 func ScanRecordChunk(data []byte) (ChunkStats, error) {
 	var st ChunkStats
 	inRec := false
@@ -673,14 +525,4 @@ func ScanRecordChunk(data []byte) (ChunkStats, error) {
 		return st, decodeErr("", "truncated record chunk (no end)")
 	}
 	return st, nil
-}
-
-// classStrings renders a bug-class slice, preserving detection order (record
-// streams are compared byte-for-byte, so recorded order is load-bearing).
-func classStrings(classes []oracle.BugClass) []string {
-	out := make([]string, len(classes))
-	for i, c := range classes {
-		out[i] = string(c)
-	}
-	return out
 }

@@ -37,10 +37,10 @@ type CoordinatorConfig struct {
 	// RetryAfter is the client back-off hint on 429 and empty lease polls.
 	// Default 1s.
 	RetryAfter time.Duration
-	// ImportPerLease caps pollination seeds shipped with one lease.
-	// Default 64.
-	ImportPerLease int
 }
+
+// importPerLease caps pollination seeds shipped with one lease.
+const importPerLease = 64
 
 func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.Rounds == 0 {
@@ -63,9 +63,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	}
 	if c.RetryAfter == 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.ImportPerLease == 0 {
-		c.ImportPerLease = 64
 	}
 	return c
 }
@@ -342,7 +339,7 @@ func (co *Coordinator) leaseImportsLocked(c *campaign) []SeedObject {
 	}
 	var out []SeedObject
 	for _, e := range entries {
-		if len(out) >= co.cfg.ImportPerLease {
+		if len(out) >= importPerLease {
 			break
 		}
 		if c.imported[e.Name] || c.exported[e.Name] {

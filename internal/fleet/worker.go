@@ -22,9 +22,6 @@ import (
 type Worker struct {
 	name   string
 	client *Client
-	// Poll is the idle wait between lease polls when the coordinator has
-	// no work (jittered). Default 500ms.
-	Poll time.Duration
 	// warm is the campaign of the last committed (not-done) slice, kept
 	// live so a follow-on lease for the same campaign resumes in memory
 	// instead of recompiling the target and decoding the snapshot. Safe
@@ -44,10 +41,14 @@ type warmCampaign struct {
 	c          *fuzz.Campaign
 }
 
+// workerPoll is the idle wait between lease polls when the coordinator has
+// no work (jittered by up to half again).
+const workerPoll = 500 * time.Millisecond
+
 // NewWorker creates a worker that pulls slices from the client's
 // coordinator under the given node name.
 func NewWorker(name string, client *Client) *Worker {
-	return &Worker{name: name, client: client, Poll: 500 * time.Millisecond}
+	return &Worker{name: name, client: client}
 }
 
 // Run pulls and executes leases until ctx is cancelled. Errors on
@@ -63,7 +64,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			return ctx.Err()
 		}
 		if !ran {
-			if err := sleep(ctx, w.Poll+w.client.jitter(w.Poll/2)); err != nil {
+			if err := sleep(ctx, workerPoll+w.client.jitter(workerPoll/2)); err != nil {
 				return err
 			}
 		}

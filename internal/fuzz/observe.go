@@ -16,7 +16,9 @@ type BranchEdge struct {
 // the sequence that ran, the coverage delta it produced, and the oracle
 // classes it newly discovered. A stream of ExecRecords is a complete semantic
 // trace of a campaign — two engines that emit identical record streams made
-// identical decisions execution for execution.
+// identical decisions execution for execution. Seq, NewEdges and NewClasses
+// are fresh for every record, and the engine never writes a transaction's
+// Args or Attacker in place, so an observer may keep a record as is.
 type ExecRecord struct {
 	// Index is the 1-based execution index (matches Result.Executions).
 	Index int

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"math/big"
@@ -446,8 +447,8 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	}
 	for _, re := range s.Repro {
 		fmt.Fprintf(bw, "repro %s\n", re.Class)
-		for _, tx := range re.Seq {
-			encodeSnapTx(bw, tx)
+		for i := range re.Seq {
+			_, _ = bw.Write(AppendTx(bw.AvailableBuffer(), &re.Seq[i]))
 		}
 		fmt.Fprintf(bw, "endrepro\n")
 	}
@@ -466,12 +467,12 @@ func (s *Snapshot) EncodeBytes() []byte {
 	return buf.Bytes()
 }
 
-func encodeSeed(w io.Writer, kind string, s *Seed) {
+func encodeSeed(w *bufio.Writer, kind string, s *Seed) {
 	fmt.Fprintf(w, "%s newedges=%d nested=%d dist=%d gen=%d pathweight=%s hasmasks=%d\n",
 		kind, s.NewEdges, s.HitNestedDepth, boolBit01(s.DistanceImproved), s.Gen,
 		hexFloat(s.PathWeight), boolBit01(s.masks != nil))
-	for _, tx := range s.Seq {
-		encodeSnapTx(w, tx)
+	for i := range s.Seq {
+		_, _ = w.Write(AppendTx(w.AvailableBuffer(), &s.Seq[i]))
 	}
 	if s.masks != nil {
 		for i, m := range s.masks {
@@ -479,18 +480,6 @@ func encodeSeed(w io.Writer, kind string, s *Seed) {
 		}
 	}
 	fmt.Fprintf(w, "endseed\n")
-}
-
-// encodeSnapTx writes one sequence transaction. Plain transactions keep the
-// 5-field v1 form byte-for-byte; a nonzero callee or an attacker spec grows
-// the line to the 7-field world form (callee index, attacker spec hex).
-func encodeSnapTx(w io.Writer, tx TxInput) {
-	if tx.Callee == 0 && len(tx.Attacker) == 0 {
-		fmt.Fprintf(w, "tx %s %d %s %s\n", tx.Func, tx.Sender, tx.Value.Hex(), hexBytesOrDash(tx.Args))
-		return
-	}
-	fmt.Fprintf(w, "tx %s %d %s %s %d %s\n", tx.Func, tx.Sender, tx.Value.Hex(), hexBytesOrDash(tx.Args),
-		tx.Callee, hexBytesOrDash(tx.Attacker))
 }
 
 // encodeMask renders a mask as one hex nibble per byte position (bit k set =
@@ -543,13 +532,6 @@ func boolBit01(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-func hexBytesOrDash(b []byte) string {
-	if len(b) == 0 {
-		return "-"
-	}
-	return hex.EncodeToString(b)
 }
 
 // hexFloat renders a float64 exactly (hex mantissa/exponent form).
@@ -686,9 +668,9 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 			}
 			switch fields[0] {
 			case "tx":
-				tx, err := decodeSnapTx(line, fields)
+				tx, err := ParseTx(fields)
 				if err != nil {
-					return err
+					return snapErr(line, "%v", err)
 				}
 				seed.Seq = append(seed.Seq, tx)
 			case "mask":
@@ -754,9 +736,9 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		if curRepro != nil {
 			switch fields[0] {
 			case "tx":
-				tx, err := decodeSnapTx(line, fields)
+				tx, err := ParseTx(fields)
 				if err != nil {
-					return nil, err
+					return nil, snapErr(line, "%v", err)
 				}
 				curRepro.Seq = append(curRepro.Seq, tx)
 				continue
@@ -950,52 +932,95 @@ func decodeSnapEdge(line string, fields []string) (BranchEdge, error) {
 	return BranchEdge{PC: pc, Taken: fields[2] == "1"}, nil
 }
 
-func decodeSnapTx(line string, fields []string) (TxInput, error) {
-	if len(fields) != 5 && len(fields) != 7 {
-		return TxInput{}, snapErr(line, "malformed tx")
+// AppendTx appends the canonical line of one transaction to buf:
+//
+//	tx <func> <sender> <value> <args|-> [<callee> <attacker|->]
+//
+// Snapshots, corpus-seed payloads, conformance transcripts and fleet record
+// chunks all carry sequences in this one form. Plain transactions keep the
+// 5-field v1 form byte for byte; a nonzero callee or an attacker spec grows
+// the line to the 7-field world form. Built with appends rather than fmt:
+// transcripts encode one line per executed transaction.
+func AppendTx(buf []byte, tx *TxInput) []byte {
+	buf = append(buf, "tx "...)
+	buf = append(buf, tx.Func...)
+	buf = append(buf, ' ')
+	buf = strconv.AppendInt(buf, int64(tx.Sender), 10)
+	buf = append(buf, ' ')
+	buf = tx.Value.AppendHex(buf)
+	buf = append(buf, ' ')
+	buf = appendHexOrDash(buf, tx.Args)
+	if tx.Callee != 0 || len(tx.Attacker) != 0 {
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(tx.Callee), 10)
+		buf = append(buf, ' ')
+		buf = appendHexOrDash(buf, tx.Attacker)
+	}
+	return append(buf, '\n')
+}
+
+// appendHexOrDash appends b in hex, or "-" when b is empty.
+func appendHexOrDash(buf, b []byte) []byte {
+	if len(b) == 0 {
+		return append(buf, '-')
+	}
+	return hex.AppendEncode(buf, b)
+}
+
+// ParseTx parses the whitespace-split fields of one line written by
+// AppendTx, keyword included. Sender and callee indexes must be
+// non-negative: the executor reduces them modulo the pool sizes, so a
+// negative index would panic mid-slice. Errors carry no prefix; each caller
+// adds its own.
+func ParseTx(fields []string) (TxInput, error) {
+	if (len(fields) != 5 && len(fields) != 7) || fields[0] != "tx" {
+		return TxInput{}, errors.New("malformed tx")
 	}
 	sender, err := strconv.Atoi(fields[2])
-	if err != nil {
-		return TxInput{}, snapErr(line, "bad sender: %v", err)
+	if err != nil || sender < 0 {
+		return TxInput{}, fmt.Errorf("bad sender %q", fields[2])
 	}
 	val, err := parseSnapU256(fields[3])
 	if err != nil {
-		return TxInput{}, snapErr(line, "bad value: %v", err)
+		return TxInput{}, fmt.Errorf("bad value: %v", err)
 	}
-	var args []byte
-	if fields[4] != "-" {
-		args, err = hex.DecodeString(fields[4])
-		if err != nil {
-			return TxInput{}, snapErr(line, "bad args: %v", err)
-		}
+	args, err := parseHexOrDash(fields[4])
+	if err != nil {
+		return TxInput{}, fmt.Errorf("bad args: %v", err)
 	}
 	tx := TxInput{Func: fields[1], Sender: sender, Value: val, Args: args}
 	if len(fields) == 7 {
 		tx.Callee, err = strconv.Atoi(fields[5])
 		if err != nil || tx.Callee < 0 {
-			return TxInput{}, snapErr(line, "bad callee")
+			return TxInput{}, fmt.Errorf("bad callee %q", fields[5])
 		}
-		if fields[6] != "-" {
-			tx.Attacker, err = hex.DecodeString(fields[6])
-			if err != nil {
-				return TxInput{}, snapErr(line, "bad attacker spec: %v", err)
-			}
+		if tx.Attacker, err = parseHexOrDash(fields[6]); err != nil {
+			return TxInput{}, fmt.Errorf("bad attacker spec: %v", err)
 		}
 	}
 	return tx, nil
 }
 
-// EncodeSequence renders one transaction sequence in the snapshot tx-line
-// format — the canonical corpus-seed payload stores exchange.
-func EncodeSequence(seq Sequence) []byte {
-	var buf bytes.Buffer
-	for _, tx := range seq {
-		encodeSnapTx(&buf, tx)
+func parseHexOrDash(s string) ([]byte, error) {
+	if s == "-" {
+		return nil, nil
 	}
-	return buf.Bytes()
+	return hex.DecodeString(s)
 }
 
-// DecodeSequence parses a sequence written by EncodeSequence.
+// EncodeSequence renders one transaction sequence as AppendTx lines — the
+// canonical corpus-seed payload stores exchange.
+func EncodeSequence(seq Sequence) []byte {
+	var buf []byte
+	for i := range seq {
+		buf = AppendTx(buf, &seq[i])
+	}
+	return buf
+}
+
+// DecodeSequence parses a sequence written by EncodeSequence. A line longer
+// than the scanner's 4 MiB bound fails the decode rather than truncating
+// the sequence.
 func DecodeSequence(data []byte) (Sequence, error) {
 	var seq Sequence
 	sc := bufio.NewScanner(bytes.NewReader(data))
@@ -1005,11 +1030,14 @@ func DecodeSequence(data []byte) (Sequence, error) {
 		if line == "" {
 			continue
 		}
-		tx, err := decodeSnapTx(line, strings.Fields(line))
+		tx, err := ParseTx(strings.Fields(line))
 		if err != nil {
-			return nil, err
+			return nil, snapErr(line, "%v", err)
 		}
 		seq = append(seq, tx)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("fuzz: decode sequence: %w", err)
 	}
 	if len(seq) == 0 {
 		return nil, fmt.Errorf("fuzz: empty sequence")

@@ -3,6 +3,8 @@ package fuzz
 import (
 	"bytes"
 	"context"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -299,4 +301,73 @@ func TestInjectSequences(t *testing.T) {
 	if !bytes.Equal(EncodeSequence(dec), enc) {
 		t.Fatal("sequence encode/decode round trip not stable")
 	}
+}
+
+// senderField matches the sender index of a tx line.
+var senderField = regexp.MustCompile(`(?m)^(tx \S+) \d+ `)
+
+// TestDecodeRejectsNegativeSender pins the shared tx parser's sender bound. A
+// resumed negative sender would panic the next slice indexing the sender
+// pool, so snapshots and corpus seeds both refuse it.
+func TestDecodeRejectsNegativeSender(t *testing.T) {
+	c := NewCampaign(compileT(t, corpus.CrowdsaleBuggy()), Options{Strategy: MuFuzz(), Seed: 1, Iterations: 300})
+	if _, done := c.RunSlice(context.Background(), 2); done {
+		t.Fatal("campaign finished before the snapshot point; grow the budget")
+	}
+	enc := c.Snapshot().EncodeBytes()
+	if _, err := DecodeSnapshot(bytes.NewReader(enc)); err != nil {
+		t.Fatalf("unmodified snapshot: %v", err)
+	}
+	bad := senderField.ReplaceAll(enc, []byte("$1 -1 "))
+	if bytes.Equal(bad, enc) {
+		t.Fatal("snapshot carries no tx line")
+	}
+	if _, err := DecodeSnapshot(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "bad sender") {
+		t.Fatalf("snapshot with sender -1 decoded: err = %v", err)
+	}
+	for _, line := range strings.SplitAfter(string(bad), "\n") {
+		if strings.HasPrefix(line, "tx ") {
+			if _, err := DecodeSequence([]byte(line)); err == nil {
+				t.Fatalf("sequence %q decoded", line)
+			}
+			break
+		}
+	}
+}
+
+// TestDecodeSequenceRejectsOverlongLine pins that a line past the scanner's
+// bound fails the decode instead of silently ending the sequence early.
+func TestDecodeSequenceRejectsOverlongLine(t *testing.T) {
+	payload := "tx invest 0 0x0 -\ntx invest 0 0x0 " + strings.Repeat("ab", 4<<20) + "\n"
+	if seq, err := DecodeSequence([]byte(payload)); err == nil {
+		t.Fatalf("over-long line decoded to %d transactions", len(seq))
+	}
+}
+
+// FuzzDecodeSequence checks the shared tx-line codec on arbitrary payloads:
+// whatever decodes has non-negative sender and callee indexes, and encoding
+// it decodes back to the same sequence.
+func FuzzDecodeSequence(f *testing.F) {
+	f.Add([]byte("tx invest 1 0x2a 00ff\n"))
+	f.Add([]byte("tx __ctor 0 0x0 - 0 01d0e30db0010000\ntx erc20.mint 1 0x0 00aa 1 -\n"))
+	f.Add([]byte("tx invest -1 0x0 -\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		seq, err := DecodeSequence(data)
+		if err != nil {
+			return
+		}
+		for i, tx := range seq {
+			if tx.Sender < 0 || tx.Callee < 0 {
+				t.Fatalf("tx %d: negative index decoded: %+v", i, tx)
+			}
+		}
+		enc := EncodeSequence(seq)
+		again, err := DecodeSequence(enc)
+		if err != nil {
+			t.Fatalf("re-decode of %q: %v", enc, err)
+		}
+		if !reflect.DeepEqual(again, seq) {
+			t.Fatalf("round trip changed the sequence:\nfirst  %+v\nsecond %+v", seq, again)
+		}
+	})
 }

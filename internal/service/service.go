@@ -48,11 +48,11 @@ type Config struct {
 	// DefaultIterations is the campaign budget when a spec omits one.
 	// Default 20000.
 	DefaultIterations int
-	// ImportPerSlice caps how many foreign seeds one slice imports, bounding
-	// the injection cost a popular contract imposes on its campaigns.
-	// Default 64.
-	ImportPerSlice int
 }
+
+// importPerSlice caps how many foreign seeds one slice imports, bounding the
+// injection cost a popular contract imposes on its campaigns.
+const importPerSlice = 64
 
 // persistEverySlices is the snapshot cadence of a healthy mid-flight
 // campaign (snapshots also happen on new findings, terminal states, and
@@ -71,9 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultIterations == 0 {
 		c.DefaultIterations = 20000
-	}
-	if c.ImportPerSlice == 0 {
-		c.ImportPerSlice = 64
 	}
 	return c
 }
@@ -543,7 +540,7 @@ func (s *Service) importSeeds(j *job) int {
 	}
 	var batch []fuzz.Sequence
 	for _, e := range entries {
-		if len(batch) >= s.cfg.ImportPerSlice {
+		if len(batch) >= importPerSlice {
 			break
 		}
 		if j.imported[e.Name] || j.exported[e.Name] {

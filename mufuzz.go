@@ -108,8 +108,8 @@ func Smartian() Strategy { return fuzz.Smartian() }
 // IRFuzz returns the IR-Fuzz-like baseline strategy.
 func IRFuzz() Strategy { return fuzz.IRFuzz() }
 
-// Ablations returns the three single-component-removed MuFuzz variants used
-// by the Fig. 7 experiment.
+// Ablations returns the four single-component-removed MuFuzz variants used
+// by the Fig. 7 experiment: the paper's three plus comparison feedback.
 func Ablations() []Strategy { return fuzz.Ablations() }
 
 // StaticFinding is a finding from the pattern-based static analyzer.
