@@ -232,6 +232,13 @@ type Campaign struct {
 	methods map[string]abi.Method
 
 	prefixes *prefixCache
+	// seedPrefix is the prefix-hash table of the running round's seed: the
+	// boundaries executions may checkpoint (see executor.run). Built fresh
+	// each round and never mutated, since an abandoned speculative
+	// line-search job of an earlier round may still read the old table on a
+	// worker. Nil outside a round, so the initial corpus and injected
+	// sequences store nothing.
+	seedPrefix []uint64
 	// repro holds, per bug class, the first sequence observed triggering it
 	// — the proof-of-concept the CLI minimizes and prints.
 	repro map[oracle.BugClass]Sequence
@@ -795,7 +802,7 @@ func (c *Campaign) foldOutcome(seq Sequence, out *execOutcome) execResult {
 // fuzzer counts all of its executions.
 func (c *Campaign) execute(seq Sequence) execResult {
 	c.executions++
-	out := c.exec.run(seq)
+	out := c.exec.run(seq, c.seedPrefix)
 	return c.foldOutcome(seq, &out)
 }
 
@@ -1183,6 +1190,7 @@ func (c *Campaign) RunSlice(ctx context.Context, maxRounds int) (*Result, bool) 
 		c.elapsedPrior += time.Since(c.sliceStart)
 		c.inSlice = false
 		c.ctx = nil
+		c.seedPrefix = nil
 	}()
 
 	// Initial corpus (sequential: it defines the campaign's starting point).
@@ -1205,6 +1213,7 @@ func (c *Campaign) RunSlice(ctx context.Context, maxRounds int) (*Result, bool) 
 			break
 		}
 		seed := c.pickSeed(&c.qi)
+		c.seedPrefix = prefixHashes(seed.Seq, nil)
 		c.ensureMasks(seed)
 		energy := c.energyFor(seed)
 		if c.opts.Workers > 1 {
@@ -1420,7 +1429,7 @@ func (c *Campaign) fuzzRoundPipelined(seed *Seed, energy int, qi *int) {
 			// the queue is full the select blocks until a worker frees a slot
 			// or finishes a job, so dispatch can never deadlock against fold.
 			select {
-			case p.jobs <- poolJob{seq: children[sent].Seq, out: &outs[sent], idx: sent, done: done}:
+			case p.jobs <- poolJob{seq: children[sent].Seq, seedPrefix: c.seedPrefix, out: &outs[sent], idx: sent, done: done}:
 				sent++
 			case i := <-done:
 				ready[i] = true
@@ -1496,7 +1505,7 @@ func (c *Campaign) lineSearchSpec(p *workerPool, child *Seed, r execResult) (*Se
 		ready := make([]bool, len(specs))
 		done := make(chan int, len(specs))
 		for k := range specs {
-			p.submit(poolJob{seq: specs[k].Seq, out: &outs[k], idx: k, done: done})
+			p.submit(poolJob{seq: specs[k].Seq, seedPrefix: c.seedPrefix, out: &outs[k], idx: k, done: done})
 		}
 		for k := 0; k < len(specs); k++ {
 			if k > 0 && c.budgetExhausted() {

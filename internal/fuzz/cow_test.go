@@ -34,10 +34,9 @@ func dumpState(s *state.State) string {
 	return b.String()
 }
 
-// collectEntries drains every checkpoint entry of a campaign's prefix cache,
-// publishing pending stores first so nothing batched is missed.
+// collectEntries drains every checkpoint entry of a campaign's prefix cache
+// from the published shard views (every store publishes at once).
 func collectEntries(pc *prefixCache) []*prefixEntry {
-	pc.flush()
 	var out []*prefixEntry
 	for i := range pc.shards {
 		for _, e := range pc.shards[i].view() {
@@ -104,21 +103,22 @@ func TestResumeFromForkedCheckpointMatchesFreshRun(t *testing.T) {
 	fresh := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 3, Iterations: 10, NoPrefixCache: true})
 
 	seq := cached.initialSequence()
-	// First run populates checkpoints (collectEntries publishes the batched
-	// stores, so the second run's lock-free lookup sees them); stress-fork
-	// them; second run resumes.
-	out1 := cached.exec.run(seq)
+	// First run populates checkpoints: with the sequence's own prefix table
+	// as its seed table it stores every proper prefix. Stress-fork them; the
+	// second run resumes.
+	table := prefixHashes(seq, nil)
+	out1 := cached.exec.run(seq, table)
 	for _, e := range collectEntries(cached.prefixes) {
 		for i := 0; i < 4; i++ {
 			ch := e.st.Fork()
 			ch.SetStorage(cached.contractAddr, u256.New(uint64(i)), u256.New(999))
 		}
 	}
-	out2 := cached.exec.run(seq)
+	out2 := cached.exec.run(seq, table)
 	if out2.firstLive == 0 {
 		t.Fatal("second run did not resume from a checkpoint")
 	}
-	ref := fresh.exec.run(seq)
+	ref := fresh.exec.run(seq, nil)
 
 	for _, out := range []*execOutcome{&out1, &out2} {
 		if len(out.branchesByTx) != len(ref.branchesByTx) {

@@ -86,9 +86,9 @@ type executor struct {
 	// intermediate-state optimization (ablation / replay).
 	prefixes *prefixCache
 	// view is the executor's private read affinity over prefixes: the shard
-	// snapshots, revalidated once per execution against the cache epoch. All
-	// hot-path cache probes (resume lookup, store-policy scan) go through it
-	// as plain worker-local map reads instead of shared atomic loads.
+	// snapshots, revalidated once per execution against the cache epoch. The
+	// resume lookup goes through it as plain worker-local map reads instead
+	// of shared atomic loads.
 	view prefixView
 	// branchIx interns the contract's branch edges; installed on every EVM so
 	// trace events carry compact edge IDs. depthByEdge is the per-edge
@@ -306,15 +306,23 @@ func internMethods(t Target) (map[string]abi.Method, map[string][4]byte) {
 // run executes a sequence and returns its outcome. When a prefix of the
 // sequence has a cached checkpoint (paper §VI's intermediate-state
 // optimization), execution resumes from it and the prefix's recorded branch
-// events stand in for re-execution. Intermediate states reached by live
-// transactions are proposed back to the cache.
+// events stand in for re-execution.
+//
+// seedPrefix is the prefix-hash table of the round's seed (prefixHashes of
+// its sequence), nil outside a round. It decides what the run checkpoints:
+// every uncached, admissible boundary the run passes while its sequence
+// still matches that seed, and nothing past the first mismatch. A round's
+// children are mutants of its seed, so a child whose first mutated
+// transaction is k resumes from the seed's checkpoint after k transactions;
+// a boundary no sibling shares is never worth its fork. A run with no table
+// stores nothing.
 //
 // All state handoffs are copy-on-write Forks: resuming from genesis or a
 // checkpoint entry, and storing a new checkpoint, are O(accounts) pointer
 // copies — the deep copy the pre-CoW engine paid per checkpoint and per
 // resume is gone, and only accounts a live transaction actually writes get
 // cloned (see the state package's memory model).
-func (x *executor) run(seq Sequence) execOutcome {
+func (x *executor) run(seq Sequence, seedPrefix []uint64) execOutcome {
 	// The outer batch list is exactly one entry per transaction; pre-sizing
 	// makes it a single allocation instead of append growth.
 	out := execOutcome{branchesByTx: make([][]evm.BranchEvent, 0, len(seq))}
@@ -324,7 +332,7 @@ func (x *executor) run(seq Sequence) execOutcome {
 	start := 0
 
 	// One pass computes every proper-prefix key; the resume lookup and the
-	// store-policy scan below both index into it.
+	// store policy both index into it.
 	var hashes []uint64
 	if x.prefixes != nil {
 		hashes = prefixHashes(seq, x.hashBuf)
@@ -346,24 +354,6 @@ func (x *executor) run(seq Sequence) execOutcome {
 		x.deployWorld(st, seq)
 	}
 	out.firstLive = start
-
-	// Single-store checkpoint policy: of all proper prefixes this run could
-	// checkpoint, only the longest not-yet-cached one is stored. Shorter
-	// prefixes are dominated — any future sequence sharing a short prefix
-	// either shares the long one too, or misses and stores its own longest —
-	// so storing them would multiply the fork + taint-snapshot cost per run
-	// without improving resume depth. The cache stays write-once per key and
-	// contains/admissible are re-checked at store time (another worker may
-	// have stored the same prefix mid-run).
-	bestStore := -1
-	if x.prefixes != nil {
-		for i := len(seq) - 2; i >= start; i-- {
-			if !x.view.contains(hashes[i]) {
-				bestStore = i
-				break
-			}
-		}
-	}
 
 	for i := start; i < len(seq); i++ {
 		tx := seq[i]
@@ -405,13 +395,17 @@ func (x *executor) run(seq Sequence) execOutcome {
 			out.reports = append(out.reports, txReport{txIdx: i, report: rep})
 		}
 
-		// Checkpoint the state after the chosen prefix transaction. The
-		// outcome accumulated so far is exactly the checkpoint's payload.
-		if i == bestStore && x.prefixes.admissible(out.branchesByTx) {
-			key := hashes[i]
-			if !x.prefixes.contains(key) {
+		// Checkpoint the boundary after tx i while the sequence still matches
+		// the round's seed. The outcome accumulated so far is exactly the
+		// checkpoint's payload. contains reads the live map under the shard
+		// lock, so a boundary another worker stored mid-run is not forked
+		// again.
+		if i < len(hashes) && i < len(seedPrefix) && hashes[i] == seedPrefix[i] {
+			if key := hashes[i]; x.prefixes.admissible(out.branchesByTx) && !x.prefixes.contains(key) {
 				x.prefixes.storeKeyed(key, i+1, st.Fork(), e.TaintSnapshot(), out.branchesByTx, out.reports, out.nestedDepth)
 			}
+		} else {
+			seedPrefix = nil
 		}
 	}
 	return out

@@ -17,7 +17,7 @@ func TestExecutorPure(t *testing.T) {
 	covBefore := len(c.covered)
 	execBefore := c.executions
 	x1, x2 := c.exec.detached(), c.exec.detached()
-	o1, o2 := x1.run(seq), x2.run(seq)
+	o1, o2 := x1.run(seq, nil), x2.run(seq, nil)
 	if len(c.covered) != covBefore || c.executions != execBefore {
 		t.Error("executor.run mutated campaign state")
 	}
@@ -44,11 +44,11 @@ func TestExecutorTraceReuse(t *testing.T) {
 	c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 3})
 	x := c.exec.detached()
 	seq := c.initialSequence()
-	first := x.run(seq)
+	first := x.run(seq, nil)
 	// A constructor-only sequence covers strictly fewer branches; if the
 	// trace leaked, stale branch events would still show up.
 	short := Sequence{seq[0]}
-	second := x.run(short)
+	second := x.run(short, nil)
 	if len(second.branchesByTx) != 1 {
 		t.Fatalf("constructor-only run produced %d tx batches", len(second.branchesByTx))
 	}

@@ -24,7 +24,7 @@ type ReplayResult struct {
 // (which itself matches the old sorted-BranchKey order; see BranchIndex).
 func (c *Campaign) Replay(seq Sequence) *ReplayResult {
 	x := c.exec.detached()
-	res := x.run(seq)
+	res := x.run(seq, nil)
 
 	det := c.newDetector()
 	for _, rep := range res.reports {

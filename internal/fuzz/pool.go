@@ -23,16 +23,18 @@ type workerPool struct {
 	size int
 }
 
-// poolJob is one execution request: run seq, write the outcome into *out, and
-// signal idx on done. done channels are buffered to the full batch size by
-// every dispatcher, so a worker's completion send never blocks — even when
-// the coordinator has stopped draining a batch (a line search abandoning its
-// speculative tail), the pool keeps flowing.
+// poolJob is one execution request: run seq against the round's seed table,
+// write the outcome into *out, and signal idx on done. done channels are
+// buffered to the full batch size by every dispatcher, so a worker's
+// completion send never blocks — even when the coordinator has stopped
+// draining a batch (a line search abandoning its speculative tail), the pool
+// keeps flowing.
 type poolJob struct {
-	seq  Sequence
-	out  *execOutcome
-	idx  int
-	done chan<- int
+	seq        Sequence
+	seedPrefix []uint64
+	out        *execOutcome
+	idx        int
+	done       chan<- int
 }
 
 // newWorkerPool starts one goroutine per executor. The queue is bounded at a
@@ -49,7 +51,7 @@ func newWorkerPool(execs []*executor) *workerPool {
 		go func(x *executor) {
 			defer p.wg.Done()
 			for j := range p.jobs {
-				*j.out = x.run(j.seq)
+				*j.out = x.run(j.seq, j.seedPrefix)
 				j.done <- j.idx
 			}
 		}(x)

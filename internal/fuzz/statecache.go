@@ -20,23 +20,19 @@ import (
 // events of the prefix (replayed into the campaign's feedback fold so
 // coverage/distance bookkeeping is identical to a full execution).
 //
+// What gets stored is the executor's policy (see executor.run): only the
+// boundaries a run shares with its round's seed, which every sibling child
+// resumes from. Stores are therefore rare — a few per thousand executions
+// once a seed's prefixes are in — while nearly every lookup hits.
+//
 // Concurrency: the cache is striped across prefixShards. Each shard keeps an
 // authoritative live map, mutated in place under the shard mutex, and
-// publishes an immutable copy of it behind an atomic pointer. Readers — the
-// hot per-execution lookup and store-policy scans of every worker — never
-// take a lock: they load the current published snapshot and read a map
-// nothing will ever mutate. Writers serialize on the per-shard mutex and
-// republish only every publishEvery stores: under campaign churn the cache
-// stores a new checkpoint almost every execution (the FIFO keeps turning
-// over), so copying the map per store was the single largest allocation site
-// of the whole engine. Batching amortizes the copy to 1/publishEvery stores;
-// the entries a stale snapshot is missing become visible a few executions
-// later, which cache transparency makes semantically invisible (the
-// conformance matrix pins cache-on ≡ cache-off transcripts).
-//
-// The store path dedups against the live map under the lock (contains,
-// storeKeyed), so delayed publication never re-materializes the state fork
-// and taint snapshot for a prefix that is already checkpointed.
+// publishes an immutable copy of it behind an atomic pointer on every store.
+// Readers — the per-execution resume lookup of every worker — never take a
+// lock: they load the current published snapshot and read a map nothing will
+// ever mutate. The store path dedups against the live map under the lock
+// (contains, storeKeyed), so a prefix another worker just checkpointed is
+// never forked twice.
 //
 // Entries are immutable once stored: readers copy entry.st outside any lock,
 // writers only ever insert or evict whole entries. Eviction is FIFO per
@@ -45,11 +41,13 @@ import (
 // cache-transparency invariant makes their use semantically invisible.
 type prefixCache struct {
 	shards [prefixShards]prefixShard
-	// epoch counts published snapshot generations across all shards;
-	// prefixView compares it to skip refreshing unchanged snapshots.
+	// epoch counts published snapshot generations across all shards, one per
+	// store; prefixView compares it to skip refreshing unchanged snapshots.
 	epoch  atomic.Uint64
 	hits   atomic.Int64
 	misses atomic.Int64
+	// served counts the prefix transactions hits stood in for.
+	served atomic.Int64
 }
 
 // prefixShards is the stripe count. Sixteen shards keep any single shard's
@@ -60,23 +58,15 @@ const prefixShards = 16
 // prefixSnap is one shard's immutable published generation.
 type prefixSnap map[uint64]*prefixEntry
 
-// publishEvery is the store-batching factor: a shard republishes its
-// snapshot after this many live-map mutations. Higher values amortize the
-// copy further but widen the window in which fresh checkpoints are invisible
-// to the lock-free read path.
-const publishEvery = 8
-
 type prefixShard struct {
-	// mu guards live, order, and unpub; readers go through snap.
+	// mu guards live and order; readers go through snap.
 	mu sync.Mutex
 	// live is the authoritative entry map, mutated in place under mu.
 	live prefixSnap
-	// snap is the published immutable copy the lock-free readers use; it
-	// trails live by at most publishEvery-1 stores.
+	// snap is the published immutable copy the lock-free readers use.
 	snap  atomic.Pointer[prefixSnap]
 	order []uint64 // FIFO eviction order
 	max   int      // per-shard capacity
-	unpub int      // live mutations since the last publish
 }
 
 type prefixEntry struct {
@@ -189,8 +179,9 @@ func hashPrefix(seq Sequence, n int) uint64 {
 // prefixHashes computes the keys of every proper prefix of seq in one pass:
 // out[k] is hashPrefix(seq, k+1) for k in [0, len(seq)-2]. The hash is a pure
 // running fold over transactions, so all prefixes cost one sequence walk —
-// the per-execution lookup and store-policy scans reuse the same table
-// instead of rehashing O(n²) bytes. buf is an optional reusable backing.
+// the per-execution lookup and store policy reuse the same table instead of
+// rehashing O(n²) bytes, and a round's seed table is built the same way.
+// buf is an optional reusable backing.
 func prefixHashes(seq Sequence, buf []uint64) []uint64 {
 	if len(seq) < 2 {
 		return buf[:0]
@@ -230,6 +221,7 @@ func (pc *prefixCache) lookupHashed(hashes []uint64) *prefixEntry {
 		sh.mu.Unlock()
 		if ok && e.txs == n {
 			pc.hits.Add(1)
+			pc.served.Add(int64(n))
 			return e
 		}
 	}
@@ -240,8 +232,7 @@ func (pc *prefixCache) lookupHashed(hashes []uint64) *prefixEntry {
 // contains reports whether a prefix hash is already checkpointed,
 // authoritatively: it consults the live map under the shard lock, so the
 // store path never duplicates the fork + taint materialization for an entry
-// that is stored but not yet published. Called at most once per execution;
-// the per-probe scans go through prefixView.contains.
+// another executor stored after this one refreshed its view.
 func (pc *prefixCache) contains(key uint64) bool {
 	if pc == nil {
 		return false
@@ -270,9 +261,9 @@ func (pc *prefixCache) admissible(branchesByTx [][]evm.BranchEvent) bool {
 // storeKeyed records a checkpoint for a pre-computed prefix hash. The first
 // writer of a key wins; concurrent proposals for the same prefix are
 // deduplicated against the live map under the shard's lock. The live map is
-// mutated in place; a fresh immutable snapshot is published only every
-// publishEvery stores, so in-flight readers keep their consistent (slightly
-// stale) generation and the per-store copy cost is amortized away.
+// mutated in place and a fresh immutable snapshot is published at once, so
+// the sibling children that resume from the new checkpoint see it on their
+// next lookup, while in-flight readers keep their consistent generation.
 func (pc *prefixCache) storeKeyed(key uint64, n int, st *state.State, taint map[evm.StorageKey]evm.Taint, branchesByTx [][]evm.BranchEvent, reports []txReport, nestedDepth int) {
 	if pc == nil || n < 1 || !pc.admissible(branchesByTx) {
 		return
@@ -304,40 +295,15 @@ func (pc *prefixCache) storeKeyed(key uint64, n int, st *state.State, taint map[
 	}
 	sh.live[key] = entry
 	sh.order = append(sh.order, key)
-	sh.unpub++
-	if sh.unpub >= publishEvery {
-		sh.publishLocked(pc)
-	}
-}
-
-// publishLocked copies the live map into a fresh immutable snapshot, swaps
-// it in for the lock-free readers, and bumps the cache epoch so per-worker
-// views refresh. Caller holds sh.mu.
-func (sh *prefixShard) publishLocked(pc *prefixCache) {
+	// Publish: copy the live map into a fresh immutable snapshot, swap it in
+	// for the lock-free readers, and bump the epoch so per-worker views
+	// refresh.
 	next := make(prefixSnap, len(sh.live))
 	for k, v := range sh.live {
 		next[k] = v
 	}
 	sh.snap.Store(&next)
-	sh.unpub = 0
 	pc.epoch.Add(1)
-}
-
-// flush publishes every shard's pending live entries immediately. Tests use
-// it to make a just-stored checkpoint visible to the lock-free read path
-// without waiting out the publish batch.
-func (pc *prefixCache) flush() {
-	if pc == nil {
-		return
-	}
-	for i := range pc.shards {
-		sh := &pc.shards[i]
-		sh.mu.Lock()
-		if sh.unpub > 0 {
-			sh.publishLocked(pc)
-		}
-		sh.mu.Unlock()
-	}
 }
 
 // len returns the total number of cached entries (diagnostics and tests).
@@ -365,12 +331,12 @@ func (pc *prefixCache) stats() (hits, misses int) {
 
 // prefixView is one executor's cached read affinity over the cache: the 16
 // shard snapshots, revalidated against the global epoch once per execution
-// instead of once per probe. A sequence walk probes the cache O(len²) times
-// across lookup and store-policy scans; through the view those probes are
-// plain map reads on worker-local pointers — no atomics, no shared cache
-// lines — while a stale view is at most one execution behind (and staleness
-// is semantically invisible by cache transparency: a missed fresh entry only
-// costs a longer re-execution, a just-evicted entry is still valid).
+// instead of once per probe. The resume lookup probes up to len(seq)-1 keys;
+// through the view those probes are plain map reads on worker-local pointers
+// — no atomics, no shared cache lines — while a stale view is at most one
+// execution behind (and staleness is semantically invisible by cache
+// transparency: a missed fresh entry only costs a longer re-execution, a
+// just-evicted entry is still valid).
 type prefixView struct {
 	pc    *prefixCache
 	epoch uint64
@@ -407,18 +373,10 @@ func (v *prefixView) lookupHashed(hashes []uint64) *prefixEntry {
 		key := hashes[n-1]
 		if e, ok := v.snaps[key%prefixShards][key]; ok && e.txs == n {
 			v.pc.hits.Add(1)
+			v.pc.served.Add(int64(n))
 			return e
 		}
 	}
 	v.pc.misses.Add(1)
 	return nil
-}
-
-// contains mirrors prefixCache.contains over the view's snapshots.
-func (v *prefixView) contains(key uint64) bool {
-	if v.pc == nil {
-		return false
-	}
-	_, ok := v.snaps[key%prefixShards][key]
-	return ok
 }

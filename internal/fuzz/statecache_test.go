@@ -1,9 +1,11 @@
 package fuzz
 
 import (
+	"context"
 	"sync"
 	"testing"
 
+	"mufuzz/internal/corpus"
 	"mufuzz/internal/evm"
 	"mufuzz/internal/state"
 	"mufuzz/internal/u256"
@@ -188,16 +190,135 @@ func TestPrefixCacheEquivalence(t *testing.T) {
 	}
 }
 
+// txCounter counts the transactions of every folded execution.
+type txCounter struct{ txs int }
+
+func (o *txCounter) OnExec(r ExecRecord) { o.txs += len(r.Seq) }
+
+// TestPrefixCacheGetsHits is the count gate on the checkpoint store policy.
+// On crowdsale-buggy at seed 1 and workers 1 the counts repeat exactly, so
+// three of them are pinned close to their measured values: the hit ratio, the
+// share of transactions served from checkpoints instead of re-run, and stores
+// per 1,000 executions. When each execution stored its own longest uncached
+// prefix, which no sibling shared, the same campaign read hits 0.151, 9.3%
+// of transactions served and 774 stores per 1,000 executions.
 func TestPrefixCacheGetsHits(t *testing.T) {
-	comp := mustCompile(t, crowdsaleSrc)
-	c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 2, Iterations: 800})
-	c.Run()
+	comp := mustCompile(t, corpus.CrowdsaleBuggy())
+	obs := &txCounter{}
+	c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 1, Iterations: 20_000, Workers: 1, Observer: obs})
+	res := c.Run()
 	hits, misses := c.PrefixCacheStats()
-	if hits == 0 {
-		t.Errorf("cache never hit (misses=%d); mutated children share prefixes, hits expected", misses)
+	hitRatio := float64(hits) / float64(hits+misses)
+	served := float64(c.prefixes.served.Load()) / float64(obs.txs)
+	storesPerK := 1000 * float64(c.prefixes.epoch.Load()) / float64(res.Executions)
+	t.Logf("prefix cache over %d execs: hit ratio %.4f, %.2f%% of %d txs served, %.2f stores per 1,000 execs",
+		res.Executions, hitRatio, 100*served, obs.txs, storesPerK)
+	if hitRatio < 0.995 {
+		t.Errorf("hit ratio %.3f, want at least 0.995", hitRatio)
 	}
-	t.Logf("prefix cache: %d hits, %d misses (%.0f%% hit rate)",
-		hits, misses, 100*float64(hits)/float64(hits+misses))
+	if served < 0.40 {
+		t.Errorf("%.3f of transactions served from checkpoints, want at least 0.40", served)
+	}
+	if storesPerK > 1.5 {
+		t.Errorf("%.1f stores per 1,000 executions, want at most 1.5", storesPerK)
+	}
+}
+
+// seedTableSequence returns a crowdsale-buggy campaign that has not run yet
+// and its initial sequence, at least three transactions long.
+func seedTableSequence(t *testing.T) (*Campaign, Sequence) {
+	t.Helper()
+	c := NewCampaign(mustCompile(t, corpus.CrowdsaleBuggy()), Options{Strategy: MuFuzz(), Seed: 4, Iterations: 100})
+	seq := c.initialSequence()
+	if len(seq) < 3 {
+		t.Fatalf("initial sequence has %d transactions, want at least 3", len(seq))
+	}
+	return c, seq
+}
+
+// TestSeedRunCachesEveryProperPrefix pins the store side of the seed-prefix
+// policy: a run of the round's seed against its own table checkpoints every
+// proper prefix, each keyed by its length.
+func TestSeedRunCachesEveryProperPrefix(t *testing.T) {
+	c, seq := seedTableSequence(t)
+	c.exec.run(seq, prefixHashes(seq, nil))
+	if got := c.prefixes.len(); got != len(seq)-1 {
+		t.Errorf("cache holds %d entries after the seed run, want %d", got, len(seq)-1)
+	}
+	for n := 1; n < len(seq); n++ {
+		e := c.prefixes.shard(hashPrefix(seq, n)).view()[hashPrefix(seq, n)]
+		if e == nil || e.txs != n {
+			t.Errorf("prefix of %d transactions not published", n)
+		}
+	}
+}
+
+// TestChildResumesAtFirstMutation pins the resume side: after the seed run,
+// a child whose first difference from the seed is at transaction k resumes
+// from the seed's checkpoint after exactly k transactions and stores nothing
+// new, whatever follows k.
+func TestChildResumesAtFirstMutation(t *testing.T) {
+	c, seq := seedTableSequence(t)
+	table := prefixHashes(seq, nil)
+	c.exec.run(seq, table)
+	stores := c.prefixes.epoch.Load()
+	for k := 1; k < len(seq); k++ {
+		child := append(seq.Clone(), TxInput{Func: seq[1].Func, Args: seq[1].Args})
+		child[k].Value = child[k].Value.Add(u256.One)
+		if out := c.exec.run(child, table); out.firstLive != k {
+			t.Errorf("child mutated at %d resumed at %d", k, out.firstLive)
+		}
+	}
+	if got := c.prefixes.epoch.Load(); got != stores {
+		t.Errorf("children stored %d checkpoints, want none", got-stores)
+	}
+}
+
+// TestRunWithoutSeedTableStoresNothing pins that only round executions
+// checkpoint: a run with no table, and a sequence injected between slices,
+// leave the cache empty.
+func TestRunWithoutSeedTableStoresNothing(t *testing.T) {
+	c, seq := seedTableSequence(t)
+	c.exec.run(seq, nil)
+	if c.InjectSequences([]Sequence{seq}) != 1 {
+		t.Fatal("injected sequence did not run")
+	}
+	if n := c.prefixes.len(); n != 0 {
+		t.Errorf("runs without a seed table stored %d checkpoints", n)
+	}
+}
+
+// TestSeedPrefixAcrossSlicesWorkers4 runs a workers=4 campaign over several
+// slices on a contract whose derived-value guard draws long line searches.
+// The speculative search abandons window tails that finish on the workers
+// after the round, or the slice, has moved on, so under -race the test checks
+// that workers only read the seed tables they were handed. The result must
+// match an uninterrupted workers=2 run: the batched schedule is the same at
+// every width.
+func TestSeedPrefixAcrossSlicesWorkers4(t *testing.T) {
+	var src string
+	for _, l := range corpus.VulnSuite() {
+		if l.Name == "se_milestone_deep" {
+			src = l.Source
+		}
+	}
+	comp := mustCompile(t, src)
+	opts := Options{Strategy: MuFuzz(), Seed: 3, Iterations: 3000, Workers: 4}
+	c := NewCampaign(comp, opts)
+	var res *Result
+	for done := false; !done; {
+		res, done = c.RunSlice(context.Background(), 4)
+	}
+	if _, steps := c.LineSearchStats(); steps < 8 {
+		t.Errorf("line searches took %d steps; too few to speculate across windows", steps)
+	}
+	if hits, _ := c.PrefixCacheStats(); hits == 0 {
+		t.Error("workers never resumed from a checkpoint")
+	}
+	opts.Workers = 2
+	if got, want := resultFingerprint(res), resultFingerprint(Run(comp, opts)); got != want {
+		t.Errorf("sliced workers=4 run diverged from workers=2\n--- want\n%s\n--- got\n%s", want, got)
+	}
 }
 
 func BenchmarkCampaignWithPrefixCache(b *testing.B) {

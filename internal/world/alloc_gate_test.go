@@ -27,7 +27,7 @@ func TestRunSliceAllocGate(t *testing.T) {
 		},
 	})
 
-	const budget = 34.0 // measured 23.2; 47.6 with string finding keys, per-deploy attacker builds and fresh replay EVMs
+	const budget = 17.0 // measured 12.4; 23.2 when every execution stored its own checkpoint, 47.6 before that with string finding keys, per-deploy attacker builds and fresh replay EVMs
 	ctx := context.Background()
 	res, _ := c.RunSlice(ctx, 8) // warm: corpus, executor pools, IR programs
 	start := res.Executions
