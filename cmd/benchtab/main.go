@@ -191,7 +191,7 @@ func overhead(iterations int, seed int64) error {
 		execs := 0
 		for i := 0; i < campaigns; i++ {
 			res := fuzz.Run(comp, fuzz.Options{
-				Strategy: fuzz.MuFuzz(), Seed: seed + int64(i), Iterations: iterations, Workers: 1,
+				Strategy: fuzz.MuFuzz(), Seed: seed + int64(i), Iterations: iterations,
 			})
 			execs += res.Executions
 		}
@@ -201,7 +201,7 @@ func overhead(iterations int, seed int64) error {
 	// The service multiplexes the campaigns over one slot, with
 	// snapshot-capable slice boundaries and status publication.
 	runService := func() (float64, error) {
-		svc := service.New(service.Config{Slots: 1, SliceRounds: sliceRounds, Workers: 1})
+		svc := service.New(service.Config{Slots: 1, SliceRounds: sliceRounds})
 		if err := svc.Start(); err != nil {
 			return 0, err
 		}

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	conform -mode diff [-contracts a,b,c] [-iters 400] [-seed 1] [-workers N] [-fixtures dir]
+//	conform -mode diff [-contracts a,b,c] [-iters 400] [-seed 1] [-fixtures dir]
 //	conform -mode gate [-iters 3000] [-seed 1]
 //	conform -mode strategies [-contracts a] [-iters 1000] [-seed 1]
 //	conform -mode record -contracts a -out a.transcript [-iters 400]
@@ -24,10 +24,10 @@
 //
 // Contract names come from the corpus: "crowdsale", "crowdsale-buggy",
 // "game", or any labelled suite name (run `-mode list` to enumerate).
-// Mode diff additionally runs the multi-contract world-w2/world-wN pair on
-// the ingest fixtures (bank-reentrant primary + token member + synthesized
-// attacker) when the fixture dir is present. The batched class compares the
-// two-worker reference against N workers, with N raised to at least 4.
+// Mode diff compares, per contract, seq-w1 against seq-w1-nocache and
+// seq-w1-noir, and runs the same pairs on a multi-contract world (world-w1
+// against world-w1-nocache and world-w1-noir: bank-reentrant primary + token
+// member + synthesized attacker) when the ingest fixture dir is present.
 package main
 
 import (
@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -76,7 +75,6 @@ func main() {
 		contracts = flag.String("contracts", "", "comma-separated contract names (default: the 3-contract diff set)")
 		iters     = flag.Int("iters", 400, "iteration budget per campaign (gate defaults to the fixed gate budget)")
 		seed      = flag.Int64("seed", 1, "campaign seed")
-		workers   = flag.Int("workers", 0, "batched-class worker count (0 = NumCPU, capped at 8, raised to at least 4)")
 		out       = flag.String("out", "", "transcript output path (modes record, fleet-ref)")
 		in        = flag.String("in", "", "transcript input path (mode replay)")
 		specPath  = flag.String("spec", "", "campaign spec JSON path (mode fleet-ref)")
@@ -87,13 +85,6 @@ func main() {
 	names := defaultDiffSet
 	if *contracts != "" {
 		names = splitComma(*contracts)
-	}
-	w := *workers
-	if w <= 0 {
-		w = runtime.NumCPU()
-	}
-	if w > 8 {
-		w = 8
 	}
 
 	switch *mode {
@@ -112,7 +103,7 @@ func main() {
 		failed := false
 		for _, name := range names {
 			comp := compile(name)
-			results := conformance.DifferentialMatrix(name, comp, baseOptions(*seed, *iters), w)
+			results := conformance.DifferentialMatrix(name, comp, baseOptions(*seed, *iters))
 			conformance.PrintMatrix(os.Stdout, results)
 			for _, r := range results {
 				if !r.Equal {
@@ -120,7 +111,7 @@ func main() {
 				}
 			}
 		}
-		if results, ok := worldPair(*fixtures, *seed, *iters, w); ok {
+		if results, ok := worldPairs(*fixtures, *seed, *iters); ok {
 			conformance.PrintMatrix(os.Stdout, results)
 			for _, r := range results {
 				if !r.Equal {
@@ -220,7 +211,7 @@ func main() {
 		}
 		// Defaults mirror the coordinator's (20000 iterations, 1 worker);
 		// specs that pin both fields — as CI's do — are default-free.
-		run, err := fleet.ReferenceTranscript(spec, 20000, 1)
+		run, err := fleet.ReferenceTranscript(spec, 20000, 0)
 		if err != nil {
 			fatal(err)
 		}
@@ -236,13 +227,13 @@ func main() {
 	}
 }
 
-// worldPair builds the world-w2/world-wN differential pair from the ingest
-// fixtures: the reentrant bank as primary, the token as a member, attacker
-// synthesis on — so member deployment, callee routing, and attacker-spec
-// compilation all sit inside the equivalence check. Returns ok=false (with
-// a stderr notice) when the fixture dir is absent, so the minisol half of
-// mode diff still works away from the repo root.
-func worldPair(dir string, seed int64, iters, workers int) ([]conformance.PairResult, bool) {
+// worldPairs runs the world's differential pairs on the ingest fixtures: the
+// reentrant bank as primary, the token as a member, attacker synthesis on —
+// so member deployment, callee routing, and attacker-spec compilation all
+// sit inside the equivalence check. Returns ok=false (with a stderr notice)
+// when the fixture dir is absent, so the minisol half of mode diff still
+// works away from the repo root.
+func worldPairs(dir string, seed int64, iters int) ([]conformance.PairResult, bool) {
 	load := func(name string) (fuzz.Target, error) {
 		bin, err := os.ReadFile(filepath.Join(dir, name+".bin"))
 		if err != nil {
@@ -255,7 +246,7 @@ func worldPair(dir string, seed int64, iters, workers int) ([]conformance.PairRe
 		return ingest.LoadHex(string(bin), abiJSON)
 	}
 	if _, err := load("bank-reentrant"); err != nil {
-		fmt.Fprintf(os.Stderr, "conform: world pair skipped (%v; regen with `go run ./cmd/corpusgen -fixtures %s`)\n", err, dir)
+		fmt.Fprintf(os.Stderr, "conform: world pairs skipped (%v; regen with `go run ./cmd/corpusgen -fixtures %s`)\n", err, dir)
 		return nil, false
 	}
 	mk := func() (fuzz.Target, *fuzz.WorldOptions) {
@@ -272,7 +263,7 @@ func worldPair(dir string, seed int64, iters, workers int) ([]conformance.PairRe
 			Attacker: world.NewModel(bank.Methods()),
 		}
 	}
-	return conformance.WorldDifferentialMatrix("bank-reentrant", mk, baseOptions(seed, iters), workers), true
+	return conformance.WorldDifferentialMatrix("bank-reentrant", mk, baseOptions(seed, iters)), true
 }
 
 func baseOptions(seed int64, iters int) fuzz.Options {

@@ -5,10 +5,9 @@
 // Usage:
 //
 //	mufuzz -file contract.sol [-strategy mufuzz|sfuzz|confuzzius|irfuzz]
-//	       [-iters 4000] [-seed 1] [-time 10s] [-workers 1] [-v]
+//	       [-iters 4000] [-seed 1] [-time 10s] [-v]
 //	       [-corpus-dir DIR] [-resume snapshot] [-snapshot-out snapshot]
 //	       [-cpuprofile cpu.out] [-memprofile mem.out]
-//	       [-mutexprofile mutex.out] [-blockprofile block.out]
 //	mufuzz -example crowdsale|game    # fuzz a built-in paper example
 //	mufuzz -bytecode code.bin -abi contract.abi.json   # fuzz deployed bytecode
 //	mufuzz -bytecode bank.bin -abi bank.abi.json \
@@ -34,10 +33,9 @@
 // seeds are bucketed by the keccak of the sorted member codehashes, so any
 // campaign on the same contract set cross-pollinates.
 //
-// -workers N fans each energy round's batch of mutated children across N
-// executor goroutines (0 = all CPU cores). N=1 is the sequential engine,
-// fully reproducible across machines for a fixed seed; every N>1 runs the
-// batched schedule, which depends on the seed alone.
+// A campaign runs on one goroutine and is reproducible across machines for a
+// fixed seed. To use more cores, run more campaigns: several mufuzz
+// processes with different seeds sharing one -corpus-dir, or mufuzzd.
 //
 // -corpus-dir connects the campaign to a persistent seed store: seeds other
 // campaigns on the same contract exported are injected at startup, and the
@@ -85,19 +83,6 @@ func main() {
 	os.Exit(run())
 }
 
-// writeLookupProfile dumps a named runtime profile (mutex, block) to path.
-func writeLookupProfile(name, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "mufuzz: %sprofile: %v\n", name, err)
-		return
-	}
-	defer f.Close()
-	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-		fmt.Fprintf(os.Stderr, "mufuzz: %sprofile: %v\n", name, err)
-	}
-}
-
 func run() int {
 	var (
 		file      = flag.String("file", "", "MiniSol source file to fuzz")
@@ -106,7 +91,6 @@ func run() int {
 		iters     = flag.Int("iters", 4000, "transaction-sequence execution budget")
 		seed      = flag.Int64("seed", 1, "campaign random seed")
 		budget    = flag.Duration("time", 0, "optional wall-clock budget (e.g. 10s)")
-		workers   = flag.Int("workers", 1, "executor goroutines per energy round (0 = NumCPU)")
 		verbose   = flag.Bool("v", false, "print per-finding details")
 		minimize  = flag.Bool("minimize", false, "shrink and print a proof-of-concept sequence per bug class")
 		jsonOut   = flag.String("json", "", "also write a machine-readable report to this file")
@@ -118,8 +102,6 @@ func run() int {
 		noCmpFeed = flag.Bool("no-cmp-feedback", false, "disable comparison-operand feedback and mined dictionaries (ablation)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile (after the campaign) to this file")
-		mutexProf = flag.String("mutexprofile", "", "write a mutex-contention profile (after the campaign) to this file")
-		blockProf = flag.String("blockprofile", "", "write a goroutine-blocking profile (after the campaign) to this file")
 	)
 	var bytecodes, abiFiles multiFlag
 	flag.Var(&bytecodes, "bytecode", "hex EVM bytecode file: fuzz source-free (requires -abi; repeat the pair for world members)")
@@ -154,18 +136,6 @@ func run() int {
 				fmt.Fprintln(os.Stderr, "mufuzz: memprofile:", err)
 			}
 		}()
-	}
-	// Contention profiles for the parallel engine: where worker goroutines
-	// fight over locks (-mutexprofile) and where they park — pool queue,
-	// reorder buffer, shard writes (-blockprofile). Sampling is enabled only
-	// when asked: both profilers tax the hot path.
-	if *mutexProf != "" {
-		runtime.SetMutexProfileFraction(1)
-		defer writeLookupProfile("mutex", *mutexProf)
-	}
-	if *blockProf != "" {
-		runtime.SetBlockProfileRate(1)
-		defer writeLookupProfile("block", *blockProf)
 	}
 
 	strat, ok := fuzz.PresetByName(*strategy)
@@ -241,19 +211,11 @@ func run() int {
 		}
 		fmt.Printf("resumed snapshot %s (%d executions done)\n", *resume, snap.Executions)
 	} else {
-		// The library resolves worker counts (Options.Workers: 0→1,
-		// negative→all cores); map the CLI's "0 = all cores" convenience onto
-		// that contract instead of duplicating the NumCPU resolution here.
-		nWorkers := *workers
-		if nWorkers == 0 {
-			nWorkers = -1
-		}
 		campaign = fuzz.NewTargetCampaign(target, fuzz.Options{
 			Strategy:   strat,
 			Seed:       *seed,
 			Iterations: *iters,
 			TimeBudget: *budget,
-			Workers:    nWorkers,
 			World:      worldOpts,
 		})
 	}

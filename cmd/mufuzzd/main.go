@@ -7,7 +7,7 @@
 // Usage:
 //
 //	mufuzzd [-addr :8700] [-store mufuzz-store] [-slots 2]
-//	        [-slice-rounds 8] [-workers 1] [-debug-addr localhost:6060]
+//	        [-slice-rounds 8] [-debug-addr localhost:6060]
 //	        [-mutex-profile-fraction 5] [-block-profile-rate 10000]
 //
 // Submit and watch campaigns over the HTTP JSON API:
@@ -66,7 +66,6 @@ func main() {
 		storeDir    = flag.String("store", "mufuzz-store", "persistent store directory")
 		slots       = flag.Int("slots", 2, "concurrent campaign slices (bounded executor pool)")
 		sliceRounds = flag.Int("slice-rounds", 8, "energy rounds per scheduling slice")
-		workers     = flag.Int("workers", 1, "default executor goroutines per campaign")
 		iters       = flag.Int("iters", 20000, "default campaign budget when a spec omits one")
 		debugAddr   = flag.String("debug-addr", "", "optional pprof listen address (e.g. localhost:6060); off when empty")
 		mutexFrac   = flag.Int("mutex-profile-fraction", 0, "sample 1/n of mutex contention events for /debug/pprof/mutex (0 = off)")
@@ -106,7 +105,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mufuzzd: -coordinator and -join are mutually exclusive")
 		os.Exit(1)
 	case *coordinator:
-		os.Exit(runCoordinator(*addr, *storeDir, *leaseRounds, *leaseTTL, *iters, *workers))
+		os.Exit(runCoordinator(*addr, *storeDir, *leaseRounds, *leaseTTL, *iters))
 	case *join != "":
 		os.Exit(runWorker(*addr, *join, *workerName))
 	}
@@ -120,7 +119,6 @@ func main() {
 		Store:             st,
 		Slots:             *slots,
 		SliceRounds:       *sliceRounds,
-		Workers:           *workers,
 		DefaultIterations: *iters,
 	})
 	if err := svc.Start(); err != nil {
@@ -162,7 +160,7 @@ func main() {
 }
 
 // runCoordinator serves the fleet control plane until SIGINT/SIGTERM.
-func runCoordinator(addr, storeDir string, rounds int, ttl time.Duration, iters, workers int) int {
+func runCoordinator(addr, storeDir string, rounds int, ttl time.Duration, iters int) int {
 	st, err := store.Open(storeDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mufuzzd:", err)
@@ -173,7 +171,6 @@ func runCoordinator(addr, storeDir string, rounds int, ttl time.Duration, iters,
 		Rounds:            rounds,
 		LeaseTTL:          ttl,
 		DefaultIterations: iters,
-		DefaultWorkers:    workers,
 	})
 	fmt.Printf("mufuzzd: fleet coordinator on %s, store %s, %d round(s)/slice, lease TTL %s\n",
 		addr, storeDir, rounds, ttl)

@@ -3,7 +3,6 @@ package conformance
 import (
 	"bytes"
 	"regexp"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -129,16 +128,15 @@ func TestVerifySequences(t *testing.T) {
 }
 
 // TestDifferentialMatrix proves the engine-variant equivalences on three
-// corpus contracts: sequential {cache on/off, IR on/off} and batched
-// {workers 2/N, cache on/off, IR on/off} must be execution-for-execution
-// identical.
+// corpus contracts: the engine with the cache on/off and the IR on/off must
+// be execution-for-execution identical (two pairs per contract).
 func TestDifferentialMatrix(t *testing.T) {
-	workers := runtime.NumCPU()
-	if workers > 8 {
-		workers = 8
-	}
 	for name, comp := range diffContracts(t) {
-		for _, r := range DifferentialMatrix(name, comp, baseOptions(1, 250), workers) {
+		results := DifferentialMatrix(name, comp, baseOptions(1, 250))
+		if len(results) != 2 {
+			t.Errorf("%s: %d pairs, want 2", name, len(results))
+		}
+		for _, r := range results {
 			if !r.Equal {
 				t.Errorf("%s: %s vs %s: %s", r.Contract, r.Variant, r.Reference, r.Divergence)
 			}
@@ -160,10 +158,6 @@ func TestCmpFeedbackAblationConformance(t *testing.T) {
 	if s.CmpFeedback || s.MinedDictionary {
 		t.Fatalf("ablation must disable both feedback flags: %+v", s)
 	}
-	workers := runtime.NumCPU()
-	if workers > 4 {
-		workers = 4
-	}
 	for name, comp := range diffContracts(t) {
 		opts := baseOptions(9, 200)
 		opts.Strategy = s
@@ -171,44 +165,11 @@ func TestCmpFeedbackAblationConformance(t *testing.T) {
 		if _, d := ReplayCheck(comp, run.Transcript); d != nil {
 			t.Errorf("%s: ablation transcript does not replay: %v", name, d)
 		}
-		for _, r := range DifferentialMatrix(name, comp, opts, workers) {
+		for _, r := range DifferentialMatrix(name, comp, opts) {
 			if !r.Equal {
 				t.Errorf("%s: %s vs %s: %s", r.Contract, r.Variant, r.Reference, r.Divergence)
 			}
 		}
-	}
-}
-
-// TestBatchedIndependentOfGOMAXPROCS pins the coordinator's deterministic
-// batch-order fold: with a fixed worker count, the parallel engine's results
-// must not depend on how the runtime schedules the executor goroutines. Two
-// runs under deliberately different GOMAXPROCS must produce byte-identical
-// transcripts.
-func TestBatchedIndependentOfGOMAXPROCS(t *testing.T) {
-	comp, err := minisol.Compile(corpus.Crowdsale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := baseOptions(11, 300)
-	opts.Workers = 4
-
-	old := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(old)
-
-	runtime.GOMAXPROCS(1) // executors serialize onto one P: completion order = dispatch order
-	a := RecordCampaign("crowdsale", comp, opts)
-	procs := runtime.NumCPU()
-	if procs < 2 {
-		procs = 2
-	}
-	runtime.GOMAXPROCS(procs) // full parallelism: completion order scrambles
-	b := RecordCampaign("crowdsale", comp, opts)
-
-	if d := Diff(a.Transcript, b.Transcript); d != nil {
-		t.Fatalf("workers=4 campaign depends on GOMAXPROCS: %s", d)
-	}
-	if !bytes.Equal(a.Transcript.EncodeBytes(), b.Transcript.EncodeBytes()) {
-		t.Fatal("transcript bytes differ across GOMAXPROCS")
 	}
 }
 

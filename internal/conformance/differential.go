@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"mufuzz/internal/fuzz"
 	"mufuzz/internal/minisol"
@@ -155,97 +156,22 @@ type Variant struct {
 	Apply func(fuzz.Options) fuzz.Options
 }
 
-// SequentialVariants returns the sequential-schedule equivalence class: the
-// classic Workers=1 engine (reference) against the same schedule with the
-// prefix cache disabled and with the IR disabled. All three must produce
-// byte-identical transcripts.
+// SequentialVariants returns the engine's equivalence class: the engine as
+// it runs (reference) against the same campaign with the prefix cache
+// disabled and with the IR disabled. All three must produce byte-identical
+// transcripts.
 func SequentialVariants() []Variant {
 	return []Variant{
-		{"seq-w1", func(o fuzz.Options) fuzz.Options {
-			o.Workers = 1
-			return o
-		}},
+		{"seq-w1", func(o fuzz.Options) fuzz.Options { return o }},
 		{"seq-w1-nocache", func(o fuzz.Options) fuzz.Options {
-			o.Workers = 1
 			o.NoPrefixCache = true
 			return o
 		}},
 		{"seq-w1-noir", func(o fuzz.Options) fuzz.Options {
-			o.Workers = 1
 			o.NoIR = true
 			return o
 		}},
 	}
-}
-
-// BatchedVariants returns the batched-schedule equivalence class: the
-// pipelined engine at two workers (reference) against the pipelined engine
-// at N workers, and at N workers without the prefix cache and without the
-// IR. The batched schedule is a pure function of the campaign seed, so every
-// variant must produce byte-identical transcripts regardless of worker count
-// or executor completion order — the end-to-end proof that the persistent
-// pool, the streaming in-order fold, and the speculative line search leak
-// nothing observable. workers must differ from 2 for the class to compare
-// two widths.
-func BatchedVariants(workers int) []Variant {
-	return []Variant{
-		{"pipelined-w2", func(o fuzz.Options) fuzz.Options {
-			o.Workers = 2
-			return o
-		}},
-		{fmt.Sprintf("pipelined-w%d", workers), func(o fuzz.Options) fuzz.Options {
-			o.Workers = workers
-			return o
-		}},
-		{fmt.Sprintf("pipelined-w%d-nocache", workers), func(o fuzz.Options) fuzz.Options {
-			o.Workers = workers
-			o.NoPrefixCache = true
-			return o
-		}},
-		{fmt.Sprintf("pipelined-w%d-noir", workers), func(o fuzz.Options) fuzz.Options {
-			o.Workers = workers
-			o.NoIR = true
-			return o
-		}},
-	}
-}
-
-// minBatchedWidth is the smallest N the batched class runs against its
-// two-worker reference: raising smaller requests keeps every batched pair a
-// comparison of two different widths, even on a two-CPU host.
-const minBatchedWidth = 4
-
-// WorldDifferentialMatrix runs the batched equivalence class on a
-// multi-contract world campaign: the pipelined engine at two workers
-// ("world-w2") against the same world at N workers ("world-wN", N raised to
-// at least 4). Multi-contract deployment, cross-contract callee routing, and
-// attacker-spec compilation all execute on the worker side, so the pair
-// proves none of them leaks schedule nondeterminism. mk builds a fresh
-// (target, world) pair per recording — world options carry live member
-// targets and an attacker model, which must not be shared across engines.
-func WorldDifferentialMatrix(name string, mk func() (fuzz.Target, *fuzz.WorldOptions), base fuzz.Options, workers int) []PairResult {
-	workers = max(workers, minBatchedWidth)
-	base.NoPrefixCache = false
-	base.NoIR = false
-	record := func(workers int) *Run {
-		t, w := mk()
-		o := base
-		o.Workers = workers
-		o.World = w
-		return RecordTargetCampaign(name, t, o)
-	}
-	ref, run := record(2), record(workers)
-	d := Diff(ref.Transcript, run.Transcript)
-	if d != nil {
-		MinimizePoCs(d, ref, run)
-	}
-	return []PairResult{{
-		Contract:   name,
-		Reference:  "world-w2",
-		Variant:    fmt.Sprintf("world-w%d", workers),
-		Equal:      d == nil,
-		Divergence: d,
-	}}
 }
 
 // PairResult is one (reference, variant) comparison of the matrix.
@@ -257,33 +183,51 @@ type PairResult struct {
 	Divergence *Divergence
 }
 
-// DifferentialMatrix runs both equivalence classes on one contract and
-// compares every variant against its class reference. workers selects the
-// fan-out of the batched class's variants (values below 4 are raised to 4,
-// so they never share the two-worker reference's width).
-func DifferentialMatrix(name string, comp *minisol.Compiled, base fuzz.Options, workers int) []PairResult {
-	workers = max(workers, minBatchedWidth)
+// DifferentialMatrix runs the equivalence class on one contract and compares
+// every variant against the reference.
+func DifferentialMatrix(name string, comp *minisol.Compiled, base fuzz.Options) []PairResult {
+	return matrix(name, "seq", base, func(o fuzz.Options) *Run { return RecordCampaign(name, comp, o) })
+}
+
+// WorldDifferentialMatrix runs the same class on a multi-contract world
+// campaign ("world-w1" against "world-w1-nocache" and "world-w1-noir"):
+// member deployment, cross-contract callee routing, and attacker-spec
+// compilation must be as invisible to the cache and the IR as the
+// single-contract path. mk builds a fresh (target, world) pair per recording
+// — world options carry live member targets and an attacker model, which
+// must not be shared across campaigns.
+func WorldDifferentialMatrix(name string, mk func() (fuzz.Target, *fuzz.WorldOptions), base fuzz.Options) []PairResult {
+	return matrix(name, "world", base, func(o fuzz.Options) *Run {
+		t, w := mk()
+		o.World = w
+		return RecordTargetCampaign(name, t, o)
+	})
+}
+
+// matrix records every variant of SequentialVariants with record and diffs
+// each against the reference; prefix replaces "seq" in the pair names.
+func matrix(name, prefix string, base fuzz.Options, record func(fuzz.Options) *Run) []PairResult {
 	// The matrix owns the engine-variant dimensions; a base carrying one of
-	// them would silently collapse an equivalence class onto itself.
+	// them would silently collapse the class onto itself.
 	base.NoPrefixCache = false
 	base.NoIR = false
+	label := func(v Variant) string { return prefix + strings.TrimPrefix(v.Name, "seq") }
+	class := SequentialVariants()
+	ref := record(class[0].Apply(base))
 	var out []PairResult
-	for _, class := range [][]Variant{SequentialVariants(), BatchedVariants(workers)} {
-		ref := RecordCampaign(name, comp, class[0].Apply(base))
-		for _, v := range class[1:] {
-			run := RecordCampaign(name, comp, v.Apply(base))
-			d := Diff(ref.Transcript, run.Transcript)
-			if d != nil {
-				MinimizePoCs(d, ref, run)
-			}
-			out = append(out, PairResult{
-				Contract:   name,
-				Reference:  class[0].Name,
-				Variant:    v.Name,
-				Equal:      d == nil,
-				Divergence: d,
-			})
+	for _, v := range class[1:] {
+		run := record(v.Apply(base))
+		d := Diff(ref.Transcript, run.Transcript)
+		if d != nil {
+			MinimizePoCs(d, ref, run)
 		}
+		out = append(out, PairResult{
+			Contract:   name,
+			Reference:  label(class[0]),
+			Variant:    label(v),
+			Equal:      d == nil,
+			Divergence: d,
+		})
 	}
 	return out
 }
@@ -312,7 +256,6 @@ func StrategyMatrix(name string, comp *minisol.Compiled, base fuzz.Options) []St
 	for i, s := range presets {
 		o := base
 		o.Strategy = s
-		o.Workers = 1
 		runs[i] = RecordCampaign(name, comp, o)
 	}
 	ref := runs[0].Transcript.Final

@@ -190,7 +190,6 @@ func optionsFrom(o OptionsSummary) fuzz.Options {
 		GasPerTx:      o.GasPerTx,
 		EnergyBase:    o.EnergyBase,
 		InitialSeeds:  o.InitialSeeds,
-		Workers:       o.Workers,
 		NoPrefixCache: o.NoPrefixCache,
 	}
 }

@@ -1,7 +1,7 @@
 // Package conformance is the repo's machine-checked correctness story for
-// the fuzzing engine. After two aggressive engine refactors (the parallel
-// coordinator/executor split and the copy-on-write state layer), a single
-// workers=1 golden fingerprint is not enough of a semantic pin. This package
+// the fuzzing engine. After aggressive engine refactors (the executor split,
+// the copy-on-write state layer, the compiled IR, the checkpoint cache), a
+// single golden fingerprint is not enough of a semantic pin. This package
 // provides three instruments:
 //
 //   - Deterministic campaign transcripts: a versioned, byte-stable recording
@@ -12,9 +12,8 @@
 //     independent verification (VerifySequences).
 //
 //   - A differential runner (DifferentialMatrix) that executes the same
-//     (contract, seed, budget) under two equivalence classes of engine
-//     variants — seq-w1 against seq-w1-nocache and seq-w1-noir, and
-//     pipelined-w2 against pipelined-wN plain, -nocache and -noir — and
+//     (contract, seed, budget) under an equivalence class of engine
+//     variants — seq-w1 against seq-w1-nocache and seq-w1-noir — and
 //     proves their coverage sets, crash sets, and detector output
 //     identical, with minimized divergence reports when they are not.
 //     (State.Fork ≡ State.Copy is checked below the campaign level.)
@@ -59,7 +58,6 @@ type OptionsSummary struct {
 	GasPerTx      uint64
 	EnergyBase    int
 	InitialSeeds  int
-	Workers       int
 	NoPrefixCache bool
 	// World summarizes a multi-contract world ("member,member;attacker"),
 	// empty for single-contract campaigns. The live member targets and
@@ -109,7 +107,6 @@ func SummarizeOptions(o fuzz.Options) OptionsSummary {
 		GasPerTx:      o.GasPerTx,
 		EnergyBase:    o.EnergyBase,
 		InitialSeeds:  o.InitialSeeds,
-		Workers:       o.Workers,
 		NoPrefixCache: o.NoPrefixCache,
 		World:         worldToken(o.World),
 	}
@@ -170,11 +167,12 @@ func (t *Transcript) Encode(w io.Writer) error {
 func encodeHeader(bw *bufio.Writer, version int, contract string, o OptionsSummary) {
 	fmt.Fprintf(bw, "%s v%d\n", magic, version)
 	fmt.Fprintf(bw, "contract %s\n", contract)
-	// batched= and copystate= name retired engine options; they stay in the
-	// line, always 0, so committed transcripts and their hashes are unchanged.
-	fmt.Fprintf(bw, "options strategy=%q seed=%d iters=%d maxseq=%d gas=%d energy=%d initseeds=%d workers=%d batched=0 copystate=0 nocache=%d",
+	// workers=, batched= and copystate= name retired engine options; they
+	// stay in the line, always 1, 0 and 0, so committed transcripts and their
+	// hashes are unchanged.
+	fmt.Fprintf(bw, "options strategy=%q seed=%d iters=%d maxseq=%d gas=%d energy=%d initseeds=%d workers=1 batched=0 copystate=0 nocache=%d",
 		o.Strategy, o.Seed, o.Iterations, o.MaxSeqLen, o.GasPerTx, o.EnergyBase,
-		o.InitialSeeds, o.Workers, boolBit(o.NoPrefixCache))
+		o.InitialSeeds, boolBit(o.NoPrefixCache))
 	if o.World != "" {
 		fmt.Fprintf(bw, " world=%q", o.World)
 	}
@@ -299,14 +297,14 @@ func Decode(r io.Reader) (*Transcript, error) {
 	}
 	if _, err := fmt.Sscanf(line, "options strategy=%q seed=%d iters=%d maxseq=%d gas=%d energy=%d initseeds=%d workers=%d batched=%d copystate=%d nocache=%d",
 		&t.Options.Strategy, &t.Options.Seed, &t.Options.Iterations, &t.Options.MaxSeqLen,
-		&t.Options.GasPerTx, &t.Options.EnergyBase, &t.Options.InitialSeeds, &t.Options.Workers,
-		new(int), new(int), new(int)); err != nil {
+		&t.Options.GasPerTx, &t.Options.EnergyBase, &t.Options.InitialSeeds,
+		new(int), new(int), new(int), new(int)); err != nil {
 		return nil, decodeErr(line, "bad options: %v", err)
 	}
 	// Sscanf cannot target bools through %d; re-extract the nocache flag and
 	// the optional trailing world token (member names carry no whitespace, so
-	// the quoted token is a single field). The retired batched= and
-	// copystate= flags are ignored.
+	// the quoted token is a single field). The retired workers=, batched= and
+	// copystate= fields are ignored.
 	for _, kv := range strings.Fields(line) {
 		switch {
 		case kv == "nocache=1":

@@ -29,49 +29,50 @@ func loadFixtureTarget(t *testing.T, name string) fuzz.Target {
 	return tgt
 }
 
-// TestWorldTranscriptIdentity is the world analogue of the batched
-// differential class: the same world campaign — bank fixture, synthesized
-// attacker — recorded at Workers=2 (world-w2) and at Workers=4 (world-w4)
-// must produce identical record streams and final summaries, and both
-// transcripts must survive independent sequence verification.
-// Multi-contract deployment, callee routing, and attacker compilation all
-// live on the executor; this pins that none of them leaks schedule
-// nondeterminism.
+// TestWorldTranscriptIdentity is the world analogue of the differential
+// class: the same world campaign — bank fixture, synthesized attacker —
+// recorded plain (world-w1), without the prefix cache (world-w1-nocache)
+// and without the IR (world-w1-noir) must produce identical record streams
+// and final summaries, and every transcript must survive independent
+// sequence verification. Multi-contract deployment, callee routing, and
+// attacker compilation all live on the executor; this pins that neither
+// the cache nor the IR changes what they do.
 func TestWorldTranscriptIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaigns are slow")
 	}
 	base := fuzz.Options{Strategy: fuzz.MuFuzz(), Seed: 2, Iterations: 1500}
 
-	record := func(name string, workers int) *Run {
+	record := func(name string, apply func(*fuzz.Options)) *Run {
 		tgt := loadFixtureTarget(t, "bank-reentrant")
 		o := base
-		o.Workers = workers
+		apply(&o)
 		o.World = &fuzz.WorldOptions{Attacker: world.NewModel(tgt.Methods())}
-		return RecordTargetCampaign(name, tgt, o)
+		run := RecordTargetCampaign(name, tgt, o)
+		if err := VerifySequences(run.Campaign, run.Transcript); err != nil {
+			t.Fatalf("%s sequence verification: %v", name, err)
+		}
+		return run
 	}
-	w2 := record("world-w2", 2)
-	w4 := record("world-w4", 4)
-
-	if d := Diff(w2.Transcript, w4.Transcript); d != nil {
-		MinimizePoCs(d, w2, w4)
-		t.Fatalf("world-w2 vs world-w4 diverged: %s", d)
-	}
-	if err := VerifySequences(w2.Campaign, w2.Transcript); err != nil {
-		t.Fatalf("world-w2 sequence verification: %v", err)
-	}
-	if err := VerifySequences(w4.Campaign, w4.Transcript); err != nil {
-		t.Fatalf("world-w4 sequence verification: %v", err)
+	ref := record("world-w1", func(*fuzz.Options) {})
+	for _, v := range []*Run{
+		record("world-w1-nocache", func(o *fuzz.Options) { o.NoPrefixCache = true }),
+		record("world-w1-noir", func(o *fuzz.Options) { o.NoIR = true }),
+	} {
+		if d := Diff(ref.Transcript, v.Transcript); d != nil {
+			MinimizePoCs(d, ref, v)
+			t.Fatalf("%s vs world-w1 diverged: %s", v.Transcript.Contract, d)
+		}
 	}
 
 	// The transcript must actually exercise the extended format: the anchor
 	// carries an attacker spec, and the options line carries the world token.
-	enc := w2.Transcript.EncodeBytes()
+	enc := ref.Transcript.EncodeBytes()
 	if !bytes.Contains(enc, []byte(`world=";attacker"`)) {
 		t.Fatal("world token missing from options line")
 	}
 	found := false
-	for _, r := range w2.Transcript.Records {
+	for _, r := range ref.Transcript.Records {
 		if len(r.Seq) > 0 && len(r.Seq[0].Attacker) > 0 {
 			found = true
 			break
@@ -109,7 +110,7 @@ func TestWorldTranscriptMemberToken(t *testing.T) {
 	bank := loadFixtureTarget(t, "bank-reentrant")
 	token := loadFixtureTarget(t, "erc20")
 	o := fuzz.Options{
-		Strategy: fuzz.MuFuzz(), Seed: 1, Iterations: 400, Workers: 1, MaxSeqLen: 12,
+		Strategy: fuzz.MuFuzz(), Seed: 1, Iterations: 400, MaxSeqLen: 12,
 		World: &fuzz.WorldOptions{Members: []fuzz.WorldMember{{Name: "token", Target: token}}},
 	}
 	run := RecordTargetCampaign("world-members", bank, o)

@@ -369,8 +369,9 @@ func (e *EVM) program(code []byte) *Program {
 // programCacheCap bounds the secondary program cache map.
 const programCacheCap = 64
 
-// UseProgram seeds the program cache with a pre-compiled Program, so campaign
-// workers sharing one read-only Program skip even the first compile. The
+// UseProgram seeds the program cache with a pre-compiled Program, so the
+// executors of a campaign sharing one read-only Program skip even the first
+// compile. The
 // Program's code slice becomes the cache identity key.
 func (e *EVM) UseProgram(p *Program) {
 	if p == nil {

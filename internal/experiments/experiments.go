@@ -35,58 +35,10 @@ func StandardFuzzers() []FuzzerSpec {
 	}
 }
 
-// parallelism bounds concurrent campaigns.
-func parallelism() int {
-	n := runtime.NumCPU() - 1
-	if n < 1 {
-		n = 1
-	}
-	if n > 16 {
-		n = 16
-	}
-	return n
-}
-
-// campaignWorkers budgets the machine between inter-campaign parallelism
-// (the forEach pool runs one campaign per contract) and intra-campaign
-// parallelism (Options.Workers fans each energy round across executor
-// goroutines). When a dataset has fewer contracts than the machine has
-// cores, the leftover cores go to the engine; a dataset that saturates the
-// pool keeps the sequential (and exactly reproducible) per-campaign engine.
-//
-// Note the trade-off: because Workers > 1 selects the batched engine (a
-// different, though still seeded, mutation schedule), absolute experiment
-// numbers on underfilled machines depend on the core count. Comparisons
-// within one run stay fair — every fuzzer/variant gets the same worker
-// budget — which is the reproduction target (see cmd/benchtab's header);
-// for bit-identical numbers across machines, run datasets at least as large
-// as the core count or pin GOMAXPROCS=1.
-func campaignWorkers(nCampaigns int) int {
-	pool := parallelism()
-	if pool > nCampaigns {
-		pool = nCampaigns
-	}
-	if pool < 1 {
-		pool = 1
-	}
-	// GOMAXPROCS(0), not NumCPU: it honors the documented GOMAXPROCS=1
-	// escape hatch for bit-identical cross-machine numbers.
-	w := runtime.GOMAXPROCS(0) / pool
-	if w < 1 {
-		w = 1
-	}
-	if w > 8 {
-		w = 8
-	}
-	return w
-}
-
-// forEach runs fn over [0,n) on a worker pool.
+// forEach runs fn over [0,n), one campaign per core at once (at most 16).
+// Each campaign runs on one goroutine, so more cores run more campaigns.
 func forEach(n int, fn func(i int)) {
-	workers := parallelism()
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), 16, n)
 	var wg sync.WaitGroup
 	ch := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -163,7 +115,6 @@ func CoverageOverTime(gens []corpus.Generated, fuzzers []FuzzerSpec, iterations 
 				Strategy:   spec.Strategy,
 				Seed:       seed + int64(ci),
 				Iterations: iterations,
-				Workers:    campaignWorkers(len(comps)),
 			})
 			finals[ci] = res.Coverage
 			pts := make([]float64, len(defaultCheckpoints))
@@ -337,7 +288,6 @@ func BugDetection(suite, safe []corpus.Labeled, tools []ToolSpec, iterations int
 					Strategy:   tool.Strategy,
 					Seed:       seed + int64(i),
 					Iterations: iterations,
-					Workers:    campaignWorkers(len(all)),
 				})
 				detected[i] = r.BugClasses
 			}
@@ -409,7 +359,6 @@ func Ablation(gens []corpus.Generated, iterations int, seed int64) ([]AblationRo
 				Strategy:   strat,
 				Seed:       seed + int64(ci),
 				Iterations: iterations,
-				Workers:    campaignWorkers(len(comps)),
 			})
 			covs[ci] = res.Coverage
 			for _, c := range gens[ci].Labels {
@@ -489,7 +438,6 @@ func CaseStudy(gens []corpus.Generated, iterations int, seed int64) (*CaseStudyR
 			Strategy:   fuzz.MuFuzz(),
 			Seed:       seed + int64(ci),
 			Iterations: iterations,
-			Workers:    campaignWorkers(len(comps)),
 		})
 		covs[ci] = res.Coverage
 		classes[ci] = res.BugClasses

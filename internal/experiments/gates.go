@@ -25,8 +25,8 @@ import (
 // of disappearing into a generous budget.
 const GateBudget = 3000
 
-// GateSeed pins the campaign seed of the gate. Campaigns run Workers=1, so
-// gate results are bit-identical on every machine.
+// GateSeed pins the campaign seed of the gate. A campaign runs on one
+// goroutine, so gate results are bit-identical on every machine.
 const GateSeed = 1
 
 // WorldGateBudget is the iteration budget of the multi-contract world
@@ -70,8 +70,8 @@ func (r *GateReport) Pass() bool {
 
 // DetectionGate fuzzes every vulnerable contract with the MuFuzz preset for
 // the given budget and checks all its labels are detected, then fuzzes every
-// safe contract and checks nothing is flagged. Campaigns are Workers=1
-// (bit-reproducible) and run in parallel across contracts.
+// safe contract and checks nothing is flagged. Campaigns are
+// bit-reproducible and run in parallel across contracts.
 func DetectionGate(vuln, safe []corpus.Labeled, budget int, seed int64) (*GateReport, error) {
 	report := &GateReport{Budget: budget, Seed: seed, Vulnerable: len(vuln), Safe: len(safe)}
 
@@ -91,7 +91,6 @@ func DetectionGate(vuln, safe []corpus.Labeled, budget int, seed int64) (*GateRe
 			Strategy:   fuzz.MuFuzz(),
 			Seed:       seed,
 			Iterations: budget,
-			Workers:    1,
 		})
 		detected[i] = res.BugClasses
 	})

@@ -26,8 +26,6 @@ type CoordinatorConfig struct {
 	LeaseTTL time.Duration
 	// DefaultIterations fills omitted spec iteration budgets. Default 20000.
 	DefaultIterations int
-	// DefaultWorkers fills omitted spec executor fan-outs. Default 1.
-	DefaultWorkers int
 	// TenantMaxInFlight caps concurrently leased slices per tenant.
 	// Default 2.
 	TenantMaxInFlight int
@@ -51,9 +49,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	}
 	if c.DefaultIterations == 0 {
 		c.DefaultIterations = 20000
-	}
-	if c.DefaultWorkers == 0 {
-		c.DefaultWorkers = 1
 	}
 	if c.TenantMaxInFlight == 0 {
 		c.TenantMaxInFlight = 2
@@ -169,7 +164,7 @@ func (co *Coordinator) RetryAfter() time.Duration { return co.cfg.RetryAfter }
 // Submit canonicalizes, validates, and enqueues one campaign. A tenant
 // over its active-campaign budget gets errBusy (mapped to 429 upstream).
 func (co *Coordinator) Submit(req SubmitRequest) (CampaignStatus, error) {
-	spec, err := CanonicalizeSpec(req.Spec, co.cfg.DefaultIterations, co.cfg.DefaultWorkers)
+	spec, err := CanonicalizeSpec(req.Spec, co.cfg.DefaultIterations)
 	if err != nil {
 		return CampaignStatus{}, err
 	}
@@ -487,7 +482,7 @@ func (co *Coordinator) storeExportsLocked(c *campaign, exports []SeedObject) int
 // The options line is derived from the canonical spec exactly as a
 // single-node recording would derive it.
 func (co *Coordinator) assembleTranscriptLocked(c *campaign, final *conformance.Summary) {
-	opts, err := service.SpecOptions(c.spec, co.cfg.DefaultIterations, co.cfg.DefaultWorkers)
+	opts, err := service.SpecOptions(c.spec, co.cfg.DefaultIterations, 0)
 	if err == nil {
 		// The options line carries the world token for multi-contract
 		// campaigns; re-resolve it the same way the workers did.

@@ -22,9 +22,9 @@ func buggySpec(iters int) service.CampaignSpec {
 
 // referenceTranscript records the uninterrupted single-node run a fleet
 // campaign must be byte-identical to.
-func referenceTranscript(t *testing.T, spec service.CampaignSpec, defaultIters, defaultWorkers int) []byte {
+func referenceTranscript(t *testing.T, spec service.CampaignSpec, defaultIters int) []byte {
 	t.Helper()
-	run, err := ReferenceTranscript(spec, defaultIters, defaultWorkers)
+	run, err := ReferenceTranscript(spec, defaultIters, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestFleetMigrationEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := referenceTranscript(t, spec, 2000, 1)
+	want := referenceTranscript(t, spec, 2000)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("migrated fleet transcript diverges from single-node reference (%d vs %d bytes)", len(got), len(want))
 	}

@@ -101,8 +101,8 @@ type Lease struct {
 	// Seq is the slice number (0-based); slice 0 starts from a fresh
 	// campaign, later slices resume Snapshot.
 	Seq int `json:"seq"`
-	// Spec is the canonicalized campaign spec: strategy, seed, iterations,
-	// and workers are all filled in, so the worker derives engine options
+	// Spec is the canonicalized campaign spec: strategy, seed, and
+	// iterations are all filled in, so the worker derives engine options
 	// without sharing configuration with the coordinator.
 	Spec service.CampaignSpec `json:"spec"`
 	// Snapshot is the last committed campaign snapshot (encoded), empty
@@ -207,19 +207,18 @@ type errorBody struct {
 }
 
 // CanonicalizeSpec pins every spec field a worker's option derivation
-// reads — strategy name, seed, iteration budget, executor fan-out — using
-// the coordinator's instance defaults for omitted fields. Specs travel
+// reads — strategy name, seed, iteration budget — using the coordinator's
+// instance default for an omitted budget. Specs travel
 // inside leases in this form, so coordinator, workers, and the single-node
 // reference recording all derive identical engine options from the lease
 // alone, with no shared configuration.
-func CanonicalizeSpec(spec service.CampaignSpec, defaultIterations, defaultWorkers int) (service.CampaignSpec, error) {
-	opts, err := service.SpecOptions(spec, defaultIterations, defaultWorkers)
+func CanonicalizeSpec(spec service.CampaignSpec, defaultIterations int) (service.CampaignSpec, error) {
+	opts, err := service.SpecOptions(spec, defaultIterations, 0)
 	if err != nil {
 		return spec, err
 	}
 	spec.Strategy = opts.Strategy.Name
 	spec.Seed = opts.Seed
 	spec.Iterations = opts.Iterations
-	spec.Workers = opts.Workers
 	return spec, nil
 }

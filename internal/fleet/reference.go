@@ -12,8 +12,12 @@ import (
 // canonicalizes it at submit, so `conform -mode fleet-ref`, the fleet
 // tests, and CI's kill-one-worker smoke all compare against the same
 // bytes.
+//
+// Deprecated: defaultWorkers is ignored, like service.CampaignSpec.Workers;
+// the parameter stays only because the benchmark harness in bench/ passes
+// it.
 func ReferenceTranscript(spec service.CampaignSpec, defaultIterations, defaultWorkers int) (*conformance.Run, error) {
-	canon, err := CanonicalizeSpec(spec, defaultIterations, defaultWorkers)
+	canon, err := CanonicalizeSpec(spec, defaultIterations)
 	if err != nil {
 		return nil, err
 	}

@@ -62,7 +62,7 @@ func TestRunSliceAllocGate(t *testing.T) {
 		t.Skip("race instrumentation changes allocation counts")
 	}
 	comp := mustCompile(t, corpus.CrowdsaleBuggy())
-	c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 1, Iterations: 1_000_000, Workers: 1})
+	c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 1, Iterations: 1_000_000})
 
 	const budget = 13.0 // measured 9.2; 15.1 when every execution stored its own checkpoint, 27.6 before that with string finding keys
 	ctx := context.Background()

@@ -3,7 +3,6 @@ package fuzz
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"mufuzz/internal/abi"
@@ -33,17 +32,13 @@ type Options struct {
 	EnergyBase int
 	// InitialSeeds is the size of the initial corpus. Default 4.
 	InitialSeeds int
-	// Workers is the number of executor goroutines an energy round fans its
-	// batch of mutated children across. 0 or 1 selects the sequential
-	// engine, whose behavior is identical to the classic single-threaded
-	// campaign for a fixed Seed. Values > 1 enable batched execution:
-	// each child of a round is mutated from its own rng seed, drawn up front
-	// from the coordinator rng; children execute in parallel (each worker
-	// owning its own EVM, state copy, and trace buffer), and their feedback
-	// is merged on the coordinator in deterministic batch order.
-	// The batched schedule depends on Seed alone: results are identical at
-	// every Workers > 1 but differ from the sequential engine's. A negative
-	// value selects runtime.NumCPU().
+	// Workers is ignored: a campaign runs on one goroutine, and more cores
+	// run more campaigns (the service's slots, the fleet's workers). The
+	// defaults set it to 1 whatever was asked, so transcripts and snapshots
+	// record workers=1.
+	//
+	// Deprecated: kept only because the benchmark harness in bench/ still
+	// sets it.
 	Workers int
 	// NoPrefixCache disables the intermediate-state checkpoint optimization
 	// (paper §VI); used for ablation and equivalence testing.
@@ -54,7 +49,7 @@ type Options struct {
 	// is the conformance ablation that proves it end-to-end.
 	NoIR bool
 	// Observer, when non-nil, receives one ExecRecord per execution on the
-	// coordinator goroutine in deterministic fold order. Observing never
+	// campaign's goroutine in execution order. Observing never
 	// changes campaign behavior; it is the conformance transcript hook.
 	Observer ExecObserver
 	// World turns the campaign into a multi-contract adversarial world:
@@ -90,12 +85,7 @@ func (o *Options) withDefaults() Options {
 	if out.InitialSeeds == 0 {
 		out.InitialSeeds = 4
 	}
-	if out.Workers < 0 {
-		out.Workers = runtime.NumCPU()
-	}
-	if out.Workers == 0 {
-		out.Workers = 1
-	}
+	out.Workers = 1
 	if worldEmpty(out.World) {
 		out.World = nil
 	}
@@ -128,10 +118,10 @@ type Result struct {
 	SequencesMutated int
 }
 
-// Campaign is the fuzzing coordinator for one contract. It owns all feedback
-// state — coverage, branch distances, the seed queue, finding aggregation —
-// and drives one or more executors. Executors never touch campaign state;
-// the coordinator folds their outcomes in deterministic order.
+// Campaign is the fuzzing loop for one contract. It owns all feedback state —
+// coverage, branch distances, the seed queue, finding aggregation — and runs
+// the schedule's executions on one executor, folding each outcome as it
+// arrives. The executor never touches campaign state.
 type Campaign struct {
 	target Target
 	// code caches target.Code(): the runtime bytecode every analysis,
@@ -146,8 +136,7 @@ type Campaign struct {
 	detector *oracle.Detector
 	exec     *executor
 	// ctorName anchors every sequence (element 0); depOrder, repeatable, and
-	// callable cache the target's dataflow artifacts, shared read-only with
-	// worker goroutines.
+	// callable cache the target's dataflow artifacts.
 	ctorName   string
 	depOrder   []string
 	repeatable []string
@@ -172,19 +161,6 @@ type Campaign struct {
 	// use and kept warm for the rest of the campaign; snapshots leave them
 	// out, and a resumed campaign builds them again.
 	replayExecs [2]*executor
-	// workerExecs are the per-worker executors of the batched engine, built
-	// once and reused across rounds so each worker's EVM, attacker native,
-	// jumpdest cache, and trace buffer stay warm for the whole campaign.
-	workerExecs []*executor
-	// workerPool is the persistent goroutine pool of the pipelined engine,
-	// scoped to the running slice: started lazily by the first pipelined
-	// round, shut down when RunSlice returns so a parked campaign holds no
-	// goroutines.
-	workerPool *workerPool
-	// childRng mutates the pipelined engine's children: one Rand over a
-	// childSource, reseeded per child. Created by the first pipelined round
-	// and never snapshotted, since every use starts with a reseed.
-	childRng *rand.Rand
 
 	// identities
 	genesis      *state.State
@@ -228,16 +204,13 @@ type Campaign struct {
 	pool       []u256.Int
 	addrPool   []u256.Int
 	// methods interns ABI method lookups by function name (constructor
-	// included), shared read-only with the executors.
+	// included), shared read-only with the executor.
 	methods map[string]abi.Method
 
 	prefixes *prefixCache
 	// seedPrefix is the prefix-hash table of the running round's seed: the
-	// boundaries executions may checkpoint (see executor.run). Built fresh
-	// each round and never mutated, since an abandoned speculative
-	// line-search job of an earlier round may still read the old table on a
-	// worker. Nil outside a round, so the initial corpus and injected
-	// sequences store nothing.
+	// boundaries executions may checkpoint (see executor.run). Nil outside a
+	// round, so the initial corpus and injected sequences store nothing.
 	seedPrefix []uint64
 	// repro holds, per bug class, the first sequence observed triggering it
 	// — the proof-of-concept the CLI minimizes and prints.
@@ -245,9 +218,6 @@ type Campaign struct {
 
 	queue      []*Seed
 	executions int
-	// pendingExecs counts dispatched-but-unmerged parallel executions so the
-	// budget check accounts for work already in flight.
-	pendingExecs int
 	// qi is the round-robin queue cursor of the main loop; a struct field so
 	// pausing between rounds (RunSlice) and snapshotting preserve it.
 	qi int
@@ -399,8 +369,9 @@ func NewTargetCampaign(t Target, opts Options) *Campaign {
 		worldAddrs:    c.worldAddrs,
 		worldTargets:  c.worldTargets,
 		attackerModel: c.attackerModel,
-		// Compile the contract's IR once per campaign; worker clones share the
-		// read-only Program, so no worker ever pays the decode+fuse pass.
+		// Compile the contract's IR once per campaign; detached replay
+		// executors share the read-only Program, so none pays the
+		// decode+fuse pass again.
 		prog: evm.CompileProgram(code),
 		noIR: o.NoIR,
 	}
@@ -603,23 +574,17 @@ func (c *Campaign) reentrancyDiverges(prefix Sequence) bool {
 // newTx builds a transaction for fn with random inputs drawn from the
 // campaign's rng.
 func (c *Campaign) newTx(fn string) TxInput {
-	return c.newTxRand(fn, c.rng)
-}
-
-// newTxRand builds a transaction for fn with random inputs drawn from rng.
-// Workers pass per-child rngs; the campaign's own maps are only read.
-func (c *Campaign) newTxRand(fn string, rng *rand.Rand) TxInput {
 	m := c.methods[fn]
 	tx := TxInput{
 		Func:   fn,
-		Args:   randomArgsFor(m, rng, c.pool, c.addrPool),
-		Sender: rng.Intn(len(c.senders)),
+		Args:   randomArgsFor(m, c.rng, c.pool, c.addrPool),
+		Sender: c.rng.Intn(len(c.senders)),
 	}
 	if c.calleeOf != nil {
 		tx.Callee = c.calleeOf[fn]
 	}
-	if m.Payable && rng.Intn(2) == 0 {
-		tx.Value = c.pool[rng.Intn(len(c.pool))]
+	if m.Payable && c.rng.Intn(2) == 0 {
+		tx.Value = c.pool[c.rng.Intn(len(c.pool))]
 	}
 	return tx
 }
@@ -868,34 +833,23 @@ func (c *Campaign) energyFor(seed *Seed) int {
 
 // --- Mutation of one seed ---
 
-// mutateSeed produces a child from the campaign rng (sequential engine).
+// mutateSeed produces a child: sequence-level mutation (sometimes) plus
+// input-level byte mutations filtered by the seed's masks, all drawn from the
+// campaign rng.
 func (c *Campaign) mutateSeed(seed *Seed) *Seed {
-	child, seqMutated := c.mutateSeedRand(seed, c.rng)
-	c.sequencesMutated += seqMutated
-	return child
-}
-
-// mutateSeedRand produces a child: sequence-level mutation (sometimes) plus
-// input-level byte mutations filtered by the seed's masks. All randomness
-// comes from rng and all campaign state is only read, so workers can mutate
-// concurrently with per-child seeded rngs. The second return value counts
-// sequence-level mutations applied (merged into campaign stats by the
-// caller).
-func (c *Campaign) mutateSeedRand(seed *Seed, rng *rand.Rand) (*Seed, int) {
+	rng := c.rng
 	child := seed.Clone()
-	seqMutated := 0
 	sm := &seqMutator{
 		strategy:   c.opts.Strategy,
 		repeatable: c.repeatable,
 		callable:   c.callable,
 	}
-	newTx := func(fn string) TxInput { return c.newTxRand(fn, rng) }
 
 	// Sequence-level mutation with probability 1/3 (the paper mutates the
 	// sequence once and then focuses on inputs).
 	if rng.Intn(3) == 0 {
-		child.Seq = sm.mutateSequence(child.Seq, rng, newTx, c.opts.MaxSeqLen)
-		seqMutated++
+		child.Seq = sm.mutateSequence(child.Seq, rng, c.newTx, c.opts.MaxSeqLen)
+		c.sequencesMutated++
 	}
 
 	// Attacker-spec mutation: the synthesized attacker's callback behavior —
@@ -941,7 +895,7 @@ func (c *Campaign) mutateSeedRand(seed *Seed, rng *rand.Rand) (*Seed, int) {
 		}
 		for r := 0; r < rounds; r++ {
 			var nudge *nudgeInfo
-			stream, nudge = c.mutateStream(stream, mask, rng)
+			stream, nudge = c.mutateStream(stream, mask)
 			if nudge != nil {
 				nudge.txIdx = ti
 				child.lastNudge = nudge
@@ -953,13 +907,14 @@ func (c *Campaign) mutateSeedRand(seed *Seed, rng *rand.Rand) (*Seed, int) {
 			tx.Sender = rng.Intn(len(c.senders))
 		}
 	}
-	return child, seqMutated
+	return child
 }
 
 // mutateStream applies one input mutation respecting the mask. When the
 // mutation is an arithmetic word nudge, its descriptor is returned so the
 // campaign can replay it as a greedy line search on branch distance.
-func (c *Campaign) mutateStream(stream []byte, mask *Mask, rng *rand.Rand) ([]byte, *nudgeInfo) {
+func (c *Campaign) mutateStream(stream []byte, mask *Mask) ([]byte, *nudgeInfo) {
+	rng := c.rng
 	// Distance-directed mutation: copy a comparison operand of an uncovered
 	// branch into a word, or nudge a word arithmetically (sFuzz-style
 	// descent). Available to strategies with branch-distance feedback.
@@ -1068,9 +1023,8 @@ func (c *Campaign) callableFuncs() []string { return c.callable }
 // ensureMasks computes per-transaction masks for a qualifying seed: one that
 // hits a nested branch or improves a branch distance (Algorithm 1 line 17).
 // Mask probes are capped at a fraction of the campaign budget so Algorithm 2
-// cannot starve the main mutation loop. Probes are inherently sequential
-// (each mask position's verdict feeds the next candidate), so they always
-// run on the coordinator's executor.
+// cannot starve the main mutation loop. Probes are inherently sequential:
+// each mask position's verdict feeds the next candidate.
 func (c *Campaign) ensureMasks(seed *Seed) {
 	if seed.masks != nil || !c.opts.Strategy.MutationMasking {
 		return
@@ -1137,7 +1091,7 @@ func (c *Campaign) budgetExhausted() bool {
 // exhausted is the budget check alone, ignoring cancellation — the
 // campaign-completion predicate RunSlice reports through its done return.
 func (c *Campaign) exhausted() bool {
-	if c.executions+c.pendingExecs >= c.opts.Iterations {
+	if c.executions >= c.opts.Iterations {
 		return true
 	}
 	if c.opts.TimeBudget > 0 && c.elapsed() > c.opts.TimeBudget {
@@ -1186,7 +1140,6 @@ func (c *Campaign) RunSlice(ctx context.Context, maxRounds int) (*Result, bool) 
 	c.inSlice = true
 	c.sliceStart = time.Now()
 	defer func() {
-		c.stopWorkerPool()
 		c.elapsedPrior += time.Since(c.sliceStart)
 		c.inSlice = false
 		c.ctx = nil
@@ -1215,12 +1168,7 @@ func (c *Campaign) RunSlice(ctx context.Context, maxRounds int) (*Result, bool) 
 		seed := c.pickSeed(&c.qi)
 		c.seedPrefix = prefixHashes(seed.Seq, nil)
 		c.ensureMasks(seed)
-		energy := c.energyFor(seed)
-		if c.opts.Workers > 1 {
-			c.fuzzRoundPipelined(seed, energy, &c.qi)
-		} else {
-			c.fuzzRound(seed, energy, &c.qi)
-		}
+		c.fuzzRound(seed, c.energyFor(seed), &c.qi)
 		c.qi++
 	}
 
@@ -1343,8 +1291,8 @@ func (c *Campaign) SetObserver(obs ExecObserver) {
 	c.opts.Observer = obs
 }
 
-// fuzzRound spends one seed's energy on the sequential engine: mutate one
-// child, execute, fold, admit — the classic Algorithm 1 inner loop.
+// fuzzRound spends one seed's energy: mutate one child, execute, fold,
+// admit — the classic Algorithm 1 inner loop.
 func (c *Campaign) fuzzRound(seed *Seed, energy int, qi *int) {
 	for e := 0; e < energy && !c.budgetExhausted(); e++ {
 		child := c.mutateSeed(seed)
@@ -1352,186 +1300,6 @@ func (c *Campaign) fuzzRound(seed *Seed, energy int, qi *int) {
 		child, r = c.maybeLineSearch(child, r)
 		c.admit(child, r, qi)
 	}
-}
-
-// ensureWorkerPool lazily starts the pipelined engine's persistent pool over
-// the campaign's warmed worker executors.
-func (c *Campaign) ensureWorkerPool() *workerPool {
-	if c.workerPool != nil {
-		return c.workerPool
-	}
-	for len(c.workerExecs) < c.opts.Workers {
-		c.workerExecs = append(c.workerExecs, c.exec.clone())
-	}
-	c.workerPool = newWorkerPool(c.workerExecs[:c.opts.Workers])
-	return c.workerPool
-}
-
-// stopWorkerPool joins and discards the slice's pool (no-op when none ran).
-func (c *Campaign) stopWorkerPool() {
-	if c.workerPool != nil {
-		c.workerPool.shutdown()
-		c.workerPool = nil
-	}
-}
-
-// fuzzRoundPipelined spends one seed's energy through the persistent worker
-// pool with a streaming in-order fold: the coordinator mutates every child of
-// the round up front, keeps the bounded job queue fed, and folds slot i the
-// moment it completes — coverage merge, admission, and the line search for
-// early slots overlap the execution of later ones, and nothing joins on a
-// barrier.
-//
-// The batched schedule is a pure function of Options.Seed at every width:
-// per-child rng seeds are drawn sequentially from the coordinator rng, and
-// each child is mutated from its own seed. Instead of a fresh
-// rand.NewSource per child, the coordinator reseeds its one childRng (a
-// childSource, which replays rand.NewSource's stream for a seed while filling
-// its register lazily), so a child's set-up costs the few draws it makes
-// rather than a full 607-word seeding on the coordinator goroutine; the
-// batched goldens, recorded when every child had a stock rand.NewSource,
-// pin that the two streams agree. Children are a pure function of the
-// round-start feedback state (mutation happens before any fold of this round
-// touches the value pool, masks, or distance frontier); executors are pure;
-// and the reorder buffer releases outcomes in batch order, so every fold sees
-// the state a serial batch-order merge would have produced.
-func (c *Campaign) fuzzRoundPipelined(seed *Seed, energy int, qi *int) {
-	n := energy
-	if remaining := c.opts.Iterations - c.executions; n > remaining {
-		n = remaining
-	}
-	if n <= 0 {
-		return
-	}
-	childSeeds := make([]int64, n)
-	for i := range childSeeds {
-		childSeeds[i] = c.rng.Int63()
-	}
-	if c.childRng == nil {
-		c.childRng = rand.New(newChildSource(0))
-	}
-	children := make([]*Seed, n)
-	muts := make([]int, n)
-	for i := 0; i < n; i++ {
-		c.childRng.Seed(childSeeds[i])
-		children[i], muts[i] = c.mutateSeedRand(seed, c.childRng)
-	}
-
-	p := c.ensureWorkerPool()
-	outs := make([]execOutcome, n)
-	ready := make([]bool, n)
-	done := make(chan int, n)
-	c.pendingExecs = n
-	sent, next := 0, 0
-	for next < n {
-		if sent < n {
-			// Feed the queue and drain completions with equal priority; when
-			// the queue is full the select blocks until a worker frees a slot
-			// or finishes a job, so dispatch can never deadlock against fold.
-			select {
-			case p.jobs <- poolJob{seq: children[sent].Seq, seedPrefix: c.seedPrefix, out: &outs[sent], idx: sent, done: done}:
-				sent++
-			case i := <-done:
-				ready[i] = true
-			}
-		} else {
-			i := <-done
-			ready[i] = true
-		}
-		// Reorder buffer: release every contiguous completed slot in batch
-		// order: counter updates, fold, line search, and admission.
-		for next < n && ready[next] {
-			i := next
-			next++
-			c.pendingExecs--
-			c.executions++
-			c.sequencesMutated += muts[i]
-			r := c.foldOutcome(children[i].Seq, &outs[i])
-			child := children[i]
-			if c.opts.Strategy.BranchDistance && r.distImproved && r.newEdges == 0 && child.lastNudge != nil {
-				child, r = c.lineSearchSpec(p, child, r)
-			}
-			c.admit(child, r, qi)
-		}
-	}
-}
-
-// lineSearchSpec is the pipelined engine's batched line search. The scalar
-// lineSearch is inherently sequential — each step's verdict gates the next —
-// but step k+1's CANDIDATE is not: the nudge never changes, so the sequence
-// at step k is just the previous step's with the nudge applied once more,
-// computable without feedback. The search therefore speculates: build a
-// window of successive candidates, execute them across the pool in parallel,
-// fold verdicts in step order, and discard everything past the first
-// non-improving step. Discarded executions touched only worker-local state
-// and the (transparent) checkpoint cache — they never count toward the
-// budget and never fold, so the decision sequence, every counter, and every
-// transcript byte match the scalar search exactly.
-func (c *Campaign) lineSearchSpec(p *workerPool, child *Seed, r execResult) (*Seed, execResult) {
-	const maxSteps = 64
-	best, bestRes := child, r
-	c.lineSearches++
-	nd := child.lastNudge
-	step := 0
-	for step < maxSteps {
-		if c.budgetExhausted() {
-			return best, bestRes
-		}
-		width := p.size
-		if width > maxSteps-step {
-			width = maxSteps - step
-		}
-		// Build the speculative chain off the current best.
-		specs := make([]*Seed, 0, width)
-		prev := best
-		for k := 0; k < width; k++ {
-			next := prev.Clone()
-			next.lastNudge = nd
-			tx := &next.Seq[nd.txIdx%len(next.Seq)]
-			stream := tx.Stream()
-			if len(stream) == 0 {
-				break
-			}
-			tx.SetStream(nudgeWordAt(stream, nd.pos%len(stream), nd.delta))
-			specs = append(specs, next)
-			prev = next
-		}
-		if len(specs) == 0 {
-			// Mirrors the scalar engine's empty-stream step: counted, no run.
-			c.lineSteps++
-			return best, bestRes
-		}
-		outs := make([]execOutcome, len(specs))
-		ready := make([]bool, len(specs))
-		done := make(chan int, len(specs))
-		for k := range specs {
-			p.submit(poolJob{seq: specs[k].Seq, seedPrefix: c.seedPrefix, out: &outs[k], idx: k, done: done})
-		}
-		for k := 0; k < len(specs); k++ {
-			if k > 0 && c.budgetExhausted() {
-				// Budget expired mid-window: the scalar engine would not have
-				// started this step. The window's tail stays unfolded and
-				// uncounted; its completions land in the buffered done
-				// channel, so no worker ever blocks on an abandoned batch.
-				return best, bestRes
-			}
-			for !ready[k] {
-				ready[<-done] = true
-			}
-			c.lineSteps++
-			c.executions++
-			res := c.foldOutcome(specs[k].Seq, &outs[k])
-			step++
-			if res.newEdges > 0 {
-				return specs[k], res
-			}
-			if !res.distImproved {
-				return best, bestRes
-			}
-			best, bestRes = specs[k], res
-		}
-	}
-	return best, bestRes
 }
 
 // maybeLineSearch runs the greedy line search when a child's arithmetic

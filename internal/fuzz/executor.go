@@ -27,8 +27,7 @@ type txReport struct {
 
 // execOutcome is the pure result of executing one sequence: branch events,
 // nesting depth, and per-transaction oracle reports. It carries no campaign
-// state and is produced without mutating any — the executor/coordinator
-// contract that makes batched parallel execution safe.
+// state and is produced without mutating any; the campaign folds it.
 type execOutcome struct {
 	// branchesByTx holds the contract's branch events, one batch per
 	// transaction, covering the whole sequence: checkpoint-replayed prefix
@@ -44,22 +43,17 @@ type execOutcome struct {
 	// reports are the non-empty oracle reports of the whole sequence in
 	// transaction order: checkpoint-replayed prefix reports first, then live
 	// ones. Carrying the prefix reports makes the outcome self-contained, so
-	// proof-of-concept capture on the coordinator does not depend on which
-	// execution happened to populate the cache.
+	// proof-of-concept capture does not depend on whether a prefix came from
+	// the cache.
 	reports []txReport
 }
 
-// executor runs transaction sequences against private EVM instances. Each
-// executor owns its own reusable trace buffer; everything else it references
-// (compiled contract, genesis state, inspector, prefix cache) is immutable
-// or internally synchronized, so a coordinator can clone one executor per
-// worker goroutine and run them concurrently.
+// executor runs transaction sequences against a private, reusable EVM.
 //
-// The contract with the coordinator: run is a pure request→outcome function
-// of the sequence (given the cache's contents). All campaign-state folding —
-// coverage, branch distance, queue admission, finding aggregation, repro
-// capture, timeline — happens on the coordinator in deterministic batch
-// order.
+// The contract with the campaign: run is a pure request→outcome function of
+// the sequence (the prefix cache is transparent). All campaign-state folding
+// — coverage, branch distance, queue admission, finding aggregation, repro
+// capture, timeline — happens in Campaign.foldOutcome.
 type executor struct {
 	target       Target
 	genesis      *state.State
@@ -78,30 +72,25 @@ type executor struct {
 	worldTargets  []Target
 	attackerModel AttackerModel
 	// attackerCode memoizes attackerModel.Compile by the encoded spec's
-	// content (see compileAttacker). It is per executor, like vm, so workers
-	// share nothing.
+	// content (see compileAttacker). It is per executor, like vm.
 	attackerCode map[string][]byte
 	inspector    *oracle.Inspector
-	// prefixes is the shared sharded checkpoint cache; nil disables the
+	// prefixes is the campaign's checkpoint cache; nil disables the
 	// intermediate-state optimization (ablation / replay).
 	prefixes *prefixCache
-	// view is the executor's private read affinity over prefixes: the shard
-	// snapshots, revalidated once per execution against the cache epoch. The
-	// resume lookup goes through it as plain worker-local map reads instead
-	// of shared atomic loads.
-	view prefixView
 	// branchIx interns the contract's branch edges; installed on every EVM so
 	// trace events carry compact edge IDs. depthByEdge is the per-edge
-	// branch-site nesting depth (shared, read-only).
+	// branch-site nesting depth (read-only).
 	branchIx    *analysis.BranchIndex
 	depthByEdge []int
 	// methods/selectors intern the ABI lookup and the keccak-derived 4-byte
-	// selector per function name once per campaign (shared, read-only) — the
+	// selector per function name once per campaign (read-only) — the
 	// pre-interning engine re-hashed the signature on every transaction.
 	methods   map[string]abi.Method
 	selectors map[string][4]byte
 	// prog is the contract's compiled IR program, built once per campaign and
-	// shared read-only by every worker's EVM (the decode-once hot path).
+	// shared read-only with the detached replay executors (the decode-once
+	// hot path).
 	prog *evm.Program
 	// noIR pins every EVM to the reference switch-loop interpreter
 	// (Options.NoIR conformance ablation).
@@ -133,10 +122,12 @@ type executor struct {
 	brArena []evm.BranchEvent
 }
 
-// clone returns an executor sharing the immutable substrate but owning a
-// fresh trace buffer and EVM — one per worker goroutine.
-func (x *executor) clone() *executor {
+// detached returns an executor sharing the immutable substrate but owning a
+// fresh EVM and buffers, and bypassing the prefix cache; replays and
+// minimization use it so they neither consume nor pollute checkpoints.
+func (x *executor) detached() *executor {
 	nx := *x
+	nx.prefixes = nil
 	nx.trace = nil
 	nx.txBuf = nil
 	nx.vm = nil
@@ -145,23 +136,13 @@ func (x *executor) clone() *executor {
 	nx.scratch = nil
 	nx.hashBuf = nil
 	nx.brArena = nil
-	nx.view = prefixView{}
 	return &nx
-}
-
-// detached returns a clone that bypasses the prefix cache; replays and
-// minimization use it so they neither consume nor pollute checkpoints.
-func (x *executor) detached() *executor {
-	nx := x.clone()
-	nx.prefixes = nil
-	return nx
 }
 
 // workState forks s into the executor's reusable scratch state — the
 // per-execution working copy nothing retains (checkpoint stores Fork the
 // scratch again, so cache entries are always independent states). s must be
-// frozen (genesis or a checkpoint entry), which makes the fork safe from any
-// number of workers at once.
+// frozen (genesis or a checkpoint entry).
 func (x *executor) workState(s *state.State) *state.State {
 	x.scratch = s.ForkInto(x.scratch)
 	return x.scratch
@@ -337,10 +318,9 @@ func (x *executor) run(seq Sequence, seedPrefix []uint64) execOutcome {
 	if x.prefixes != nil {
 		hashes = prefixHashes(seq, x.hashBuf)
 		x.hashBuf = hashes
-		x.view.refresh(x.prefixes)
 	}
 
-	if entry := x.view.lookupHashed(hashes); entry != nil {
+	if entry := x.prefixes.lookupHashed(hashes); entry != nil {
 		st = x.workState(entry.st)
 		e = x.engine(st)
 		e.RestoreTaint(entry.taint)
@@ -397,9 +377,7 @@ func (x *executor) run(seq Sequence, seedPrefix []uint64) execOutcome {
 
 		// Checkpoint the boundary after tx i while the sequence still matches
 		// the round's seed. The outcome accumulated so far is exactly the
-		// checkpoint's payload. contains reads the live map under the shard
-		// lock, so a boundary another worker stored mid-run is not forked
-		// again.
+		// checkpoint's payload.
 		if i < len(hashes) && i < len(seedPrefix) && hashes[i] == seedPrefix[i] {
 			if key := hashes[i]; x.prefixes.admissible(out.branchesByTx) && !x.prefixes.contains(key) {
 				x.prefixes.storeKeyed(key, i+1, st.Fork(), e.TaintSnapshot(), out.branchesByTx, out.reports, out.nestedDepth)

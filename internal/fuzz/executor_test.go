@@ -3,7 +3,7 @@ package fuzz
 import (
 	"testing"
 
-	"mufuzz/internal/oracle"
+	"mufuzz/internal/corpus"
 )
 
 // TestExecutorPure pins the executor/coordinator contract: running the same
@@ -61,91 +61,21 @@ func TestExecutorTraceReuse(t *testing.T) {
 	}
 }
 
-// TestParallelCampaignDeterministic pins the batched engine's determinism:
-// for a fixed (Seed, Workers) pair the merge order makes results independent
-// of goroutine scheduling.
-func TestParallelCampaignDeterministic(t *testing.T) {
-	comp := mustCompile(t, crowdsaleSrc)
-	opts := Options{Strategy: MuFuzz(), Seed: 11, Iterations: 600, Workers: 4}
-	r1 := Run(comp, opts)
-	r2 := Run(comp, opts)
-	if r1.CoveredEdges != r2.CoveredEdges || r1.Executions != r2.Executions ||
-		len(r1.Findings) != len(r2.Findings) || r1.SequencesMutated != r2.SequencesMutated ||
-		r1.MasksComputed != r2.MasksComputed || r1.SeedQueueLen != r2.SeedQueueLen {
-		t.Errorf("parallel campaign not deterministic:\n%+v\n%+v", r1, r2)
-	}
-	if len(r1.Timeline) != len(r2.Timeline) {
-		t.Error("timelines diverge across identical parallel runs")
-	}
-}
-
-// TestParallelCampaignRespectsBudget pins that batch dispatch never
-// overshoots the iteration budget: batches are capped to the remaining
-// budget and in-flight executions count against it.
-func TestParallelCampaignRespectsBudget(t *testing.T) {
-	comp := mustCompile(t, crowdsaleSrc)
-	res := Run(comp, Options{Strategy: MuFuzz(), Seed: 1, Iterations: 123, Workers: 4})
-	if res.Executions > 123 {
-		t.Errorf("executions = %d, budget 123", res.Executions)
-	}
-	if res.Executions < 100 {
-		t.Errorf("executions = %d, campaign under-spent its budget", res.Executions)
-	}
-}
-
-// TestParallelCampaignQuality checks the batched engine is the same fuzzer:
-// it still cracks the Crowdsale deep branch and reports sane coverage.
-func TestParallelCampaignQuality(t *testing.T) {
-	comp := mustCompile(t, crowdsaleSrc)
-	c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 42, Iterations: 1500, Workers: 4})
-	res := c.Run()
-	if !withdrawBugReached(t, comp, res, c) {
-		t.Errorf("parallel MuFuzz failed to reach the withdraw deep branch (coverage %.0f%%)", res.Coverage*100)
-	}
-	if res.Coverage < 0.7 {
-		t.Errorf("coverage = %.2f, want >= 0.7", res.Coverage)
-	}
-}
-
-// TestParallelFindsReentrancy runs the batched engine over the reentrancy
-// vault: detector splitting (worker-side Inspect, coordinator-side Absorb)
-// must preserve bug detection.
-func TestParallelFindsReentrancy(t *testing.T) {
-	src := `
-contract Vault {
-    mapping(address => uint256) bal;
-    function deposit() public payable { bal[msg.sender] += msg.value; }
-    function withdraw() public {
-        uint256 amount = bal[msg.sender];
-        if (amount > 0) {
-            require(msg.sender.call.value(amount)());
-            bal[msg.sender] = 0;
-        }
-    }
-}`
-	comp := mustCompile(t, src)
-	res := Run(comp, Options{Strategy: MuFuzz(), Seed: 3, Iterations: 1200, Workers: 4})
-	if !res.BugClasses[oracle.RE] {
-		t.Errorf("reentrancy not found by parallel engine; classes = %v", res.BugClasses)
-	}
-	if _, ok := res.Repro[oracle.RE]; !ok {
-		t.Error("no proof-of-concept sequence recorded for RE")
-	}
-}
-
-// TestWorkersDefaulting pins the Options.Workers contract.
+// TestWorkersDefaulting pins that Options.Workers is ignored: every value
+// normalizes to 1, and a campaign that asks for four workers makes exactly
+// the decisions of a campaign that asks for one.
 func TestWorkersDefaulting(t *testing.T) {
-	for _, tc := range []struct {
-		in     int
-		minOut int
-	}{{0, 1}, {1, 1}, {3, 3}, {-1, 1}} {
-		o := Options{Workers: tc.in}
-		got := o.withDefaults().Workers
-		if got < tc.minOut {
-			t.Errorf("Workers %d defaulted to %d, want >= %d", tc.in, got, tc.minOut)
+	for _, in := range []int{-1, 0, 1, 4} {
+		o := Options{Workers: in}
+		if got := o.Normalized().Workers; got != 1 {
+			t.Errorf("Workers %d normalized to %d, want 1", in, got)
 		}
 	}
-	if (&Options{}).withDefaults().Workers != 1 {
-		t.Error("default engine must be the sequential one")
+	comp := mustCompile(t, corpus.CrowdsaleBuggy())
+	opts := Options{Strategy: MuFuzz(), Seed: 3, Iterations: 400, Workers: 1}
+	want := resultFingerprint(Run(comp, opts))
+	opts.Workers = 4
+	if got := resultFingerprint(Run(comp, opts)); got != want {
+		t.Errorf("Workers=4 campaign diverged from Workers=1\n--- want\n%s\n--- got\n%s", want, got)
 	}
 }

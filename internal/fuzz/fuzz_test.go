@@ -483,11 +483,3 @@ func TestStrategyPresets(t *testing.T) {
 		t.Error("MuFuzz must enable comparison feedback and mined dictionary")
 	}
 }
-
-func BenchmarkCampaignCrowdsale200(b *testing.B) {
-	comp := mustCompile(b, crowdsaleSrc)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Run(comp, Options{Strategy: MuFuzz(), Seed: int64(i), Iterations: 200})
-	}
-}

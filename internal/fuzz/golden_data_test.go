@@ -1,10 +1,10 @@
 package fuzz
 
-// goldenFingerprints pins the observable behavior of the Workers=1 engine.
+// goldenFingerprints pins the observable behavior of the engine.
 // Regenerated when comparison-operand feedback and mined dictionaries became
 // part of the MuFuzz default — the flag-off behavior is separately pinned by
 // goldenLegacyFingerprints above. Everything remains a pure function of
-// (Seed, Workers). Regenerate with MUFUZZ_GOLDEN_REGEN=1 only after an
+// Seed. Regenerate with MUFUZZ_GOLDEN_REGEN=1 only after an
 // intentional behavior change.
 // goldenLegacyFingerprints are the fingerprints the engine produced before
 // comparison-operand feedback and mined dictionaries existed (PR 4 through

@@ -73,7 +73,6 @@ func runGolden(t *testing.T, source string, seed int64, iters int) string {
 		Strategy:   MuFuzz(),
 		Seed:       seed,
 		Iterations: iters,
-		Workers:    1,
 	})
 	return resultFingerprint(res)
 }
@@ -101,7 +100,6 @@ func TestGoldenCmpFeedbackOffLegacy(t *testing.T) {
 				Strategy:   off,
 				Seed:       gc.seed,
 				Iterations: gc.iters,
-				Workers:    1,
 			})
 			got := resultFingerprint(res)
 			want := strings.Replace(goldenLegacyFingerprints[gc.name],

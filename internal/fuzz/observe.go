@@ -40,15 +40,10 @@ type ExecRecord struct {
 }
 
 // ExecObserver receives one ExecRecord per campaign execution. Calls happen
-// on the coordinator goroutine, in the deterministic fold order (execution
-// index order), regardless of how many executor workers ran the batch — an
-// observer needs no synchronization of its own. The pipelined engine
-// preserves this contract even though its fold overlaps execution: the
-// reorder buffer releases outcomes to the coordinator strictly in batch
-// order, and speculative line-search executions that get discarded are
-// never folded, so they produce no record and no index. Observing is
-// semantically inert: it must not (and cannot, through this interface)
-// influence the campaign's decisions.
+// on the campaign's goroutine, in execution index order — an observer needs
+// no synchronization of its own. Observing is semantically inert: it must
+// not (and cannot, through this interface) influence the campaign's
+// decisions.
 type ExecObserver interface {
 	OnExec(ExecRecord)
 }

@@ -49,9 +49,9 @@ const snapshotMagic = "mufuzz-snapshot"
 // points of the schedule, and everything the engine reads thereafter is
 // restored — including the exact rng stream position (see countedSource).
 //
-// Executor-side state is deliberately absent: worker EVMs, jumpdest caches,
-// and the prefix checkpoint cache are rebuilt warm-up state whose presence
-// or absence never changes campaign decisions (the conformance differential
+// Executor-side state is deliberately absent: the EVM, jumpdest caches, and
+// the prefix checkpoint cache are rebuilt warm-up state whose presence or
+// absence never changes campaign decisions (the conformance differential
 // matrix pins cache on ≡ cache off).
 type Snapshot struct {
 	// Contract is the contract name (diagnostics; identity is CodeHash).
@@ -409,10 +409,10 @@ func (s *Snapshot) Encode(w io.Writer) error {
 		boolBit01(st.BranchDistance), boolBit01(st.MutationMasking), boolBit01(st.DynamicEnergy),
 		boolBit01(st.CmpFeedback), boolBit01(st.MinedDictionary))
 	o := s.Options
-	// batched= and copystate= name retired engine options; they stay in the
-	// line, always 0, so the encoding is unchanged.
-	fmt.Fprintf(bw, "options seed=%d iters=%d maxseq=%d gas=%d energybase=%d initseeds=%d workers=%d batched=0 copystate=0 nocache=%d timebudgetns=%d\n",
-		o.Seed, o.Iterations, o.MaxSeqLen, o.GasPerTx, o.EnergyBase, o.InitialSeeds, o.Workers,
+	// workers=, batched= and copystate= name retired engine options; they
+	// stay in the line, always 1, 0 and 0, so the encoding is unchanged.
+	fmt.Fprintf(bw, "options seed=%d iters=%d maxseq=%d gas=%d energybase=%d initseeds=%d workers=1 batched=0 copystate=0 nocache=%d timebudgetns=%d\n",
+		o.Seed, o.Iterations, o.MaxSeqLen, o.GasPerTx, o.EnergyBase, o.InitialSeeds,
 		boolBit01(o.NoPrefixCache), int64(o.TimeBudget))
 	fmt.Fprintf(bw, "progress execs=%d qi=%d corpus=%d rngdraws=%d lastnew=%d maskprobes=%d maskscomputed=%d seqmut=%d linesearches=%d linesteps=%d elapsedns=%d\n",
 		s.Executions, s.QI, s.CorpusSeeded, s.RngDraws, s.LastNewEdgeExec, s.MaskProbes,
@@ -628,11 +628,13 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	}
 	var nocache int
 	var tbNS int64
-	// The retired batched= and copystate= flags are read and ignored.
+	// The retired workers=, batched= and copystate= fields are read and
+	// ignored: a snapshot an older build wrote at workers > 1 resumes on the
+	// one engine.
 	if _, err := fmt.Sscanf(line, "options seed=%d iters=%d maxseq=%d gas=%d energybase=%d initseeds=%d workers=%d batched=%d copystate=%d nocache=%d timebudgetns=%d",
 		&s.Options.Seed, &s.Options.Iterations, &s.Options.MaxSeqLen, &s.Options.GasPerTx,
-		&s.Options.EnergyBase, &s.Options.InitialSeeds, &s.Options.Workers,
-		new(int), new(int), &nocache, &tbNS); err != nil {
+		&s.Options.EnergyBase, &s.Options.InitialSeeds,
+		new(int), new(int), new(int), &nocache, &tbNS); err != nil {
 		return nil, snapErr(line, "bad options: %v", err)
 	}
 	s.Options.NoPrefixCache = nocache == 1
@@ -647,6 +649,21 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 		&s.Executions, &s.QI, &s.CorpusSeeded, &s.RngDraws, &s.LastNewEdgeExec, &s.MaskProbes,
 		&s.MasksComputed, &s.SequencesMutated, &s.LineSearches, &s.LineSteps, &elapsedNS); err != nil {
 		return nil, snapErr(line, "bad progress: %v", err)
+	}
+	// A negative count would index the seed queue or the budget arithmetic
+	// out of range on the next slice.
+	for _, f := range []struct {
+		name string
+		n    int64
+	}{
+		{"execs", int64(s.Executions)}, {"qi", int64(s.QI)}, {"corpus", int64(s.CorpusSeeded)},
+		{"lastnew", int64(s.LastNewEdgeExec)}, {"maskprobes", int64(s.MaskProbes)},
+		{"maskscomputed", int64(s.MasksComputed)}, {"seqmut", int64(s.SequencesMutated)},
+		{"linesearches", int64(s.LineSearches)}, {"linesteps", int64(s.LineSteps)}, {"elapsedns", elapsedNS},
+	} {
+		if f.n < 0 {
+			return nil, snapErr(line, "negative %s=%d", f.name, f.n)
+		}
 	}
 	s.Elapsed = time.Duration(elapsedNS)
 

@@ -34,64 +34,61 @@ func compileT(t *testing.T, src string) *minisol.Compiled {
 // uninterrupted campaign produces — coverage, findings, PoCs, counters,
 // timeline, and the per-execution record stream.
 func TestSnapshotResumeFingerprint(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		opts := Options{
-			Strategy:   MuFuzz(),
-			Seed:       3,
-			Iterations: 600,
-			Workers:    workers,
-		}
+	opts := Options{
+		Strategy:   MuFuzz(),
+		Seed:       3,
+		Iterations: 600,
+	}
 
-		comp := compileT(t, corpus.CrowdsaleBuggy())
-		fullObs := &recordingObserver{}
-		fullOpts := opts
-		fullOpts.Observer = fullObs
-		full := NewCampaign(comp, fullOpts)
-		fullRes := full.Run()
-		want := resultFingerprint(fullRes)
+	comp := compileT(t, corpus.CrowdsaleBuggy())
+	fullObs := &recordingObserver{}
+	fullOpts := opts
+	fullOpts.Observer = fullObs
+	full := NewCampaign(comp, fullOpts)
+	fullRes := full.Run()
+	want := resultFingerprint(fullRes)
 
-		pausedObs := &recordingObserver{}
-		pausedOpts := opts
-		pausedOpts.Observer = pausedObs
-		paused := NewCampaign(comp, pausedOpts)
-		if _, done := paused.RunSlice(context.Background(), 3); done {
-			t.Fatalf("workers=%d: campaign finished before the pause point; grow the budget", workers)
-		}
+	pausedObs := &recordingObserver{}
+	pausedOpts := opts
+	pausedOpts.Observer = pausedObs
+	paused := NewCampaign(comp, pausedOpts)
+	if _, done := paused.RunSlice(context.Background(), 3); done {
+		t.Fatal("campaign finished before the pause point; grow the budget")
+	}
 
-		var buf bytes.Buffer
-		if err := paused.Snapshot().Encode(&buf); err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		snap, err := DecodeSnapshot(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		// The encoding must be stable: re-encoding the decoded snapshot
-		// reproduces the bytes.
-		if !bytes.Equal(snap.EncodeBytes(), buf.Bytes()) {
-			t.Fatalf("workers=%d: snapshot encode/decode/encode is not byte-stable", workers)
-		}
+	var buf bytes.Buffer
+	if err := paused.Snapshot().Encode(&buf); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	snap, err := DecodeSnapshot(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	// The encoding must be stable: re-encoding the decoded snapshot
+	// reproduces the bytes.
+	if !bytes.Equal(snap.EncodeBytes(), buf.Bytes()) {
+		t.Fatal("snapshot encode/decode/encode is not byte-stable")
+	}
 
-		resumed, err := ResumeCampaign(comp, snap)
-		if err != nil {
-			t.Fatalf("resume: %v", err)
-		}
-		resumed.SetObserver(pausedObs)
-		resumedRes := resumed.Run()
+	resumed, err := ResumeCampaign(comp, snap)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	resumed.SetObserver(pausedObs)
+	resumedRes := resumed.Run()
 
-		if got := resultFingerprint(resumedRes); got != want {
-			t.Errorf("workers=%d: resumed result diverged from uninterrupted run\n--- want\n%s\n--- got\n%s", workers, want, got)
-		}
-		if len(pausedObs.records) != len(fullObs.records) {
-			t.Fatalf("workers=%d: record count %d != uninterrupted %d", workers, len(pausedObs.records), len(fullObs.records))
-		}
-		for i := range fullObs.records {
-			w, g := fullObs.records[i], pausedObs.records[i]
-			if w.Index != g.Index || w.CoveredAfter != g.CoveredAfter || w.NestedDepth != g.NestedDepth ||
-				w.DistImproved != g.DistImproved || len(w.NewEdges) != len(g.NewEdges) ||
-				len(w.NewClasses) != len(g.NewClasses) || w.Seq.String() != g.Seq.String() {
-				t.Fatalf("workers=%d: record %d diverged:\nwant %+v\ngot  %+v", workers, i, w, g)
-			}
+	if got := resultFingerprint(resumedRes); got != want {
+		t.Errorf("resumed result diverged from uninterrupted run\n--- want\n%s\n--- got\n%s", want, got)
+	}
+	if len(pausedObs.records) != len(fullObs.records) {
+		t.Fatalf("record count %d != uninterrupted %d", len(pausedObs.records), len(fullObs.records))
+	}
+	for i := range fullObs.records {
+		w, g := fullObs.records[i], pausedObs.records[i]
+		if w.Index != g.Index || w.CoveredAfter != g.CoveredAfter || w.NestedDepth != g.NestedDepth ||
+			w.DistImproved != g.DistImproved || len(w.NewEdges) != len(g.NewEdges) ||
+			len(w.NewClasses) != len(g.NewClasses) || w.Seq.String() != g.Seq.String() {
+			t.Fatalf("record %d diverged:\nwant %+v\ngot  %+v", i, w, g)
 		}
 	}
 }
@@ -100,7 +97,7 @@ func TestSnapshotResumeFingerprint(t *testing.T) {
 // — many short slices with a snapshot/restore round trip between every pair
 // — and checks the final result still matches the uninterrupted run.
 func TestSnapshotResumeAcrossManySlices(t *testing.T) {
-	opts := Options{Strategy: MuFuzz(), Seed: 11, Iterations: 400, Workers: 1}
+	opts := Options{Strategy: MuFuzz(), Seed: 11, Iterations: 400}
 	comp := compileT(t, corpus.Crowdsale())
 
 	want := resultFingerprint(NewCampaign(comp, opts).Run())
@@ -134,7 +131,7 @@ func TestSnapshotResumeAcrossManySlices(t *testing.T) {
 // misparsed as whatever the current decoder expects.
 func TestSnapshotRejectsNewerVersion(t *testing.T) {
 	comp := compileT(t, corpus.Crowdsale())
-	c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 1, Iterations: 200, Workers: 1})
+	c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 1, Iterations: 200})
 	if _, done := c.RunSlice(context.Background(), 2); done {
 		t.Fatal("campaign finished before the pause point")
 	}
@@ -155,11 +152,13 @@ func TestSnapshotRejectsNewerVersion(t *testing.T) {
 // TestSnapshotDecodesV1 pins backward compatibility: a v1 snapshot — strategy
 // line without the cmpfeed/dict fields, no cmpop records — must still decode,
 // with the comparison-feedback flags off (they postdate the format) and
-// resume into a runnable campaign. Its options line sets the retired batched
-// and copystate flags, which decoding ignores.
+// resume into a runnable campaign. Its options line reads as an older
+// batched campaign's did: workers=4 and the retired batched and copystate
+// flags. Decoding ignores the flags, and the campaign resumes on the one
+// engine and re-encodes workers=1.
 func TestSnapshotDecodesV1(t *testing.T) {
 	comp := compileT(t, corpus.Crowdsale())
-	c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 1, Iterations: 200, Workers: 1})
+	c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 1, Iterations: 200})
 	if _, done := c.RunSlice(context.Background(), 2); done {
 		t.Fatal("campaign finished before the pause point")
 	}
@@ -174,15 +173,15 @@ func TestSnapshotDecodesV1(t *testing.T) {
 		case strings.HasPrefix(line, "strategy "):
 			v1.WriteString(strings.Replace(line, " cmpfeed=1 dict=1", "", 1))
 		case strings.HasPrefix(line, "options "):
-			v1.WriteString(strings.Replace(line, " batched=0 copystate=0 ", " batched=1 copystate=1 ", 1))
+			v1.WriteString(strings.Replace(line, " workers=1 batched=0 copystate=0 ", " workers=4 batched=1 copystate=1 ", 1))
 		case strings.HasPrefix(line, "cmpop "):
 			// v1 had no operand table
 		default:
 			v1.WriteString(line)
 		}
 	}
-	if !strings.Contains(v1.String(), " batched=1 copystate=1 ") {
-		t.Fatal("options line lacks the batched/copystate tokens")
+	if !strings.Contains(v1.String(), " workers=4 batched=1 copystate=1 ") {
+		t.Fatal("options line lacks the workers/batched/copystate tokens")
 	}
 	snap, err := DecodeSnapshot(bytes.NewReader(v1.Bytes()))
 	if err != nil {
@@ -197,6 +196,9 @@ func TestSnapshotDecodesV1(t *testing.T) {
 	resumed, err := ResumeCampaign(comp, snap)
 	if err != nil {
 		t.Fatalf("resume from v1: %v", err)
+	}
+	if enc := string(resumed.Snapshot().EncodeBytes()); !strings.Contains(enc, " workers=1 batched=0 ") {
+		t.Error("campaign resumed from a workers=4 snapshot does not re-encode workers=1")
 	}
 	if res, done := resumed.RunSlice(context.Background(), 0); !done || res.Executions == 0 {
 		t.Error("campaign resumed from v1 snapshot did not run to completion")
@@ -220,7 +222,7 @@ func TestSnapshotRejectsWrongContract(t *testing.T) {
 // twice from the same snapshot gives identical results).
 func TestRunCtxCancellation(t *testing.T) {
 	comp := compileT(t, corpus.Crowdsale())
-	opts := Options{Strategy: MuFuzz(), Seed: 5, Iterations: 5000, Workers: 1}
+	opts := Options{Strategy: MuFuzz(), Seed: 5, Iterations: 5000}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancelAfter := &cancellingObserver{cancel: cancel, after: 120}
@@ -332,6 +334,25 @@ func TestDecodeRejectsNegativeSender(t *testing.T) {
 			}
 			break
 		}
+	}
+}
+
+// TestDecodeRejectsNegativeQueueCursor pins the bound on the progress
+// counts. A resumed negative qi indexed the seed queue out of range and
+// panicked the next slice in pickSeed; the decoder now refuses any negative
+// count and names the field.
+func TestDecodeRejectsNegativeQueueCursor(t *testing.T) {
+	c := NewCampaign(compileT(t, corpus.CrowdsaleBuggy()), Options{Strategy: MuFuzz(), Seed: 1, Iterations: 2000})
+	if _, done := c.RunSlice(context.Background(), 3); done {
+		t.Fatal("campaign finished before the snapshot point; grow the budget")
+	}
+	enc := c.Snapshot().EncodeBytes()
+	bad := regexp.MustCompile(` qi=\d+ `).ReplaceAll(enc, []byte(" qi=-300 "))
+	if bytes.Equal(bad, enc) {
+		t.Fatal("snapshot carries no qi field")
+	}
+	if _, err := DecodeSnapshot(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "negative qi") {
+		t.Fatalf("snapshot with qi=-300 decoded: err = %v", err)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // values and resume into a runnable campaign.
 func TestSnapshotDecodesV2(t *testing.T) {
 	comp := compileT(t, corpus.Crowdsale())
-	c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 1, Iterations: 200, Workers: 1})
+	c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 1, Iterations: 200})
 	if _, done := c.RunSlice(context.Background(), 2); done {
 		t.Fatal("campaign finished before the pause point")
 	}
@@ -57,7 +57,7 @@ func TestWorldSnapshotResume(t *testing.T) {
 	world := func() *WorldOptions {
 		return &WorldOptions{Members: []WorldMember{{Name: "token", Target: MinisolTarget(member)}}}
 	}
-	opts := Options{Strategy: MuFuzz(), Seed: 5, Iterations: 500, Workers: 1, World: world()}
+	opts := Options{Strategy: MuFuzz(), Seed: 5, Iterations: 500, World: world()}
 
 	fullOpts := opts
 	fullOpts.World = world()

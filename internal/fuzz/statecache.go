@@ -2,8 +2,6 @@ package fuzz
 
 import (
 	"encoding/binary"
-	"sync"
-	"sync/atomic"
 
 	"mufuzz/internal/evm"
 	"mufuzz/internal/state"
@@ -25,48 +23,18 @@ import (
 // resumes from. Stores are therefore rare — a few per thousand executions
 // once a seed's prefixes are in — while nearly every lookup hits.
 //
-// Concurrency: the cache is striped across prefixShards. Each shard keeps an
-// authoritative live map, mutated in place under the shard mutex, and
-// publishes an immutable copy of it behind an atomic pointer on every store.
-// Readers — the per-execution resume lookup of every worker — never take a
-// lock: they load the current published snapshot and read a map nothing will
-// ever mutate. The store path dedups against the live map under the lock
-// (contains, storeKeyed), so a prefix another worker just checkpointed is
-// never forked twice.
-//
-// Entries are immutable once stored: readers copy entry.st outside any lock,
-// writers only ever insert or evict whole entries. Eviction is FIFO per
-// shard. A reader holding a stale snapshot may resume from an entry that was
-// just evicted — harmless, since entries stay valid forever and the
-// cache-transparency invariant makes their use semantically invisible.
+// The cache belongs to one campaign and is used from its goroutine only.
+// Entries are immutable once stored; eviction is FIFO over the whole cache.
 type prefixCache struct {
-	shards [prefixShards]prefixShard
-	// epoch counts published snapshot generations across all shards, one per
-	// store; prefixView compares it to skip refreshing unchanged snapshots.
-	epoch  atomic.Uint64
-	hits   atomic.Int64
-	misses atomic.Int64
-	// served counts the prefix transactions hits stood in for.
-	served atomic.Int64
-}
-
-// prefixShards is the stripe count. Sixteen shards keep any single shard's
-// copy-on-write republish small while costing only a few hundred bytes of
-// overhead.
-const prefixShards = 16
-
-// prefixSnap is one shard's immutable published generation.
-type prefixSnap map[uint64]*prefixEntry
-
-type prefixShard struct {
-	// mu guards live and order; readers go through snap.
-	mu sync.Mutex
-	// live is the authoritative entry map, mutated in place under mu.
-	live prefixSnap
-	// snap is the published immutable copy the lock-free readers use.
-	snap  atomic.Pointer[prefixSnap]
-	order []uint64 // FIFO eviction order
-	max   int      // per-shard capacity
+	entries map[uint64]*prefixEntry
+	order   []uint64 // FIFO eviction order
+	max     int
+	hits    int
+	misses  int
+	// served counts the prefix transactions hits stood in for; stores counts
+	// the checkpoints taken.
+	served int
+	stores int
 }
 
 type prefixEntry struct {
@@ -82,39 +50,19 @@ type prefixEntry struct {
 	// sees exactly what a re-execution would produce.
 	branchesByTx [][]evm.BranchEvent
 	// reports are the prefix transactions' oracle reports, replayed into the
-	// outcome on a hit. Absorption is idempotent on the coordinator, so the
-	// replay is a semantic no-op for a sequential campaign — but it makes
-	// every outcome self-contained, which keeps proof-of-concept capture
-	// deterministic in batched mode regardless of which worker happened to
-	// populate the cache first.
+	// outcome on a hit. Absorption is idempotent in the campaign, so the
+	// replay changes no finding; it makes every outcome self-contained, so
+	// proof-of-concept capture reads the same reports whether a prefix ran
+	// live or came from a checkpoint.
 	reports []txReport
 	// nestedDepth is the deepest branch-site nesting reached in the prefix.
 	nestedDepth int
 }
 
-// newPrefixCache builds a cache holding about max entries in total, striped
-// evenly across the shards.
+// newPrefixCache builds a cache holding at most max entries.
 func newPrefixCache(max int) *prefixCache {
-	perShard := (max + prefixShards - 1) / prefixShards
-	if perShard < 1 {
-		perShard = 1
-	}
-	pc := &prefixCache{}
-	empty := prefixSnap{}
-	for i := range pc.shards {
-		pc.shards[i].live = prefixSnap{}
-		pc.shards[i].snap.Store(&empty)
-		pc.shards[i].max = perShard
-	}
-	return pc
+	return &prefixCache{entries: make(map[uint64]*prefixEntry, max), max: max}
 }
-
-func (pc *prefixCache) shard(key uint64) *prefixShard {
-	return &pc.shards[key%prefixShards]
-}
-
-// view returns the shard's current immutable generation.
-func (sh *prefixShard) view() prefixSnap { return *sh.snap.Load() }
 
 // fnv-1a, hand-rolled: the stdlib hash.Hash64 interface costs an allocation
 // and a virtual call per Write, and the hot path hashes every prefix of every
@@ -199,7 +147,6 @@ func prefixHashes(seq Sequence, buf []uint64) []uint64 {
 // (at least 1 transaction, at most len(seq)-1 so the suffix still runs).
 // The txs check guards against fnv collisions across prefix lengths: a hit
 // only counts when the stored entry checkpoints exactly n transactions.
-// Reads the authoritative live state; the hot path uses prefixView instead.
 func (pc *prefixCache) lookup(seq Sequence) *prefixEntry {
 	if pc == nil {
 		return nil
@@ -214,33 +161,22 @@ func (pc *prefixCache) lookupHashed(hashes []uint64) *prefixEntry {
 		return nil
 	}
 	for n := len(hashes); n >= 1; n-- {
-		key := hashes[n-1]
-		sh := pc.shard(key)
-		sh.mu.Lock()
-		e, ok := sh.live[key]
-		sh.mu.Unlock()
-		if ok && e.txs == n {
-			pc.hits.Add(1)
-			pc.served.Add(int64(n))
+		if e, ok := pc.entries[hashes[n-1]]; ok && e.txs == n {
+			pc.hits++
+			pc.served += n
 			return e
 		}
 	}
-	pc.misses.Add(1)
+	pc.misses++
 	return nil
 }
 
-// contains reports whether a prefix hash is already checkpointed,
-// authoritatively: it consults the live map under the shard lock, so the
-// store path never duplicates the fork + taint materialization for an entry
-// another executor stored after this one refreshed its view.
+// contains reports whether a prefix hash is already checkpointed.
 func (pc *prefixCache) contains(key uint64) bool {
 	if pc == nil {
 		return false
 	}
-	sh := pc.shard(key)
-	sh.mu.Lock()
-	_, ok := sh.live[key]
-	sh.mu.Unlock()
+	_, ok := pc.entries[key]
 	return ok
 }
 
@@ -259,66 +195,40 @@ func (pc *prefixCache) admissible(branchesByTx [][]evm.BranchEvent) bool {
 }
 
 // storeKeyed records a checkpoint for a pre-computed prefix hash. The first
-// writer of a key wins; concurrent proposals for the same prefix are
-// deduplicated against the live map under the shard's lock. The live map is
-// mutated in place and a fresh immutable snapshot is published at once, so
-// the sibling children that resume from the new checkpoint see it on their
-// next lookup, while in-flight readers keep their consistent generation.
+// writer of a key wins; a full cache evicts its oldest entry.
 func (pc *prefixCache) storeKeyed(key uint64, n int, st *state.State, taint map[evm.StorageKey]evm.Taint, branchesByTx [][]evm.BranchEvent, reports []txReport, nestedDepth int) {
 	if pc == nil || n < 1 || !pc.admissible(branchesByTx) {
 		return
+	}
+	if _, dup := pc.entries[key]; dup {
+		return
+	}
+	if len(pc.order) >= pc.max {
+		delete(pc.entries, pc.order[0])
+		pc.order = pc.order[1:]
 	}
 	// Shallow copy: the outer slice is re-appended by the caller and must be
 	// pinned, but the per-transaction event batches are immutable once
 	// built (executors construct them fresh per transaction and nothing
 	// mutates them afterward), so entries share them.
-	cp := append([][]evm.BranchEvent(nil), branchesByTx...)
-	entry := &prefixEntry{
+	pc.entries[key] = &prefixEntry{
 		txs:          n,
 		st:           st,
 		taint:        taint,
-		branchesByTx: cp,
+		branchesByTx: append([][]evm.BranchEvent(nil), branchesByTx...),
 		reports:      append([]txReport(nil), reports...),
 		nestedDepth:  nestedDepth,
 	}
-
-	sh := pc.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, dup := sh.live[key]; dup {
-		return
-	}
-	if len(sh.order) >= sh.max {
-		oldest := sh.order[0]
-		sh.order = sh.order[1:]
-		delete(sh.live, oldest)
-	}
-	sh.live[key] = entry
-	sh.order = append(sh.order, key)
-	// Publish: copy the live map into a fresh immutable snapshot, swap it in
-	// for the lock-free readers, and bump the epoch so per-worker views
-	// refresh.
-	next := make(prefixSnap, len(sh.live))
-	for k, v := range sh.live {
-		next[k] = v
-	}
-	sh.snap.Store(&next)
-	pc.epoch.Add(1)
+	pc.order = append(pc.order, key)
+	pc.stores++
 }
 
-// len returns the total number of cached entries (diagnostics and tests).
+// len returns the number of cached entries (diagnostics and tests).
 func (pc *prefixCache) len() int {
 	if pc == nil {
 		return 0
 	}
-	n := 0
-	for i := range pc.shards {
-		sh := &pc.shards[i]
-		sh.mu.Lock()
-		n += len(sh.live)
-		sh.mu.Unlock()
-	}
-	return n
+	return len(pc.entries)
 }
 
 // stats reports cache hits and misses.
@@ -326,57 +236,5 @@ func (pc *prefixCache) stats() (hits, misses int) {
 	if pc == nil {
 		return 0, 0
 	}
-	return int(pc.hits.Load()), int(pc.misses.Load())
-}
-
-// prefixView is one executor's cached read affinity over the cache: the 16
-// shard snapshots, revalidated against the global epoch once per execution
-// instead of once per probe. The resume lookup probes up to len(seq)-1 keys;
-// through the view those probes are plain map reads on worker-local pointers
-// — no atomics, no shared cache lines — while a stale view is at most one
-// execution behind (and staleness is semantically invisible by cache
-// transparency: a missed fresh entry only costs a longer re-execution, a
-// just-evicted entry is still valid).
-type prefixView struct {
-	pc    *prefixCache
-	epoch uint64
-	snaps [prefixShards]prefixSnap
-}
-
-// refresh revalidates the view against pc, reloading the shard snapshots
-// only when some store has bumped the epoch since the last refresh. The
-// epoch is read before the snapshots: a concurrent store between the two
-// loads yields fresher snapshots stamped with the older epoch, forcing a
-// redundant (never unsafe) refresh next time.
-func (v *prefixView) refresh(pc *prefixCache) {
-	if pc == nil {
-		v.pc = nil
-		return
-	}
-	e := pc.epoch.Load()
-	if v.pc == pc && v.epoch == e {
-		return
-	}
-	for i := range v.snaps {
-		v.snaps[i] = pc.shards[i].view()
-	}
-	v.pc = pc
-	v.epoch = e
-}
-
-// lookupHashed mirrors prefixCache.lookupHashed over the view's snapshots.
-func (v *prefixView) lookupHashed(hashes []uint64) *prefixEntry {
-	if v.pc == nil {
-		return nil
-	}
-	for n := len(hashes); n >= 1; n-- {
-		key := hashes[n-1]
-		if e, ok := v.snaps[key%prefixShards][key]; ok && e.txs == n {
-			v.pc.hits.Add(1)
-			v.pc.served.Add(int64(n))
-			return e
-		}
-	}
-	v.pc.misses.Add(1)
-	return nil
+	return pc.hits, pc.misses
 }

@@ -1,12 +1,9 @@
 package fuzz
 
 import (
-	"context"
-	"sync"
 	"testing"
 
 	"mufuzz/internal/corpus"
-	"mufuzz/internal/evm"
 	"mufuzz/internal/state"
 	"mufuzz/internal/u256"
 )
@@ -37,34 +34,25 @@ func TestHashPrefixDistinguishesSequences(t *testing.T) {
 	}
 }
 
-// TestPrefixCacheFIFOEvictionPerShard pins the eviction policy of the
-// sharded cache: each shard evicts its own oldest entry once it reaches its
-// per-shard capacity. Keys are crafted to land in one shard (key mod
-// prefixShards selects it) so the FIFO order is observable.
-func TestPrefixCacheFIFOEvictionPerShard(t *testing.T) {
-	pc := newPrefixCache(2 * prefixShards) // per-shard capacity 2
-	// All three keys land in shard 3.
-	keys := []uint64{3, 3 + prefixShards, 3 + 2*prefixShards}
-	for _, k := range keys {
+// TestPrefixCacheFIFOEviction pins the eviction policy: a full cache evicts
+// its oldest entry, whatever the keys.
+func TestPrefixCacheFIFOEviction(t *testing.T) {
+	pc := newPrefixCache(2)
+	for _, k := range []uint64{3, 19, 35} {
 		pc.storeKeyed(k, 1, nil, nil, nil, nil, 0)
 	}
 	if pc.len() != 2 {
-		t.Errorf("cache size = %d, want 2 (per-shard FIFO eviction)", pc.len())
+		t.Errorf("cache size = %d, want 2 (FIFO eviction)", pc.len())
 	}
-	if pc.contains(keys[0]) {
+	if pc.contains(3) {
 		t.Error("oldest entry should have been evicted")
 	}
-	if !pc.contains(keys[1]) || !pc.contains(keys[2]) {
+	if !pc.contains(19) || !pc.contains(35) {
 		t.Error("newer entries must remain")
 	}
-	// Entries in other shards are untouched by shard 3's eviction.
-	pc.storeKeyed(4, 1, nil, nil, nil, nil, 0)
-	pc.storeKeyed(3+3*prefixShards, 1, nil, nil, nil, nil, 0) // evicts keys[1]
-	if !pc.contains(4) {
-		t.Error("eviction must be per shard")
-	}
-	if pc.contains(keys[1]) {
-		t.Error("shard FIFO should have evicted its second-oldest entry")
+	pc.storeKeyed(4, 1, nil, nil, nil, nil, 0) // evicts 19
+	if pc.contains(19) || !pc.contains(35) || !pc.contains(4) {
+		t.Error("FIFO should have evicted the second-oldest entry only")
 	}
 }
 
@@ -90,60 +78,6 @@ func TestPrefixCacheCollisionKeying(t *testing.T) {
 	// (same key — the collided entry occupies it, so lookup still rejects)
 	if pc.contains(collided) && pc.lookup(seq) != nil {
 		t.Error("occupied colliding key must stay rejected, not overwritten")
-	}
-}
-
-// TestPrefixCacheConcurrentStress hammers one cache from many goroutines
-// doing lookups, inserts, and stats concurrently; run under -race this pins
-// the thread-safety of the sharded implementation.
-func TestPrefixCacheConcurrentStress(t *testing.T) {
-	pc := newPrefixCache(32)
-	seqs := make([]Sequence, 64)
-	for i := range seqs {
-		seqs[i] = Sequence{
-			{Func: "__ctor"},
-			{Func: "f", Args: []byte{byte(i)}},
-			{Func: "g", Args: []byte{byte(i), byte(i >> 4)}},
-		}
-	}
-	st := state.New()
-	st.SetBalance(state.AddressFromUint(1), u256.One)
-	st.Commit()
-
-	const workers = 8
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for round := 0; round < 200; round++ {
-				seq := seqs[(round+w*7)%len(seqs)]
-				if e := pc.lookup(seq); e != nil {
-					if e.txs < 1 || e.txs >= len(seq) {
-						t.Errorf("bogus entry txs=%d", e.txs)
-					}
-					// readers fork entry state outside locks (CoW resume)
-					// and may immediately mutate their fork
-					ch := e.st.Fork()
-					ch.SetBalance(state.AddressFromUint(uint64(w)), u256.One)
-				}
-				n := 1 + (round+w)%2
-				key := hashPrefix(seq, n)
-				if !pc.contains(key) {
-					pc.storeKeyed(key, n, st.Fork(), map[evm.StorageKey]evm.Taint{},
-						[][]evm.BranchEvent{{}}, nil, 0)
-				}
-				pc.stats()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if pc.len() == 0 {
-		t.Error("stress run stored nothing")
-	}
-	hits, misses := pc.stats()
-	if hits+misses == 0 {
-		t.Error("stress run recorded no lookups")
 	}
 }
 
@@ -196,7 +130,7 @@ type txCounter struct{ txs int }
 func (o *txCounter) OnExec(r ExecRecord) { o.txs += len(r.Seq) }
 
 // TestPrefixCacheGetsHits is the count gate on the checkpoint store policy.
-// On crowdsale-buggy at seed 1 and workers 1 the counts repeat exactly, so
+// On crowdsale-buggy at seed 1 the counts repeat exactly, so
 // three of them are pinned close to their measured values: the hit ratio, the
 // share of transactions served from checkpoints instead of re-run, and stores
 // per 1,000 executions. When each execution stored its own longest uncached
@@ -205,12 +139,12 @@ func (o *txCounter) OnExec(r ExecRecord) { o.txs += len(r.Seq) }
 func TestPrefixCacheGetsHits(t *testing.T) {
 	comp := mustCompile(t, corpus.CrowdsaleBuggy())
 	obs := &txCounter{}
-	c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 1, Iterations: 20_000, Workers: 1, Observer: obs})
+	c := NewCampaign(comp, Options{Strategy: MuFuzz(), Seed: 1, Iterations: 20_000, Observer: obs})
 	res := c.Run()
 	hits, misses := c.PrefixCacheStats()
 	hitRatio := float64(hits) / float64(hits+misses)
-	served := float64(c.prefixes.served.Load()) / float64(obs.txs)
-	storesPerK := 1000 * float64(c.prefixes.epoch.Load()) / float64(res.Executions)
+	served := float64(c.prefixes.served) / float64(obs.txs)
+	storesPerK := 1000 * float64(c.prefixes.stores) / float64(res.Executions)
 	t.Logf("prefix cache over %d execs: hit ratio %.4f, %.2f%% of %d txs served, %.2f stores per 1,000 execs",
 		res.Executions, hitRatio, 100*served, obs.txs, storesPerK)
 	if hitRatio < 0.995 {
@@ -246,9 +180,9 @@ func TestSeedRunCachesEveryProperPrefix(t *testing.T) {
 		t.Errorf("cache holds %d entries after the seed run, want %d", got, len(seq)-1)
 	}
 	for n := 1; n < len(seq); n++ {
-		e := c.prefixes.shard(hashPrefix(seq, n)).view()[hashPrefix(seq, n)]
+		e := c.prefixes.entries[hashPrefix(seq, n)]
 		if e == nil || e.txs != n {
-			t.Errorf("prefix of %d transactions not published", n)
+			t.Errorf("prefix of %d transactions not stored", n)
 		}
 	}
 }
@@ -261,7 +195,7 @@ func TestChildResumesAtFirstMutation(t *testing.T) {
 	c, seq := seedTableSequence(t)
 	table := prefixHashes(seq, nil)
 	c.exec.run(seq, table)
-	stores := c.prefixes.epoch.Load()
+	stores := c.prefixes.stores
 	for k := 1; k < len(seq); k++ {
 		child := append(seq.Clone(), TxInput{Func: seq[1].Func, Args: seq[1].Args})
 		child[k].Value = child[k].Value.Add(u256.One)
@@ -269,7 +203,7 @@ func TestChildResumesAtFirstMutation(t *testing.T) {
 			t.Errorf("child mutated at %d resumed at %d", k, out.firstLive)
 		}
 	}
-	if got := c.prefixes.epoch.Load(); got != stores {
+	if got := c.prefixes.stores; got != stores {
 		t.Errorf("children stored %d checkpoints, want none", got-stores)
 	}
 }
@@ -285,52 +219,5 @@ func TestRunWithoutSeedTableStoresNothing(t *testing.T) {
 	}
 	if n := c.prefixes.len(); n != 0 {
 		t.Errorf("runs without a seed table stored %d checkpoints", n)
-	}
-}
-
-// TestSeedPrefixAcrossSlicesWorkers4 runs a workers=4 campaign over several
-// slices on a contract whose derived-value guard draws long line searches.
-// The speculative search abandons window tails that finish on the workers
-// after the round, or the slice, has moved on, so under -race the test checks
-// that workers only read the seed tables they were handed. The result must
-// match an uninterrupted workers=2 run: the batched schedule is the same at
-// every width.
-func TestSeedPrefixAcrossSlicesWorkers4(t *testing.T) {
-	var src string
-	for _, l := range corpus.VulnSuite() {
-		if l.Name == "se_milestone_deep" {
-			src = l.Source
-		}
-	}
-	comp := mustCompile(t, src)
-	opts := Options{Strategy: MuFuzz(), Seed: 3, Iterations: 3000, Workers: 4}
-	c := NewCampaign(comp, opts)
-	var res *Result
-	for done := false; !done; {
-		res, done = c.RunSlice(context.Background(), 4)
-	}
-	if _, steps := c.LineSearchStats(); steps < 8 {
-		t.Errorf("line searches took %d steps; too few to speculate across windows", steps)
-	}
-	if hits, _ := c.PrefixCacheStats(); hits == 0 {
-		t.Error("workers never resumed from a checkpoint")
-	}
-	opts.Workers = 2
-	if got, want := resultFingerprint(res), resultFingerprint(Run(comp, opts)); got != want {
-		t.Errorf("sliced workers=4 run diverged from workers=2\n--- want\n%s\n--- got\n%s", want, got)
-	}
-}
-
-func BenchmarkCampaignWithPrefixCache(b *testing.B) {
-	comp := mustCompile(b, crowdsaleSrc)
-	for i := 0; i < b.N; i++ {
-		Run(comp, Options{Strategy: MuFuzz(), Seed: int64(i), Iterations: 400})
-	}
-}
-
-func BenchmarkCampaignWithoutPrefixCache(b *testing.B) {
-	comp := mustCompile(b, crowdsaleSrc)
-	for i := 0; i < b.N; i++ {
-		Run(comp, Options{Strategy: MuFuzz(), Seed: int64(i), Iterations: 400, NoPrefixCache: true})
 	}
 }

@@ -30,8 +30,8 @@ type TargetBranch struct {
 // bytecode plus an ABI, internal/ingest) run through the same coordinator,
 // executors, oracles, masks, and energy scheduling.
 //
-// Implementations must be immutable after construction: the campaign and its
-// worker executors read them concurrently without synchronization.
+// Implementations must be immutable after construction: campaigns running at
+// once may share a target and read it without synchronization.
 type Target interface {
 	// Name identifies the target (contract name, or a codehash-derived label
 	// for source-free targets). It keys corpus-store buckets and snapshots.

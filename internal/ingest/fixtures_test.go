@@ -74,7 +74,7 @@ func TestFixtureCampaigns(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := fuzz.NewTargetCampaign(tgt, fuzz.Options{
-		Strategy: fuzz.MuFuzz(), Seed: 1, Iterations: 3000, Workers: 1,
+		Strategy: fuzz.MuFuzz(), Seed: 1, Iterations: 3000,
 	}).Run()
 	if res.CoveredEdges == 0 {
 		t.Fatal("erc20 fixture: no coverage")
@@ -92,7 +92,7 @@ func TestFixtureCampaigns(t *testing.T) {
 		t.Fatalf("recovered repeat candidates = %q, want invest", got)
 	}
 	bres := fuzz.NewTargetCampaign(buggy, fuzz.Options{
-		Strategy: fuzz.MuFuzz(), Seed: 1, Iterations: 4000, Workers: 1,
+		Strategy: fuzz.MuFuzz(), Seed: 1, Iterations: 4000,
 	}).Run()
 	if !bres.BugClasses[oracle.BugClass("BD")] {
 		t.Fatalf("buggy fixture: BD not found (classes %v)", bres.BugClasses)
@@ -128,7 +128,7 @@ func TestMagicGateCmpFeedback(t *testing.T) {
 		t.Fatalf("assembled magic missing from mined dictionary: %v", tgt.Dictionary())
 	}
 	on := fuzz.NewTargetCampaign(tgt, fuzz.Options{
-		Strategy: fuzz.MuFuzz(), Seed: experiments.GateSeed, Iterations: experiments.GateBudget, Workers: 1,
+		Strategy: fuzz.MuFuzz(), Seed: experiments.GateSeed, Iterations: experiments.GateBudget,
 	}).Run()
 	if !on.BugClasses[oracle.BugClass("US")] {
 		t.Errorf("magic gate not cracked with comparison feedback on (classes %v)", on.BugClasses)
@@ -143,7 +143,7 @@ func TestMagicGateCmpFeedback(t *testing.T) {
 		t.Fatal(err)
 	}
 	offRes := fuzz.NewTargetCampaign(offTgt, fuzz.Options{
-		Strategy: off, Seed: experiments.GateSeed, Iterations: experiments.GateBudget, Workers: 1,
+		Strategy: off, Seed: experiments.GateSeed, Iterations: experiments.GateBudget,
 	}).Run()
 	if offRes.BugClasses[oracle.BugClass("US")] {
 		t.Error("magic gate cracked with the feedback off — the fixture no longer separates the ablation")

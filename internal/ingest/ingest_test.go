@@ -261,7 +261,6 @@ func TestIngestCampaignSourceFree(t *testing.T) {
 		Strategy:   fuzz.MuFuzz(),
 		Seed:       1,
 		Iterations: 3000,
-		Workers:    1,
 	}).Run()
 	if res.CoveredEdges == 0 {
 		t.Fatal("source-free campaign covered nothing")
@@ -281,7 +280,7 @@ func TestIngestCampaignSourceFree(t *testing.T) {
 func TestIngestSnapshotResume(t *testing.T) {
 	_, tgt := loadCompiled(t, corpus.Crowdsale())
 	c := fuzz.NewTargetCampaign(tgt, fuzz.Options{
-		Strategy: fuzz.MuFuzz(), Seed: 3, Iterations: 400, Workers: 1,
+		Strategy: fuzz.MuFuzz(), Seed: 3, Iterations: 400,
 	})
 	c.Run()
 	snap := c.Snapshot()

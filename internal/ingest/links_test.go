@@ -86,7 +86,7 @@ func TestLinkedAddressesOrdersWorld(t *testing.T) {
 	}
 
 	c := fuzz.NewTargetCampaign(primary, fuzz.Options{
-		Strategy: fuzz.MuFuzz(), Seed: 1, Iterations: 1, Workers: 1,
+		Strategy: fuzz.MuFuzz(), Seed: 1, Iterations: 1,
 		World: &fuzz.WorldOptions{Members: []fuzz.WorldMember{
 			{Name: "router", Target: routerTgt}, // declared first, links vault
 			{Name: "vault", Target: vaultTgt, Addr: vaultAddr},

@@ -42,9 +42,6 @@ type Config struct {
 	// Slots is the number of campaign slices allowed to run concurrently —
 	// the bounded executor pool. Default 1.
 	Slots int
-	// Workers is the default Options.Workers of submitted campaigns (each
-	// campaign may override it in its spec). Default 1.
-	Workers int
 	// DefaultIterations is the campaign budget when a spec omits one.
 	// Default 20000.
 	DefaultIterations int
@@ -65,9 +62,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Slots == 0 {
 		c.Slots = 1
-	}
-	if c.Workers == 0 {
-		c.Workers = 1
 	}
 	if c.DefaultIterations == 0 {
 		c.DefaultIterations = 20000
@@ -109,7 +103,10 @@ type CampaignSpec struct {
 	Seed int64 `json:"seed,omitempty"`
 	// Iterations is the execution budget; default Config.DefaultIterations.
 	Iterations int `json:"iterations,omitempty"`
-	// Workers overrides the service default executor fan-out per slice.
+	// Workers is ignored: each campaign runs on one goroutine.
+	//
+	// Deprecated: kept because the benchmark harness in bench/ and existing
+	// clients still send the "workers" field.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -364,10 +361,13 @@ func ResolveWorld(spec CampaignSpec, primary fuzz.Target) (*fuzz.WorldOptions, s
 	return w, bucket, nil
 }
 
-// SpecOptions maps a spec to engine options, filling omitted fields from the
-// given instance defaults. Exported for the fleet subsystem: coordinator and
+// SpecOptions maps a spec to engine options, filling an omitted budget from
+// defaultIterations. Exported for the fleet subsystem: coordinator and
 // workers derive campaign options from the spec through this one function, so
 // a leased slice runs under exactly the options the coordinator scheduled.
+//
+// Deprecated: defaultWorkers is ignored, like CampaignSpec.Workers; the
+// parameter stays only because the benchmark harness in bench/ passes it.
 func SpecOptions(spec CampaignSpec, defaultIterations, defaultWorkers int) (fuzz.Options, error) {
 	strat, ok := fuzz.PresetByName(spec.Strategy)
 	if !ok {
@@ -381,16 +381,12 @@ func SpecOptions(spec CampaignSpec, defaultIterations, defaultWorkers int) (fuzz
 	if iters == 0 {
 		iters = defaultIterations
 	}
-	workers := spec.Workers
-	if workers == 0 {
-		workers = defaultWorkers
-	}
-	return fuzz.Options{Strategy: strat, Seed: seed, Iterations: iters, Workers: workers}, nil
+	return fuzz.Options{Strategy: strat, Seed: seed, Iterations: iters}, nil
 }
 
 // options maps a spec to engine options under this service's defaults.
 func (s *Service) options(spec CampaignSpec) (fuzz.Options, error) {
-	return SpecOptions(spec, s.cfg.DefaultIterations, s.cfg.Workers)
+	return SpecOptions(spec, s.cfg.DefaultIterations, 0)
 }
 
 // Submit resolves and enqueues a new campaign.

@@ -20,7 +20,7 @@ func TestRunSliceAllocGate(t *testing.T) {
 	bank := loadFixture(t, "bank-reentrant")
 	token := loadFixture(t, "erc20")
 	c := fuzz.NewTargetCampaign(bank, fuzz.Options{
-		Strategy: fuzz.MuFuzz(), Seed: 1, Iterations: 1_000_000, Workers: 1,
+		Strategy: fuzz.MuFuzz(), Seed: 1, Iterations: 1_000_000,
 		World: &fuzz.WorldOptions{
 			Members:  []fuzz.WorldMember{{Name: "token", Target: token}},
 			Attacker: NewModel(bank.Methods()),

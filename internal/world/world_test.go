@@ -51,7 +51,7 @@ func TestWorldSeparationBankReentrant(t *testing.T) {
 	plainTgt := loadFixture(t, "bank-reentrant")
 	plain := fuzz.NewTargetCampaign(plainTgt, fuzz.Options{
 		Strategy: fuzz.MuFuzz(), Seed: experiments.WorldGateSeed,
-		Iterations: experiments.WorldGateBudget, Workers: 1,
+		Iterations: experiments.WorldGateBudget,
 	}).Run()
 	if len(plain.Findings) != 0 {
 		t.Fatalf("single-contract engine flagged the bank: %v — the fixture no longer separates", plain.BugClasses)
@@ -60,8 +60,8 @@ func TestWorldSeparationBankReentrant(t *testing.T) {
 	worldTgt := loadFixture(t, "bank-reentrant")
 	c := fuzz.NewTargetCampaign(worldTgt, fuzz.Options{
 		Strategy: fuzz.MuFuzz(), Seed: experiments.WorldGateSeed,
-		Iterations: experiments.WorldGateBudget, Workers: 1,
-		World: &fuzz.WorldOptions{Attacker: NewModel(worldTgt.Methods())},
+		Iterations: experiments.WorldGateBudget,
+		World:      &fuzz.WorldOptions{Attacker: NewModel(worldTgt.Methods())},
 	})
 	res := c.Run()
 	if !res.BugClasses[oracle.RE] {
@@ -94,8 +94,8 @@ func TestWitnessedUDProxyDelegate(t *testing.T) {
 	tgt := loadFixture(t, "proxy-delegate")
 	res := fuzz.NewTargetCampaign(tgt, fuzz.Options{
 		Strategy: fuzz.MuFuzz(), Seed: experiments.WorldGateSeed,
-		Iterations: experiments.WorldGateBudget, Workers: 1,
-		World: &fuzz.WorldOptions{Attacker: NewModel(tgt.Methods())},
+		Iterations: experiments.WorldGateBudget,
+		World:      &fuzz.WorldOptions{Attacker: NewModel(tgt.Methods())},
 	}).Run()
 	if !res.BugClasses[oracle.UD] {
 		t.Fatalf("witnessed UD not found on proxy (classes %v)", res.BugClasses)
@@ -111,7 +111,7 @@ func TestEmptyWorldIsPlainCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := fuzz.Options{Strategy: fuzz.MuFuzz(), Seed: 42, Iterations: 600, Workers: 1}
+	opts := fuzz.Options{Strategy: fuzz.MuFuzz(), Seed: 42, Iterations: 600}
 	plainC := fuzz.NewCampaign(comp, opts)
 	plain := plainC.Run()
 
@@ -139,7 +139,7 @@ func TestMultiContractCampaign(t *testing.T) {
 	bank := loadFixture(t, "bank-reentrant")
 	token := loadFixture(t, "erc20")
 	c := fuzz.NewTargetCampaign(bank, fuzz.Options{
-		Strategy: fuzz.MuFuzz(), Seed: 1, Iterations: 800, Workers: 1, MaxSeqLen: 12,
+		Strategy: fuzz.MuFuzz(), Seed: 1, Iterations: 800, MaxSeqLen: 12,
 		World: &fuzz.WorldOptions{
 			Members: []fuzz.WorldMember{{Name: "token", Target: token}},
 		},
@@ -172,7 +172,7 @@ func TestMultiContractCampaign(t *testing.T) {
 func TestWorldSnapshotAttackerResume(t *testing.T) {
 	tgt := loadFixture(t, "bank-reentrant")
 	world := func() *fuzz.WorldOptions { return &fuzz.WorldOptions{Attacker: NewModel(tgt.Methods())} }
-	opts := fuzz.Options{Strategy: fuzz.MuFuzz(), Seed: 3, Iterations: 1200, Workers: 1, World: world()}
+	opts := fuzz.Options{Strategy: fuzz.MuFuzz(), Seed: 3, Iterations: 1200, World: world()}
 
 	fullOpts := opts
 	fullOpts.World = world()

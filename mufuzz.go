@@ -17,14 +17,10 @@
 // the paper's tables live in internal/corpus and internal/experiments
 // (reachable through the cmd/benchtab and cmd/corpusgen binaries).
 //
-// The engine is a coordinator/executor architecture. Set Options.Workers to
-// fan each energy round's batch of mutated children across N executor
-// goroutines, each owning its own EVM, state copy, and trace buffer, with
-// outcomes merged deterministically on the coordinator: Workers 1 (the
-// default) is the sequential engine, reproducible across machines for a
-// fixed Seed; every Workers N > 1 runs the batched schedule, which depends
-// on Seed alone, so all widths above 1 give the same results; a negative
-// value uses all CPU cores.
+// A campaign runs on one goroutine and is reproducible across machines for
+// a fixed Seed. More cores run more campaigns: the campaign service
+// (cmd/mufuzzd) time-slices many over a pool of slots, and the fleet spreads
+// them across worker nodes. Options.Workers is ignored.
 package mufuzz
 
 import (
