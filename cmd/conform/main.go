@@ -12,15 +12,20 @@
 //	conform -mode gate [-iters 3000] [-seed 1]
 //	conform -mode strategies [-contracts a] [-iters 1000] [-seed 1]
 //	conform -mode record -contracts a -out a.transcript [-iters 400]
-//	conform -mode replay -in a.transcript
+//	conform -mode replay -in a.transcript [-spec spec.json]
 //	conform -mode fleet-ref -spec spec.json -out ref.transcript
 //
 // Mode fleet-ref records the single-node reference transcript of a fleet
-// campaign spec (a service CampaignSpec JSON file, canonicalized exactly
-// as the fleet coordinator canonicalizes submissions): the bytes a
-// coordinator's assembled transcript must equal no matter how many
-// workers the campaign migrated across. CI's fleet smoke hashes this
-// against the transcript of a campaign whose worker was killed mid-slice.
+// campaign spec (a service CampaignSpec JSON file, resolved exactly as the
+// fleet coordinator resolves submissions): the bytes a coordinator's
+// assembled transcript must equal no matter how many workers the campaign
+// migrated across. CI's fleet smoke compares this with the transcript of a
+// campaign whose worker was killed mid-slice, and replays it.
+//
+// Mode replay re-runs a transcript and checks the re-recording byte for
+// byte. Its contract line names a registry contract, or, with -spec, the
+// campaign the spec resolves to (the target's name unless the spec names
+// it): the spec supplies the target and world, the transcript the options.
 //
 // Contract names come from the corpus: "crowdsale", "crowdsale-buggy",
 // "game", or any labelled suite name (run `-mode list` to enumerate).
@@ -77,7 +82,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "campaign seed")
 		out       = flag.String("out", "", "transcript output path (modes record, fleet-ref)")
 		in        = flag.String("in", "", "transcript input path (mode replay)")
-		specPath  = flag.String("spec", "", "campaign spec JSON path (mode fleet-ref)")
+		specPath  = flag.String("spec", "", "campaign spec JSON path (modes fleet-ref, replay)")
 		fixtures  = flag.String("fixtures", "fixtures", "ingest fixture dir for the world pair (mode diff)")
 	)
 	flag.Parse()
@@ -184,8 +189,16 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		comp := compile(want.Contract)
-		run, d := conformance.ReplayCheck(comp, want)
+		// Without -spec the contract line names a registry contract.
+		var r *service.Resolved
+		if *specPath == "" {
+			r = &service.Resolved{Target: fuzz.MinisolTarget(compile(want.Contract))}
+		} else if r, err = service.Resolve(readSpec(*specPath), coordinatorIterations); err != nil {
+			fatal(fmt.Errorf("spec %s: %w", *specPath, err))
+		} else if r.Name != want.Contract {
+			fatal(fmt.Errorf("transcript records contract %q, spec %s resolves to %q", want.Contract, *specPath, r.Name))
+		}
+		run, d := conformance.ReplayCheck(r.Target, r.World, want)
 		if d != nil {
 			fmt.Fprintf(os.Stderr, "conform: replay DIVERGED: %s\n", d)
 			os.Exit(1)
@@ -201,17 +214,8 @@ func main() {
 		if *specPath == "" || *out == "" {
 			fatal(fmt.Errorf("mode fleet-ref needs -spec and -out"))
 		}
-		data, err := os.ReadFile(*specPath)
-		if err != nil {
-			fatal(err)
-		}
-		var spec service.CampaignSpec
-		if err := json.Unmarshal(data, &spec); err != nil {
-			fatal(fmt.Errorf("bad spec %s: %w", *specPath, err))
-		}
-		// Defaults mirror the coordinator's (20000 iterations, 1 worker);
-		// specs that pin both fields — as CI's do — are default-free.
-		run, err := fleet.ReferenceTranscript(spec, 20000, 0)
+		// Specs that pin iterations, as CI's do, are default-free.
+		run, err := fleet.ReferenceTranscript(readSpec(*specPath), coordinatorIterations, 0)
 		if err != nil {
 			fatal(err)
 		}
@@ -264,6 +268,22 @@ func worldPairs(dir string, seed int64, iters int) ([]conformance.PairResult, bo
 		}
 	}
 	return conformance.WorldDifferentialMatrix("bank-reentrant", mk, baseOptions(seed, iters)), true
+}
+
+// coordinatorIterations is the fleet coordinator's default budget.
+const coordinatorIterations = 20000
+
+// readSpec reads a campaign spec JSON file.
+func readSpec(path string) service.CampaignSpec {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		fatal(err)
+	}
+	var spec service.CampaignSpec
+	if err := json.Unmarshal(data, &spec); err != nil {
+		fatal(fmt.Errorf("bad spec %s: %w", path, err))
+	}
+	return spec
 }
 
 func baseOptions(seed int64, iters int) fuzz.Options {

@@ -54,6 +54,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -68,6 +69,7 @@ import (
 	"mufuzz/internal/ingest"
 	"mufuzz/internal/minisol"
 	"mufuzz/internal/report"
+	"mufuzz/internal/service"
 	"mufuzz/internal/state"
 	"mufuzz/internal/store"
 	"mufuzz/internal/world"
@@ -221,7 +223,9 @@ func run() int {
 	}
 
 	if st != nil {
-		if n := importSeeds(campaign, st, bucket); n > 0 {
+		// A fresh ledger offers the bucket's whole shared corpus.
+		offers := new(service.SeedLedger).Offers(st, bucket, math.MaxInt)
+		if n, _ := service.InjectSeeds(campaign, offers); n > 0 {
 			fmt.Printf("imported %d shared corpus seed(s) from %s\n", n, *corpusDir)
 		}
 	}
@@ -235,7 +239,9 @@ func run() int {
 	stop()
 
 	if st != nil {
-		if n := exportSeeds(campaign, st, bucket); n > 0 {
+		// The whole queue, addressed by the coverage fingerprint of a
+		// detached replay.
+		if n := new(service.SeedLedger).Share(st, bucket, service.NewSeeds(campaign, nil)); n > 0 {
 			fmt.Printf("exported %d new corpus seed(s) to %s\n", n, *corpusDir)
 		}
 	}
@@ -300,34 +306,6 @@ func run() int {
 		return 2 // CI-friendly: a finding is a red build
 	}
 	return 0
-}
-
-// importSeeds injects the store's shared corpus for this contract.
-func importSeeds(c *fuzz.Campaign, st *store.Store, contract string) int {
-	entries, err := st.Seeds(contract)
-	if err != nil {
-		return 0
-	}
-	var seqs []fuzz.Sequence
-	for _, e := range entries {
-		if seq, err := fuzz.DecodeSequence(e.Payload); err == nil {
-			seqs = append(seqs, seq)
-		}
-	}
-	return c.InjectSequences(seqs)
-}
-
-// exportSeeds writes the campaign's queue to the store, deduplicated by the
-// coverage fingerprint of a detached replay.
-func exportSeeds(c *fuzz.Campaign, st *store.Store, contract string) int {
-	n := 0
-	for _, seq := range c.QueueSequences() {
-		fp := store.Fingerprint(c.ReplayCoverageEdges(seq))
-		if wrote, err := st.PutSeed(contract, fp, fuzz.EncodeSequence(seq)); err == nil && wrote {
-			n++
-		}
-	}
-	return n
 }
 
 // loadBytecodeTarget ingests one bytecode + ABI file pair.

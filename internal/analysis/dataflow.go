@@ -21,13 +21,6 @@ func (s VarSet) Add(names ...string) {
 	}
 }
 
-// Union merges o into s.
-func (s VarSet) Union(o VarSet) {
-	for n := range o {
-		s[n] = true
-	}
-}
-
 // Intersects reports whether the sets share an element.
 func (s VarSet) Intersects(o VarSet) bool {
 	for n := range o {

@@ -101,12 +101,39 @@ func TestDecodeRejectsNegativeSender(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsNonFixedParams pins that a transcript's options line
+// must carry the engine's fixed parameters (maxseq=8 gas=2000000 energy=16
+// initseeds=4): a transcript recorded under any other value cannot replay,
+// so Decode refuses it and names the field.
+func TestDecodeRejectsNonFixedParams(t *testing.T) {
+	comp, err := minisol.Compile(corpus.Crowdsale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := RecordCampaign("crowdsale", comp, baseOptions(3, 40)).Transcript.EncodeBytes()
+	for _, edit := range []struct{ from, to string }{
+		{" maxseq=8 ", " maxseq=12 "},
+		{" gas=2000000 ", " gas=30000000 "},
+		{" energy=16 ", " energy=1000000 "},
+		{" initseeds=4 ", " initseeds=0 "},
+	} {
+		bad := bytes.Replace(enc, []byte(edit.from), []byte(edit.to), 1)
+		if bytes.Equal(bad, enc) {
+			t.Fatalf("transcript carries no %q", edit.from)
+		}
+		field := strings.TrimSpace(edit.to)
+		if _, err := Decode(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("transcript with %s decoded: err = %v", field, err)
+		}
+	}
+}
+
 // TestRecordedReplayByteIdentical is the record/replay pin: replaying a full
 // campaign's transcript through the engine must reproduce it byte for byte.
 func TestRecordedReplayByteIdentical(t *testing.T) {
 	for name, comp := range diffContracts(t) {
 		run := RecordCampaign(name, comp, baseOptions(1, 250))
-		replayed, d := ReplayCheck(comp, run.Transcript)
+		replayed, d := ReplayCheck(fuzz.MinisolTarget(comp), nil, run.Transcript)
 		if d != nil {
 			t.Errorf("%s: replay diverged: %s", name, d)
 		}
@@ -162,7 +189,7 @@ func TestCmpFeedbackAblationConformance(t *testing.T) {
 		opts := baseOptions(9, 200)
 		opts.Strategy = s
 		run := RecordCampaign(name, comp, opts)
-		if _, d := ReplayCheck(comp, run.Transcript); d != nil {
+		if _, d := ReplayCheck(fuzz.MinisolTarget(comp), nil, run.Transcript); d != nil {
 			t.Errorf("%s: ablation transcript does not replay: %v", name, d)
 		}
 		for _, r := range DifferentialMatrix(name, comp, opts) {

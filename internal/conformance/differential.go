@@ -18,7 +18,8 @@ import (
 // record matches. Class-level differences additionally carry minimized
 // proof-of-concept sequences (see MinimizePoCs).
 type Divergence struct {
-	// Kind is "record" or "final".
+	// Kind is "record", "final", or "world" (ReplayCheck was handed a
+	// world of another shape than the recording's).
 	Kind string
 	// Index is the first divergent record's execution index (Kind "record");
 	// 0 for final-summary divergences. When one transcript simply has more

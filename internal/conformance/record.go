@@ -144,34 +144,19 @@ func Summarize(c *fuzz.Campaign, res *fuzz.Result) Summary {
 }
 
 // callOrder renders a sequence as its function call order.
-func callOrder(seq fuzz.Sequence) string {
-	names := make([]string, len(seq))
-	for i, tx := range seq {
-		names[i] = tx.Func
-	}
-	return strings.Join(names, ">")
-}
+func callOrder(seq fuzz.Sequence) string { return strings.Join(seq.Funcs(), ">") }
 
-// ReplayCheck re-runs a recorded campaign from its options and compares the
-// fresh transcript byte for byte against the recording. A nil Divergence
-// means the replay reproduced the campaign exactly — every seed pick, every
-// executed sequence, every coverage delta, every oracle report.
-func ReplayCheck(comp *minisol.Compiled, want *Transcript) (*Run, *Divergence) {
-	if want.Options.World != "" {
-		panic("conformance: world transcripts replay through ReplayWorldCheck (the live members and attacker model must be resupplied)")
-	}
-	opts := optionsFrom(want.Options)
-	run := RecordCampaign(want.Contract, comp, opts)
-	return run, Diff(want, run.Transcript)
-}
-
-// ReplayWorldCheck is ReplayCheck for multi-contract world campaigns. The
-// transcript's world token only pins the world's shape; the caller
-// resupplies the live member targets and attacker model, which must match
-// the recording's (the token is cross-checked).
-func ReplayWorldCheck(target fuzz.Target, w *fuzz.WorldOptions, want *Transcript) (*Run, *Divergence) {
+// ReplayCheck re-runs a recorded campaign from its options on target, in
+// world w (nil for a plain campaign), and compares the fresh transcript byte
+// for byte against the recording. A nil Divergence means the replay
+// reproduced the campaign exactly — every seed pick, every executed
+// sequence, every coverage delta, every oracle report. The transcript's
+// world token only pins the world's shape, so the caller resupplies the live
+// members and attacker model; a world whose token differs from the
+// recording's is reported as a "world" divergence without replaying.
+func ReplayCheck(target fuzz.Target, w *fuzz.WorldOptions, want *Transcript) (*Run, *Divergence) {
 	if got := worldToken(w); got != want.Options.World {
-		panic(fmt.Sprintf("conformance: supplied world %q does not match transcript world %q", got, want.Options.World))
+		return nil, &Divergence{Kind: "world", A: fmt.Sprintf("world=%q", want.Options.World), B: fmt.Sprintf("world=%q", got)}
 	}
 	opts := optionsFrom(want.Options)
 	opts.World = w
@@ -186,10 +171,6 @@ func optionsFrom(o OptionsSummary) fuzz.Options {
 		Strategy:      StrategyByName(o.Strategy),
 		Seed:          o.Seed,
 		Iterations:    o.Iterations,
-		MaxSeqLen:     o.MaxSeqLen,
-		GasPerTx:      o.GasPerTx,
-		EnergyBase:    o.EnergyBase,
-		InitialSeeds:  o.InitialSeeds,
 		NoPrefixCache: o.NoPrefixCache,
 	}
 }

@@ -42,7 +42,7 @@ func TestTargetAdapterConformance(t *testing.T) {
 				t.Fatalf("adapter transcript diverged from classic entry point: %v", d)
 			}
 
-			if _, d := ReplayCheck(comp, adapter.Transcript); d != nil {
+			if _, d := ReplayCheck(fuzz.MinisolTarget(comp), nil, adapter.Transcript); d != nil {
 				t.Fatalf("adapter transcript does not replay: %v", d)
 			}
 

@@ -54,10 +54,6 @@ type OptionsSummary struct {
 	Strategy      string
 	Seed          int64
 	Iterations    int
-	MaxSeqLen     int
-	GasPerTx      uint64
-	EnergyBase    int
-	InitialSeeds  int
 	NoPrefixCache bool
 	// World summarizes a multi-contract world ("member,member;attacker"),
 	// empty for single-contract campaigns. The live member targets and
@@ -103,10 +99,6 @@ func SummarizeOptions(o fuzz.Options) OptionsSummary {
 		Strategy:      o.Strategy.Name,
 		Seed:          o.Seed,
 		Iterations:    o.Iterations,
-		MaxSeqLen:     o.MaxSeqLen,
-		GasPerTx:      o.GasPerTx,
-		EnergyBase:    o.EnergyBase,
-		InitialSeeds:  o.InitialSeeds,
 		NoPrefixCache: o.NoPrefixCache,
 		World:         worldToken(o.World),
 	}
@@ -169,10 +161,11 @@ func encodeHeader(bw *bufio.Writer, version int, contract string, o OptionsSumma
 	fmt.Fprintf(bw, "contract %s\n", contract)
 	// workers=, batched= and copystate= name retired engine options; they
 	// stay in the line, always 1, 0 and 0, so committed transcripts and their
-	// hashes are unchanged.
+	// hashes are unchanged. maxseq=, gas=, energy= and initseeds= print the
+	// engine's fixed parameters.
 	fmt.Fprintf(bw, "options strategy=%q seed=%d iters=%d maxseq=%d gas=%d energy=%d initseeds=%d workers=1 batched=0 copystate=0 nocache=%d",
-		o.Strategy, o.Seed, o.Iterations, o.MaxSeqLen, o.GasPerTx, o.EnergyBase,
-		o.InitialSeeds, boolBit(o.NoPrefixCache))
+		o.Strategy, o.Seed, o.Iterations, fuzz.MaxSeqLen, fuzz.GasPerTx, fuzz.EnergyBase,
+		fuzz.InitialSeeds, boolBit(o.NoPrefixCache))
 	if o.World != "" {
 		fmt.Fprintf(bw, " world=%q", o.World)
 	}
@@ -295,11 +288,25 @@ func Decode(r io.Reader) (*Transcript, error) {
 	if !ok || !strings.HasPrefix(line, "options ") {
 		return nil, decodeErr(line, "missing options line")
 	}
+	var maxseq, energy, initseeds int
+	var gas int64
 	if _, err := fmt.Sscanf(line, "options strategy=%q seed=%d iters=%d maxseq=%d gas=%d energy=%d initseeds=%d workers=%d batched=%d copystate=%d nocache=%d",
-		&t.Options.Strategy, &t.Options.Seed, &t.Options.Iterations, &t.Options.MaxSeqLen,
-		&t.Options.GasPerTx, &t.Options.EnergyBase, &t.Options.InitialSeeds,
+		&t.Options.Strategy, &t.Options.Seed, &t.Options.Iterations, &maxseq, &gas, &energy, &initseeds,
 		new(int), new(int), new(int), new(int)); err != nil {
 		return nil, decodeErr(line, "bad options: %v", err)
+	}
+	// A transcript recorded under any other value of the engine's fixed
+	// parameters cannot replay on this engine.
+	for _, f := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"maxseq", int64(maxseq), fuzz.MaxSeqLen}, {"gas", gas, int64(fuzz.GasPerTx)},
+		{"energy", int64(energy), fuzz.EnergyBase}, {"initseeds", int64(initseeds), fuzz.InitialSeeds},
+	} {
+		if f.got != f.want {
+			return nil, decodeErr(line, "%s=%d, want %d", f.name, f.got, f.want)
+		}
 	}
 	// Sscanf cannot target bools through %d; re-extract the nocache flag and
 	// the optional trailing world token (member names carry no whitespace, so

@@ -95,12 +95,16 @@ func TestWorldTranscriptIdentity(t *testing.T) {
 		t.Fatalf("world token round trip: %q", dec.Options.World)
 	}
 
-	// ReplayWorldCheck re-derives the recording from the decoded transcript
+	// ReplayCheck re-derives the recording from the decoded transcript
 	// with a resupplied world.
 	tgt := loadFixtureTarget(t, "bank-reentrant")
-	_, d := ReplayWorldCheck(tgt, &fuzz.WorldOptions{Attacker: world.NewModel(tgt.Methods())}, dec)
+	_, d := ReplayCheck(tgt, &fuzz.WorldOptions{Attacker: world.NewModel(tgt.Methods())}, dec)
 	if d != nil {
 		t.Fatalf("world replay diverged: %s", d)
+	}
+	// Without the world the token cross-check refuses the replay.
+	if run, d := ReplayCheck(tgt, nil, dec); run != nil || d == nil || d.Kind != "world" {
+		t.Fatalf("plain replay of a world transcript: run %v, divergence %v", run != nil, d)
 	}
 }
 
@@ -110,7 +114,7 @@ func TestWorldTranscriptMemberToken(t *testing.T) {
 	bank := loadFixtureTarget(t, "bank-reentrant")
 	token := loadFixtureTarget(t, "erc20")
 	o := fuzz.Options{
-		Strategy: fuzz.MuFuzz(), Seed: 1, Iterations: 400, MaxSeqLen: 12,
+		Strategy: fuzz.MuFuzz(), Seed: 1, Iterations: 400,
 		World: &fuzz.WorldOptions{Members: []fuzz.WorldMember{{Name: "token", Target: token}}},
 	}
 	run := RecordTargetCampaign("world-members", bank, o)

@@ -269,8 +269,3 @@ type BranchKey struct {
 func (b BranchEvent) Key() BranchKey {
 	return BranchKey{Addr: b.Addr, PC: b.PC, Taken: b.Taken}
 }
-
-// Opposite returns the coverage key of the direction not taken.
-func (b BranchEvent) Opposite() BranchKey {
-	return BranchKey{Addr: b.Addr, PC: b.PC, Taken: !b.Taken}
-}

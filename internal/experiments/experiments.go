@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 
 	"mufuzz/internal/corpus"
@@ -607,14 +606,4 @@ func PrintDatasets(w io.Writer, stats []DatasetStats) {
 	for _, s := range stats {
 		fmt.Fprintf(w, "  %-26s %10d %9dB %8.1f %8d\n", s.Name, s.Contracts, s.AvgCode, s.AvgFuncs, s.Labels)
 	}
-}
-
-// SortClasses returns bug classes sorted for stable output.
-func SortClasses(m map[oracle.BugClass]bool) []oracle.BugClass {
-	var out []oracle.BugClass
-	for c := range m {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -28,26 +28,25 @@ type Client struct {
 	base string
 	http *http.Client
 
-	// Retry policy; zero values take defaults.
-	MaxAttempts int           // per call, default 5
-	BaseBackoff time.Duration // first retry delay, default 200ms
-	MaxBackoff  time.Duration // backoff cap, default 5s
-
 	mu  sync.Mutex
 	rng *rand.Rand
 }
+
+// The client's retry policy.
+const (
+	maxAttempts = 5                      // per call
+	baseBackoff = 200 * time.Millisecond // first retry delay
+	maxBackoff  = 5 * time.Second        // backoff cap
+)
 
 // NewClient creates a client for the coordinator at base (e.g.
 // "http://127.0.0.1:8700"). Seed feeds the backoff jitter source only —
 // it never influences fuzzing.
 func NewClient(base string, seed int64) *Client {
 	return &Client{
-		base:        strings.TrimRight(base, "/"),
-		http:        &http.Client{Timeout: 30 * time.Second},
-		MaxAttempts: 5,
-		BaseBackoff: 200 * time.Millisecond,
-		MaxBackoff:  5 * time.Second,
-		rng:         rand.New(rand.NewSource(seed)),
+		base: strings.TrimRight(base, "/"),
+		http: &http.Client{Timeout: 30 * time.Second},
+		rng:  rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -62,12 +61,12 @@ func (c *Client) jitter(d time.Duration) time.Duration {
 }
 
 // backoff computes the delay before retry attempt n (0-based): exponential
-// from BaseBackoff, capped at MaxBackoff, plus up to 50% jitter so a fleet
+// from baseBackoff, capped at maxBackoff, plus up to 50% jitter so a fleet
 // of workers retrying the same outage does not stampede.
 func (c *Client) backoff(attempt int) time.Duration {
-	d := c.BaseBackoff << attempt
-	if d > c.MaxBackoff || d <= 0 {
-		d = c.MaxBackoff
+	d := baseBackoff << attempt
+	if d > maxBackoff || d <= 0 {
+		d = maxBackoff
 	}
 	return d + c.jitter(d/2)
 }
@@ -115,11 +114,7 @@ func IsBusy(err error) bool {
 // a nil out discards the response body. 204 responses (e.g. lease polls
 // with no work) return errEmpty for the caller to interpret.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	attempts := c.MaxAttempts
-	if attempts <= 0 {
-		attempts = 1
-	}
-	return c.doN(ctx, attempts, method, path, in, out)
+	return c.doN(ctx, maxAttempts, method, path, in, out)
 }
 
 // doN is do with an explicit attempt budget.
@@ -203,7 +198,9 @@ func (c *Client) handle(resp *http.Response, out any) (bool, error) {
 
 // readErr extracts the error envelope's message (best effort).
 func readErr(resp *http.Response) string {
-	var eb errorBody
+	var eb struct {
+		Error string `json:"error"`
+	}
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb); err == nil && eb.Error != "" {
 		return eb.Error
 	}
@@ -267,17 +264,10 @@ func (c *Client) Complete(ctx context.Context, leaseID string, req CompleteReque
 }
 
 // SyncSeeds pushes pollination seeds into a bucket (idempotent).
-func (c *Client) SyncSeeds(ctx context.Context, bucket string, seeds []SeedObject) (int, error) {
+func (c *Client) SyncSeeds(ctx context.Context, bucket string, seeds []service.SeedObject) (int, error) {
 	var resp SyncResponse
 	err := c.do(ctx, http.MethodPost, "/v1/fleet/seeds/"+bucket+"/sync", SyncRequest{Seeds: seeds}, &resp)
 	return resp.Stored, unwrapGiveUp(err)
-}
-
-// Statuses lists campaigns.
-func (c *Client) Statuses(ctx context.Context) ([]CampaignStatus, error) {
-	var out []CampaignStatus
-	err := c.do(ctx, http.MethodGet, "/v1/fleet/campaigns", nil, &out)
-	return out, unwrapGiveUp(err)
 }
 
 // Status fetches one campaign.

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mufuzz/internal/conformance"
-	"mufuzz/internal/fuzz"
 	"mufuzz/internal/service"
 	"mufuzz/internal/store"
 )
@@ -79,8 +78,10 @@ type campaign struct {
 	bucket string
 	spec   service.CampaignSpec // canonicalized at submit
 	// record is whether this campaign carries a conformance transcript
-	// (off for NoTranscript submissions).
+	// (off for NoTranscript submissions); opts is the transcript's options
+	// line, resolved once at submit.
 	record bool
+	opts   conformance.OptionsSummary
 
 	state string
 	seq   int // next slice number
@@ -101,11 +102,9 @@ type campaign struct {
 	lastLeaseID string
 	lastResp    CompleteResponse
 
-	// imported/exported track pollination fingerprints this campaign has
-	// consumed or produced, so lease imports never echo a campaign's own
-	// seeds back at it.
-	imported map[string]bool
-	exported map[string]bool
+	// seeds tracks the pollination fingerprints this campaign consumed or
+	// produced.
+	seeds service.SeedLedger
 
 	status     CampaignStatus
 	findings   []service.Finding
@@ -158,28 +157,13 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 // by the caller).
 func (co *Coordinator) Ready() (bool, string) { return true, "" }
 
-// RetryAfter returns the configured client back-off hint.
-func (co *Coordinator) RetryAfter() time.Duration { return co.cfg.RetryAfter }
-
 // Submit canonicalizes, validates, and enqueues one campaign. A tenant
 // over its active-campaign budget gets errBusy (mapped to 429 upstream).
 func (co *Coordinator) Submit(req SubmitRequest) (CampaignStatus, error) {
-	spec, err := CanonicalizeSpec(req.Spec, co.cfg.DefaultIterations)
-	if err != nil {
-		return CampaignStatus{}, err
-	}
 	// Resolve eagerly so a bad spec fails at submit, not on a worker.
-	target, err := service.ResolveTarget(spec)
+	r, err := service.Resolve(req.Spec, co.cfg.DefaultIterations)
 	if err != nil {
 		return CampaignStatus{}, err
-	}
-	_, bucket, err := service.ResolveWorld(spec, target)
-	if err != nil {
-		return CampaignStatus{}, err
-	}
-	name := spec.Name
-	if name == "" {
-		name = target.Name()
 	}
 
 	co.mu.Lock()
@@ -190,18 +174,20 @@ func (co *Coordinator) Submit(req SubmitRequest) (CampaignStatus, error) {
 	co.nextID++
 	id := fmt.Sprintf("f%04d", co.nextID)
 	c := &campaign{
-		id:       id,
-		tenant:   req.Tenant,
-		bucket:   bucket,
-		spec:     spec,
-		record:   !req.NoTranscript,
-		state:    stateQueued,
-		imported: make(map[string]bool),
-		exported: make(map[string]bool),
+		id:     id,
+		tenant: req.Tenant,
+		bucket: r.Bucket,
+		spec:   r.Spec,
+		record: !req.NoTranscript,
+		opts:   conformance.SummarizeOptions(r.Options.Normalized()),
+		state:  stateQueued,
 	}
 	c.status = CampaignStatus{
-		ID: id, Tenant: req.Tenant, Name: name, Contract: bucket,
-		State: stateQueued, Iterations: spec.Iterations,
+		Status: service.Status{
+			ID: id, Name: r.Name, Contract: r.Bucket,
+			State: stateQueued, Iterations: r.Spec.Iterations,
+		},
+		Tenant: req.Tenant,
 	}
 	co.campaigns[id] = c
 	co.order = append(co.order, id)
@@ -308,7 +294,7 @@ func (co *Coordinator) Acquire(req LeaseRequest) (*Lease, error) {
 		Rounds:     co.cfg.Rounds,
 		TTLMillis:  co.cfg.LeaseTTL.Milliseconds(),
 		Bucket:     best.bucket,
-		Imports:    co.leaseImportsLocked(best),
+		Imports:    best.seeds.Offers(co.cfg.Store, best.bucket, importPerLease),
 		Pollinate:  co.cfg.Store != nil,
 		Record:     best.record,
 	}
@@ -320,29 +306,6 @@ func (co *Coordinator) Acquire(req LeaseRequest) (*Lease, error) {
 		out.SnapshotElided = true
 	}
 	return out, nil
-}
-
-// leaseImportsLocked picks pollination seeds for a lease: store seeds of
-// the campaign's bucket the campaign has neither produced nor consumed.
-func (co *Coordinator) leaseImportsLocked(c *campaign) []SeedObject {
-	if co.cfg.Store == nil {
-		return nil
-	}
-	entries, err := co.cfg.Store.Seeds(c.bucket)
-	if err != nil {
-		return nil
-	}
-	var out []SeedObject
-	for _, e := range entries {
-		if len(out) >= importPerLease {
-			break
-		}
-		if c.imported[e.Name] || c.exported[e.Name] {
-			continue
-		}
-		out = append(out, SeedObject{Fingerprint: e.Name, Payload: e.Payload})
-	}
-	return out
 }
 
 // Heartbeat extends a lease's TTL. Unknown leases (expired, committed, or
@@ -367,7 +330,20 @@ func (co *Coordinator) Heartbeat(leaseID string) (time.Duration, bool) {
 func (co *Coordinator) Complete(leaseID string, req CompleteRequest) (CompleteResponse, error) {
 	now := time.Now()
 	co.mu.Lock()
-	defer co.mu.Unlock()
+	resp, done, err := co.completeLocked(now, leaseID, req)
+	co.mu.Unlock()
+	// The finished transcript goes to the store only after co.mu is
+	// released, so no lease, heartbeat or commit waits for its fsync;
+	// Transcript serves it from memory meanwhile.
+	if done != nil && len(done.transcript) > 0 && co.cfg.Store != nil {
+		_ = co.cfg.Store.Put(store.KindTranscript, done.bucket, done.id, done.transcript)
+	}
+	return resp, err
+}
+
+// completeLocked applies one commit under co.mu. It returns the campaign
+// when this commit finished it.
+func (co *Coordinator) completeLocked(now time.Time, leaseID string, req CompleteRequest) (CompleteResponse, *campaign, error) {
 	co.expireLocked(now)
 
 	l, ok := co.leases[leaseID]
@@ -377,10 +353,10 @@ func (co *Coordinator) Complete(leaseID string, req CompleteRequest) (CompleteRe
 			if c.lastLeaseID == leaseID {
 				resp := c.lastResp
 				resp.Duplicate = true
-				return resp, nil
+				return resp, nil, nil
 			}
 		}
-		return CompleteResponse{}, errStale{fmt.Errorf("lease %s is not current (expired or never granted)", leaseID)}
+		return CompleteResponse{}, nil, errStale{fmt.Errorf("lease %s is not current (expired or never granted)", leaseID)}
 	}
 	c := co.campaigns[l.campaignID]
 
@@ -390,16 +366,16 @@ func (co *Coordinator) Complete(leaseID string, req CompleteRequest) (CompleteRe
 	// nothing downstream needs the parsed form.
 	chunk, err := conformance.ScanRecordChunk(req.Records)
 	if err != nil {
-		return CompleteResponse{}, fmt.Errorf("lease %s: bad record chunk: %w", leaseID, err)
+		return CompleteResponse{}, nil, fmt.Errorf("lease %s: bad record chunk: %w", leaseID, err)
 	}
 	if chunk.Count > 0 && chunk.First <= c.lastIndex {
-		return CompleteResponse{}, fmt.Errorf("lease %s: record chunk rewinds transcript (chunk starts at %d, committed through %d)", leaseID, chunk.First, c.lastIndex)
+		return CompleteResponse{}, nil, fmt.Errorf("lease %s: record chunk rewinds transcript (chunk starts at %d, committed through %d)", leaseID, chunk.First, c.lastIndex)
 	}
 	if !req.Done && len(req.Snapshot) == 0 {
-		return CompleteResponse{}, fmt.Errorf("lease %s: mid-campaign commit without snapshot", leaseID)
+		return CompleteResponse{}, nil, fmt.Errorf("lease %s: mid-campaign commit without snapshot", leaseID)
 	}
 	if req.Done && req.Final == nil {
-		return CompleteResponse{}, fmt.Errorf("lease %s: final commit without summary", leaseID)
+		return CompleteResponse{}, nil, fmt.Errorf("lease %s: final commit without summary", leaseID)
 	}
 
 	// Commit.
@@ -413,29 +389,18 @@ func (co *Coordinator) Complete(leaseID string, req CompleteRequest) (CompleteRe
 		c.chunks = append(c.chunks, req.Records)
 		c.lastIndex = chunk.Last
 	}
-	imported := 0
-	for _, fp := range req.Imported {
-		if !c.imported[fp] {
-			c.imported[fp] = true
-			imported++
-		}
-	}
-	exported := co.storeExportsLocked(c, req.Exports)
+	imported := c.seeds.Absorb(req.Imported)
+	exported := c.seeds.Share(co.cfg.Store, c.bucket, req.Exports)
 
 	st := &c.status
 	st.Slices++
-	st.Executions = req.Progress.Executions
-	st.Coverage = req.Progress.Coverage
-	st.CoveredEdges = req.Progress.CoveredEdges
-	st.TotalEdges = req.Progress.TotalEdges
-	st.SeedQueueLen = req.Progress.SeedQueueLen
-	st.Findings = req.Progress.Findings
-	st.Classes = req.Progress.Classes
+	st.Progress = req.Progress
 	st.SeedsImported += imported
 	st.SeedsExported += exported
 	st.Worker = ""
 
 	resp := CompleteResponse{Committed: true}
+	var done *campaign
 	if req.Done {
 		c.state = stateDone
 		st.State = stateDone
@@ -444,76 +409,38 @@ func (co *Coordinator) Complete(leaseID string, req CompleteRequest) (CompleteRe
 			co.assembleTranscriptLocked(c, req.Final)
 		}
 		resp.CampaignDone = true
+		done = c
 	} else {
 		c.state = stateQueued
 		st.State = stateQueued
 	}
 	c.lastLeaseID = leaseID
 	c.lastResp = resp
-	return resp, nil
+	return resp, done, nil
 }
 
 // errStale marks commits under a lapsed lease; the HTTP layer maps it to
 // 409 so the worker discards the slice instead of retrying.
 type errStale struct{ error }
 
-// storeExportsLocked persists a commit's seed exports. Exports are
-// content-addressed, so replays of the same commit store nothing new.
-func (co *Coordinator) storeExportsLocked(c *campaign, exports []SeedObject) int {
-	n := 0
-	for _, e := range exports {
-		if c.exported[e.Fingerprint] {
-			continue
-		}
-		c.exported[e.Fingerprint] = true
-		if co.cfg.Store == nil {
-			n++
-			continue
-		}
-		if wrote, err := co.cfg.Store.PutSeed(c.bucket, e.Fingerprint, e.Payload); err == nil && wrote {
-			n++
-		}
-	}
-	return n
-}
-
 // assembleTranscriptLocked builds the campaign's conformance transcript
 // from the committed record chain — the byte-identical-migration proof.
-// The options line is derived from the canonical spec exactly as a
-// single-node recording would derive it.
+// The options line is the one resolved at submit, exactly as a single-node
+// recording of the canonical spec derives it.
 func (co *Coordinator) assembleTranscriptLocked(c *campaign, final *conformance.Summary) {
-	opts, err := service.SpecOptions(c.spec, co.cfg.DefaultIterations, 0)
-	if err == nil {
-		// The options line carries the world token for multi-contract
-		// campaigns; re-resolve it the same way the workers did.
-		var target fuzz.Target
-		if target, err = service.ResolveTarget(c.spec); err == nil {
-			opts.World, _, err = service.ResolveWorld(c.spec, target)
-		}
-	}
-	if err != nil {
-		c.state = stateFailed
-		c.status.State = stateFailed
-		c.status.Error = fmt.Sprintf("assemble transcript: %v", err)
-		return
-	}
 	var buf bytes.Buffer
-	if err := conformance.EncodeAssembled(&buf, c.status.Name,
-		conformance.SummarizeOptions(opts.Normalized()), c.chunks, *final); err != nil {
+	if err := conformance.EncodeAssembled(&buf, c.status.Name, c.opts, c.chunks, *final); err != nil {
 		c.state = stateFailed
 		c.status.State = stateFailed
 		c.status.Error = fmt.Sprintf("assemble transcript: %v", err)
 		return
 	}
 	c.transcript = buf.Bytes()
-	if co.cfg.Store != nil {
-		_ = co.cfg.Store.Put(store.KindTranscript, c.bucket, c.id, c.transcript)
-	}
 }
 
 // SyncSeeds stores pushed seeds into a bucket — the idempotent cross-node
 // pollination entry point. Without a store it reports zero stored.
-func (co *Coordinator) SyncSeeds(bucket string, seeds []SeedObject) (int, error) {
+func (co *Coordinator) SyncSeeds(bucket string, seeds []service.SeedObject) (int, error) {
 	if co.cfg.Store == nil {
 		return 0, nil
 	}

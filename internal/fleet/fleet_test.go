@@ -37,13 +37,20 @@ func referenceTranscript(t *testing.T, spec service.CampaignSpec, defaultIters i
 // conformance transcript byte-identical to an uninterrupted single-node
 // run of the same spec.
 func TestFleetMigrationEquivalence(t *testing.T) {
-	const ttl = 80 * time.Millisecond
+	// The live workers hold a TTL no slice outlasts, even race-instrumented
+	// on a loaded host; only the doomed lease gets the short one.
+	const liveTTL, doomedTTL = 30 * time.Second, 80 * time.Millisecond
 	co := NewCoordinator(CoordinatorConfig{
 		Rounds:            4,
-		LeaseTTL:          ttl,
+		LeaseTTL:          liveTTL,
 		DefaultIterations: 2000,
 		RetryAfter:        time.Second,
 	})
+	setTTL := func(d time.Duration) {
+		co.mu.Lock()
+		co.cfg.LeaseTTL = d
+		co.mu.Unlock()
+	}
 	srv := httptest.NewServer(co.Handler())
 	defer srv.Close()
 	client := NewClient(srv.URL, 42)
@@ -77,18 +84,27 @@ func TestFleetMigrationEquivalence(t *testing.T) {
 	// A third worker takes the next lease and dies mid-slice: the lease
 	// is never heartbeat or committed, so it lapses after the TTL and the
 	// same slice is re-granted from the last committed snapshot.
+	setTTL(doomedTTL)
 	dead, err := client.Acquire(ctx, LeaseRequest{Worker: "doomed"})
+	setTTL(liveTTL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dead == nil {
 		t.Fatal("no lease for the doomed worker")
 	}
-	time.Sleep(ttl + 20*time.Millisecond)
+	time.Sleep(doomedTTL + 20*time.Millisecond)
 
 	// Worker two drives the campaign to completion, starting with the
-	// re-granted slice.
+	// re-granted slice: the same slice number the doomed worker held.
 	w2 := NewWorker("w2", client)
+	if regrant, err := client.Acquire(ctx, LeaseRequest{Worker: "w2"}); err != nil || regrant == nil {
+		t.Fatalf("lapsed lease not re-granted: %v %v", regrant, err)
+	} else if regrant.Seq != dead.Seq || !bytes.Equal(regrant.Snapshot, dead.Snapshot) {
+		t.Fatalf("re-grant is slice %d, want the lapsed slice %d from the same snapshot", regrant.Seq, dead.Seq)
+	} else if err := w2.runLease(ctx, regrant); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(60 * time.Second)
 	for {
 		cur, err := client.Status(ctx, st.ID)
@@ -196,7 +212,7 @@ func TestFleetSeedSyncIdempotent(t *testing.T) {
 	client := NewClient(srv.URL, 7)
 	ctx := context.Background()
 
-	seeds := []SeedObject{
+	seeds := []service.SeedObject{
 		{Fingerprint: "aaaa", Payload: []byte("seq-1")},
 		{Fingerprint: "bbbb", Payload: []byte("seq-2")},
 	}

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"mufuzz/internal/service"
 )
 
 // Body-size caps. Submissions are human-sized specs; commits carry a
@@ -34,15 +36,15 @@ func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "campaigns": len(co.Statuses())})
+		service.WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "campaigns": len(co.Statuses())})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		ready, reason := co.Ready()
 		if !ready {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": reason})
+			service.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": reason})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"ready": true})
+		service.WriteJSON(w, http.StatusOK, map[string]any{"ready": true})
 	})
 
 	mux.HandleFunc("POST /v1/fleet/campaigns", func(w http.ResponseWriter, r *http.Request) {
@@ -55,41 +57,41 @@ func (co *Coordinator) Handler() http.Handler {
 			var busy errBusy
 			if errors.As(err, &busy) {
 				w.Header().Set("Retry-After", retryAfterSeconds(co.cfg.RetryAfter))
-				writeErr(w, http.StatusTooManyRequests, err)
+				service.WriteError(w, http.StatusTooManyRequests, err)
 				return
 			}
-			writeErr(w, http.StatusBadRequest, err)
+			service.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, st)
+		service.WriteJSON(w, http.StatusCreated, st)
 	})
 
 	mux.HandleFunc("GET /v1/fleet/campaigns", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, co.Statuses())
+		service.WriteJSON(w, http.StatusOK, co.Statuses())
 	})
 
 	mux.HandleFunc("GET /v1/fleet/campaigns/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, ok := co.Status(r.PathValue("id"))
 		if !ok {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("no campaign %s", r.PathValue("id")))
+			service.WriteError(w, http.StatusNotFound, fmt.Errorf("no campaign %s", r.PathValue("id")))
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		service.WriteJSON(w, http.StatusOK, st)
 	})
 
 	mux.HandleFunc("GET /v1/fleet/campaigns/{id}/findings", func(w http.ResponseWriter, r *http.Request) {
 		findings, err := co.Findings(r.PathValue("id"))
 		if err != nil {
-			writeErr(w, http.StatusNotFound, err)
+			service.WriteError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, findings)
+		service.WriteJSON(w, http.StatusOK, findings)
 	})
 
 	mux.HandleFunc("GET /v1/fleet/campaigns/{id}/transcript", func(w http.ResponseWriter, r *http.Request) {
 		data, ok := co.Transcript(r.PathValue("id"))
 		if !ok {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("campaign %s has no transcript yet", r.PathValue("id")))
+			service.WriteError(w, http.StatusNotFound, fmt.Errorf("campaign %s has no transcript yet", r.PathValue("id")))
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -104,7 +106,7 @@ func (co *Coordinator) Handler() http.Handler {
 		}
 		l, err := co.Acquire(req)
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
+			service.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		if l == nil {
@@ -112,16 +114,16 @@ func (co *Coordinator) Handler() http.Handler {
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		writeJSON(w, http.StatusOK, l)
+		service.WriteJSON(w, http.StatusOK, l)
 	})
 
 	mux.HandleFunc("POST /v1/fleet/leases/{id}/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		ttl, ok := co.Heartbeat(r.PathValue("id"))
 		if !ok {
-			writeErr(w, http.StatusGone, fmt.Errorf("lease %s is not current", r.PathValue("id")))
+			service.WriteError(w, http.StatusGone, fmt.Errorf("lease %s is not current", r.PathValue("id")))
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"ttl_millis": ttl.Milliseconds()})
+		service.WriteJSON(w, http.StatusOK, map[string]any{"ttl_millis": ttl.Milliseconds()})
 	})
 
 	mux.HandleFunc("POST /v1/fleet/leases/{id}/complete", func(w http.ResponseWriter, r *http.Request) {
@@ -133,13 +135,13 @@ func (co *Coordinator) Handler() http.Handler {
 		if err != nil {
 			var stale errStale
 			if errors.As(err, &stale) {
-				writeErr(w, http.StatusConflict, err)
+				service.WriteError(w, http.StatusConflict, err)
 				return
 			}
-			writeErr(w, http.StatusBadRequest, err)
+			service.WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		service.WriteJSON(w, http.StatusOK, resp)
 	})
 
 	mux.HandleFunc("POST /v1/fleet/seeds/{bucket}/sync", func(w http.ResponseWriter, r *http.Request) {
@@ -149,10 +151,10 @@ func (co *Coordinator) Handler() http.Handler {
 		}
 		n, err := co.SyncSeeds(r.PathValue("bucket"), req.Seeds)
 		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
+			service.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, SyncResponse{Stored: n})
+		service.WriteJSON(w, http.StatusOK, SyncResponse{Stored: n})
 	})
 
 	return mux
@@ -163,7 +165,7 @@ func (co *Coordinator) Handler() http.Handler {
 // reader's message).
 func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		service.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true
@@ -175,16 +177,4 @@ func retryAfterSeconds(d time.Duration) string {
 		s = 1
 	}
 	return strconv.Itoa(s)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorBody{Error: err.Error()})
 }

@@ -53,28 +53,13 @@ type SubmitRequest struct {
 	NoTranscript bool `json:"no_transcript,omitempty"`
 }
 
-// CampaignStatus is the coordinator's view of one campaign.
+// CampaignStatus is the coordinator's view of one campaign: the service's
+// status, whose State is one of queued, leased, done, failed here, plus the
+// campaign's tenant and the node holding its current lease, if any.
 type CampaignStatus struct {
-	ID       string `json:"id"`
-	Tenant   string `json:"tenant,omitempty"`
-	Name     string `json:"name"`
-	Contract string `json:"contract"`
-	// State is one of queued, leased, done, failed.
-	State string `json:"state"`
-	Error string `json:"error,omitempty"`
-	// Worker is the node holding the current lease, if any.
-	Worker        string   `json:"worker,omitempty"`
-	Slices        int      `json:"slices"`
-	Executions    int      `json:"executions"`
-	Iterations    int      `json:"iterations"`
-	Coverage      float64  `json:"coverage"`
-	CoveredEdges  int      `json:"covered_edges"`
-	TotalEdges    int      `json:"total_edges"`
-	SeedQueueLen  int      `json:"seed_queue_len"`
-	Findings      int      `json:"findings"`
-	Classes       []string `json:"classes,omitempty"`
-	SeedsImported int      `json:"seeds_imported"`
-	SeedsExported int      `json:"seeds_exported"`
+	service.Status
+	Tenant string `json:"tenant,omitempty"`
+	Worker string `json:"worker,omitempty"`
 }
 
 // LeaseRequest asks the coordinator for one slice of work.
@@ -122,7 +107,7 @@ type Lease struct {
 	// bucket that this campaign has not seen. The worker injects them
 	// before recording begins and echoes the injected fingerprints in its
 	// commit.
-	Imports []SeedObject `json:"imports,omitempty"`
+	Imports []service.SeedObject `json:"imports,omitempty"`
 	// Pollinate asks the worker to fingerprint and export the slice's new
 	// queue sequences. False when the coordinator has no store — the
 	// exports would be dropped, so the worker skips the detached
@@ -131,26 +116,6 @@ type Lease struct {
 	// Record asks the worker to record the slice's conformance chunk.
 	// False for campaigns submitted with NoTranscript.
 	Record bool `json:"record,omitempty"`
-}
-
-// SeedObject is one corpus seed in flight: an encoded transaction sequence
-// addressed by the fingerprint of the branch-edge set it covers. The
-// fingerprint makes every transfer idempotent — stores deduplicate by it.
-type SeedObject struct {
-	Fingerprint string `json:"fingerprint"`
-	Payload     []byte `json:"payload"`
-}
-
-// SliceProgress is the worker's progress report accompanying a commit,
-// merged into the campaign's status.
-type SliceProgress struct {
-	Executions   int      `json:"executions"`
-	Coverage     float64  `json:"coverage"`
-	CoveredEdges int      `json:"covered_edges"`
-	TotalEdges   int      `json:"total_edges"`
-	SeedQueueLen int      `json:"seed_queue_len"`
-	Findings     int      `json:"findings"`
-	Classes      []string `json:"classes,omitempty"`
 }
 
 // CompleteRequest commits one finished slice. The worker only sends it for
@@ -171,9 +136,9 @@ type CompleteRequest struct {
 	Imported []string `json:"imported,omitempty"`
 	// Exports are novel seeds the slice discovered, fingerprinted by a
 	// detached coverage replay.
-	Exports []SeedObject `json:"exports,omitempty"`
+	Exports []service.SeedObject `json:"exports,omitempty"`
 	// Progress updates the campaign status.
-	Progress SliceProgress `json:"progress"`
+	Progress service.Progress `json:"progress"`
 	// Findings carries the full findings with PoC call orders once Done.
 	Findings []service.Finding `json:"findings,omitempty"`
 	// Final is the transcript's final summary, required when Done.
@@ -193,32 +158,10 @@ type CompleteResponse struct {
 // SyncRequest pushes seeds into a bucket of the coordinator's store —
 // cross-fleet pollination. Idempotent: seeds are content-addressed.
 type SyncRequest struct {
-	Seeds []SeedObject `json:"seeds"`
+	Seeds []service.SeedObject `json:"seeds"`
 }
 
 // SyncResponse reports how many pushed seeds were new.
 type SyncResponse struct {
 	Stored int `json:"stored"`
-}
-
-// errorBody is the JSON error envelope shared by all endpoints.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-// CanonicalizeSpec pins every spec field a worker's option derivation
-// reads — strategy name, seed, iteration budget — using the coordinator's
-// instance default for an omitted budget. Specs travel
-// inside leases in this form, so coordinator, workers, and the single-node
-// reference recording all derive identical engine options from the lease
-// alone, with no shared configuration.
-func CanonicalizeSpec(spec service.CampaignSpec, defaultIterations int) (service.CampaignSpec, error) {
-	opts, err := service.SpecOptions(spec, defaultIterations, 0)
-	if err != nil {
-		return spec, err
-	}
-	spec.Strategy = opts.Strategy.Name
-	spec.Seed = opts.Seed
-	spec.Iterations = opts.Iterations
-	return spec, nil
 }

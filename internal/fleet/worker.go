@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"mufuzz/internal/conformance"
 	"mufuzz/internal/fuzz"
 	"mufuzz/internal/service"
-	"mufuzz/internal/store"
 )
 
 // Worker executes leased campaign slices with the ordinary single-node
@@ -105,8 +103,11 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
 			// seq > 0; let the lease lapse and be re-granted with bytes.
 			return fmt.Errorf("worker %s: lease %s: elided snapshot without warm campaign", w.name, lease.ID)
 		}
-		var err error
-		c, err = w.buildCampaign(lease)
+		// The lease's spec is canonical, so it needs no default budget.
+		r, err := service.Resolve(lease.Spec, 0)
+		if err == nil {
+			c, err = r.Open(lease.Snapshot)
+		}
 		if err != nil {
 			// An unresolvable lease (bad spec should have been caught at
 			// submit) cannot be executed by anyone; let it lapse.
@@ -114,43 +115,16 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
 		}
 	}
 
-	// Pollination imports run before the recorder is installed: injected
-	// sequences execute through the engine (their discoveries count), but
-	// they are not part of the campaign's own schedule, so they must not
-	// enter the transcript chunk.
-	var imported []string
-	if len(lease.Imports) > 0 {
-		var batch []fuzz.Sequence
-		for _, obj := range lease.Imports {
-			seq, err := fuzz.DecodeSequence(obj.Payload)
-			if err != nil {
-				continue
-			}
-			batch = append(batch, seq)
-			imported = append(imported, obj.Fingerprint)
-		}
-		c.InjectSequences(batch)
-	}
-
-	// Snapshot the pre-slice queue for the export diff (skipped when the
-	// coordinator has nowhere to keep exports).
-	var preQueue map[string]bool
-	if lease.Pollinate {
-		preQueue = make(map[string]bool)
-		for _, seq := range c.QueueSequences() {
-			preQueue[string(fuzz.EncodeSequence(seq))] = true
-		}
-	}
-
-	// Install the slice recorder, or explicitly clear any observer a warm
-	// campaign kept from its previous slice. The untyped nil matters: a
-	// typed nil *Recorder would read as a non-nil observer to the engine.
+	// The slice recorder, when asked for. The step installs it after the
+	// pollination imports, so injected sequences (not part of the
+	// campaign's own schedule) never enter the transcript chunk. The untyped
+	// nil matters: a typed nil *Recorder would read as a non-nil observer
+	// to the engine.
 	var rec *conformance.Recorder
+	var obs fuzz.ExecObserver
 	if lease.Record {
 		rec = &conformance.Recorder{}
-		c.SetObserver(rec)
-	} else {
-		c.SetObserver(nil)
+		obs = rec
 	}
 
 	// Heartbeat for the duration of the slice. Losing the lease cancels
@@ -170,19 +144,19 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
 				return
 			}
 			if err := w.client.Heartbeat(sliceCtx, lease.ID); err != nil {
-				if IsStale(err) || sliceCtx.Err() != nil {
-					cancelSlice()
-					return
-				}
-				// Transient failure already exhausted the client's retry
-				// budget; the lease is almost certainly lost. Abandon.
+				// A stale lease, a cancelled slice, or a transient failure
+				// that exhausted the client's retry budget: the lease is
+				// lost (or as good as lost). Abandon.
 				cancelSlice()
 				return
 			}
 		}
 	}()
 
-	res, done := c.RunSlice(sliceCtx, lease.Rounds)
+	// Exports are fingerprinted only when the coordinator has somewhere to
+	// keep them.
+	step := service.Step(sliceCtx, c, lease.Rounds, lease.Imports, obs, lease.Pollinate)
+	res, done := step.Result, step.Done
 	interrupted := sliceCtx.Err() != nil // read before our own cancel below
 	cancelSlice()
 	<-hbDone
@@ -198,21 +172,19 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
 	req := CompleteRequest{
 		Worker:   w.name,
 		Done:     done,
-		Imported: imported,
-		Progress: progress(res),
+		Imported: step.Imported,
+		Exports:  step.Exports,
+		Progress: service.ProgressOf(res),
 	}
 	if rec != nil {
 		req.Records = conformance.EncodeRecords(rec.Records())
-	}
-	if lease.Pollinate {
-		req.Exports = exportSeeds(c, preQueue)
 	}
 	if !done {
 		req.Snapshot = c.Snapshot().EncodeBytes()
 	} else {
 		final := conformance.Summarize(c, res)
 		req.Final = &final
-		req.Findings = findings(res)
+		req.Findings = service.FindingsOf(res)
 	}
 
 	// Commit retries ride on the coordinator's idempotency; a stale
@@ -251,94 +223,4 @@ func (w *Worker) takeWarm(lease *Lease) *fuzz.Campaign {
 		return nil
 	}
 	return warm.c
-}
-
-// buildCampaign resolves the lease's canonical spec and either starts a
-// fresh campaign (slice 0) or resumes the committed snapshot.
-func (w *Worker) buildCampaign(lease *Lease) (*fuzz.Campaign, error) {
-	target, err := service.ResolveTarget(lease.Spec)
-	if err != nil {
-		return nil, err
-	}
-	worldOpts, _, err := service.ResolveWorld(lease.Spec, target)
-	if err != nil {
-		return nil, err
-	}
-	if len(lease.Snapshot) == 0 {
-		opts, err := service.SpecOptions(lease.Spec, 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		opts.World = worldOpts
-		return fuzz.NewTargetCampaign(target, opts), nil
-	}
-	snap, err := fuzz.DecodeSnapshot(bytes.NewReader(lease.Snapshot))
-	if err != nil {
-		return nil, fmt.Errorf("decode snapshot: %w", err)
-	}
-	if worldOpts != nil {
-		return fuzz.ResumeWorldCampaign(target, worldOpts, snap)
-	}
-	return fuzz.ResumeTargetCampaign(target, snap)
-}
-
-// exportSeeds diffs the post-slice queue against the pre-slice queue and
-// fingerprints each new sequence by the coverage a detached replay
-// observes — the same content addressing the single-node service uses, so
-// fleet seeds and service seeds share one namespace.
-func exportSeeds(c *fuzz.Campaign, preQueue map[string]bool) []SeedObject {
-	var out []SeedObject
-	seen := make(map[string]bool)
-	for _, seq := range c.QueueSequences() {
-		enc := fuzz.EncodeSequence(seq)
-		key := string(enc)
-		if preQueue[key] || seen[key] {
-			continue
-		}
-		seen[key] = true
-		fp := store.Fingerprint(c.ReplayCoverageEdges(seq))
-		out = append(out, SeedObject{Fingerprint: fp, Payload: enc})
-	}
-	return out
-}
-
-// progress projects a slice result into the commit's status update.
-func progress(res *fuzz.Result) SliceProgress {
-	classes := make([]string, 0, len(res.BugClasses))
-	for cl := range res.BugClasses {
-		classes = append(classes, string(cl))
-	}
-	sort.Strings(classes)
-	return SliceProgress{
-		Executions:   res.Executions,
-		Coverage:     res.Coverage,
-		CoveredEdges: res.CoveredEdges,
-		TotalEdges:   res.TotalEdges,
-		SeedQueueLen: res.SeedQueueLen,
-		Findings:     len(res.Findings),
-		Classes:      classes,
-	}
-}
-
-// findings projects final results into the service's findings shape, with
-// PoC call orders from the repro map.
-func findings(res *fuzz.Result) []service.Finding {
-	poc := make(map[string][]string)
-	for class, seq := range res.Repro {
-		calls := make([]string, len(seq))
-		for i, tx := range seq {
-			calls[i] = tx.Func
-		}
-		poc[string(class)] = calls
-	}
-	out := make([]service.Finding, 0, len(res.Findings))
-	for _, f := range res.Findings {
-		out = append(out, service.Finding{
-			Class:       string(f.Class),
-			PC:          f.PC,
-			Description: f.Description,
-			PoC:         poc[string(f.Class)],
-		})
-	}
-	return out
 }

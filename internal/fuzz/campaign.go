@@ -24,14 +24,6 @@ type Options struct {
 	Iterations int
 	// TimeBudget optionally caps wall-clock time (0 = unlimited).
 	TimeBudget time.Duration
-	// MaxSeqLen bounds sequence growth. Default 8.
-	MaxSeqLen int
-	// GasPerTx is the gas limit per transaction. Default 2,000,000.
-	GasPerTx uint64
-	// EnergyBase is the mutation budget per selected seed. Default 16.
-	EnergyBase int
-	// InitialSeeds is the size of the initial corpus. Default 4.
-	InitialSeeds int
 	// Workers is ignored: a campaign runs on one goroutine, and more cores
 	// run more campaigns (the service's slots, the fleet's workers). The
 	// defaults set it to 1 whatever was asked, so transcripts and snapshots
@@ -62,6 +54,19 @@ type Options struct {
 	World *WorldOptions
 }
 
+// Fixed campaign parameters. Snapshot and transcript options lines print
+// them, and both decoders reject any other value.
+const (
+	// MaxSeqLen bounds sequence growth.
+	MaxSeqLen = 8
+	// GasPerTx is the gas limit per transaction.
+	GasPerTx uint64 = 2_000_000
+	// EnergyBase is the mutation budget per selected seed.
+	EnergyBase = 16
+	// InitialSeeds is the size of the initial corpus.
+	InitialSeeds = 4
+)
+
 // Normalized returns the options with every default applied — exactly the
 // configuration the engine runs under. Conformance transcripts record the
 // normalized form so a replay does not depend on the engine's default values
@@ -72,18 +77,6 @@ func (o *Options) withDefaults() Options {
 	out := *o
 	if out.Iterations == 0 {
 		out.Iterations = 2000
-	}
-	if out.MaxSeqLen == 0 {
-		out.MaxSeqLen = 8
-	}
-	if out.GasPerTx == 0 {
-		out.GasPerTx = 2_000_000
-	}
-	if out.EnergyBase == 0 {
-		out.EnergyBase = 16
-	}
-	if out.InitialSeeds == 0 {
-		out.InitialSeeds = 4
 	}
 	out.Workers = 1
 	if worldEmpty(out.World) {
@@ -175,8 +168,7 @@ type Campaign struct {
 	// state below is indexed by edge ID.
 	branchIx *analysis.BranchIndex
 	// depthByEdge is the compile-time branch-site nesting depth per edge
-	// (minisol BranchSite metadata), replacing the per-event linear
-	// BranchSiteAt scan on the fold path.
+	// (minisol BranchSite metadata).
 	depthByEdge []int
 
 	// feedback state, all dense over the edge-ID space
@@ -359,7 +351,6 @@ func NewTargetCampaign(t Target, opts Options) *Campaign {
 		deployer:      c.deployer,
 		attackerAddr:  c.attackerAddr,
 		senders:       c.senders,
-		gasPerTx:      o.GasPerTx,
 		inspector:     c.detector.Inspector(),
 		prefixes:      c.prefixes,
 		branchIx:      c.branchIx,
@@ -616,7 +607,7 @@ func (c *Campaign) initialSequence() Sequence {
 		c.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
 	for _, fn := range order {
-		if len(seq) >= c.opts.MaxSeqLen {
+		if len(seq) >= MaxSeqLen {
 			break
 		}
 		seq = append(seq, c.newTx(fn))
@@ -810,7 +801,7 @@ func (c *Campaign) CoverageRatio() float64 {
 // budget scales with the Algorithm 3 weight of the seed's path; otherwise it
 // is uniform (sFuzz's default scheme).
 func (c *Campaign) energyFor(seed *Seed) int {
-	base := c.opts.EnergyBase
+	base := EnergyBase
 	if !c.opts.Strategy.DynamicEnergy || c.weights.Count() == 0 {
 		return base
 	}
@@ -848,7 +839,7 @@ func (c *Campaign) mutateSeed(seed *Seed) *Seed {
 	// Sequence-level mutation with probability 1/3 (the paper mutates the
 	// sequence once and then focuses on inputs).
 	if rng.Intn(3) == 0 {
-		child.Seq = sm.mutateSequence(child.Seq, rng, c.newTx, c.opts.MaxSeqLen)
+		child.Seq = sm.mutateSequence(child.Seq, rng, c.newTx, MaxSeqLen)
 		c.sequencesMutated++
 	}
 
@@ -1149,7 +1140,7 @@ func (c *Campaign) RunSlice(ctx context.Context, maxRounds int) (*Result, bool) 
 	// Initial corpus (sequential: it defines the campaign's starting point).
 	// Resumable: a cancellation mid-corpus leaves corpusSeeded short and the
 	// next slice continues building.
-	for c.corpusSeeded < c.opts.InitialSeeds && !c.budgetExhausted() {
+	for c.corpusSeeded < InitialSeeds && !c.budgetExhausted() {
 		seed := &Seed{Seq: c.initialSequence()}
 		r := c.execute(seed.Seq)
 		seed.NewEdges = r.newEdges
@@ -1165,10 +1156,10 @@ func (c *Campaign) RunSlice(ctx context.Context, maxRounds int) (*Result, bool) 
 		if maxRounds > 0 && rounds >= maxRounds {
 			break
 		}
-		seed := c.pickSeed(&c.qi)
+		seed := c.pickSeed()
 		c.seedPrefix = prefixHashes(seed.Seq, nil)
 		c.ensureMasks(seed)
-		c.fuzzRound(seed, c.energyFor(seed), &c.qi)
+		c.fuzzRound(seed, c.energyFor(seed))
 		c.qi++
 	}
 
@@ -1176,7 +1167,7 @@ func (c *Campaign) RunSlice(ctx context.Context, maxRounds int) (*Result, bool) 
 	// built initial corpus left nothing to fuzz. An empty queue before the
 	// corpus phase ran — a slice entered with an already-cancelled context —
 	// is not completion: the campaign has not started yet.
-	done := c.exhausted() || (c.corpusSeeded >= c.opts.InitialSeeds && len(c.queue) == 0)
+	done := c.exhausted() || (c.corpusSeeded >= InitialSeeds && len(c.queue) == 0)
 	return c.result(), done
 }
 
@@ -1234,7 +1225,7 @@ func (c *Campaign) InjectSequences(seqs []Sequence) int {
 		}
 		seed := &Seed{Seq: seq}
 		r := c.execute(seed.Seq)
-		c.admit(seed, r, &c.qi)
+		c.admit(seed, r)
 		n++
 	}
 	return n
@@ -1265,7 +1256,7 @@ func (c *Campaign) sanitizeSequence(seq Sequence) Sequence {
 			t.Attacker = nil
 		}
 		out = append(out, t)
-		if len(out) >= c.opts.MaxSeqLen {
+		if len(out) >= MaxSeqLen {
 			break
 		}
 	}
@@ -1293,12 +1284,12 @@ func (c *Campaign) SetObserver(obs ExecObserver) {
 
 // fuzzRound spends one seed's energy: mutate one child, execute, fold,
 // admit — the classic Algorithm 1 inner loop.
-func (c *Campaign) fuzzRound(seed *Seed, energy int, qi *int) {
+func (c *Campaign) fuzzRound(seed *Seed, energy int) {
 	for e := 0; e < energy && !c.budgetExhausted(); e++ {
 		child := c.mutateSeed(seed)
 		r := c.execute(child.Seq)
 		child, r = c.maybeLineSearch(child, r)
-		c.admit(child, r, qi)
+		c.admit(child, r)
 	}
 }
 
@@ -1315,7 +1306,7 @@ func (c *Campaign) maybeLineSearch(child *Seed, r execResult) (*Seed, execResult
 
 // admit applies queue admission to one executed child: children that found
 // new edges or improved a branch distance join the seed queue.
-func (c *Campaign) admit(child *Seed, r execResult, qi *int) {
+func (c *Campaign) admit(child *Seed, r execResult) {
 	if r.newEdges > 0 || (c.opts.Strategy.BranchDistance && r.distImproved) {
 		child.NewEdges = r.newEdges
 		child.HitNestedDepth = r.hitNestedDepth
@@ -1330,7 +1321,7 @@ func (c *Campaign) admit(child *Seed, r execResult, qi *int) {
 			kept := make([]*Seed, 192)
 			copy(kept, c.queue[len(c.queue)-192:])
 			c.queue = kept
-			*qi = 0
+			c.qi = 0
 		}
 	}
 }
@@ -1369,18 +1360,18 @@ func (c *Campaign) lineSearch(child *Seed, r execResult) (*Seed, execResult) {
 // pickSeed selects the next seed to fuzz. With dynamic energy, seeds whose
 // paths carry more weight are preferred (weighted sampling); otherwise
 // round-robin over the queue.
-func (c *Campaign) pickSeed(qi *int) *Seed {
+func (c *Campaign) pickSeed() *Seed {
 	// Branch-distance frontier: half the time, continue from the sequence
 	// that is closest to flipping some uncovered edge.
 	if c.opts.Strategy.BranchDistance && c.distCount > 0 && c.rng.Intn(2) == 0 {
 		return c.distSeed[c.nthFrontierEdge(c.rng.Intn(c.distCount))]
 	}
 	if !c.opts.Strategy.DynamicEnergy || len(c.queue) == 1 {
-		return c.queue[*qi%len(c.queue)]
+		return c.queue[c.qi%len(c.queue)]
 	}
 	// weighted pick among a sample window, favoring higher path weight and
 	// seeds that reached nested branches
-	best := c.queue[*qi%len(c.queue)]
+	best := c.queue[c.qi%len(c.queue)]
 	bestScore := seedScore(best)
 	for k := 0; k < 3; k++ {
 		cand := c.queue[c.rng.Intn(len(c.queue))]

@@ -61,7 +61,6 @@ type executor struct {
 	deployer     state.Address
 	attackerAddr state.Address
 	senders      []state.Address
-	gasPerTx     uint64
 	// World-campaign tables, nil/empty for single-contract campaigns (the
 	// default path draws no cost from them). worldAddrs maps TxInput.Callee
 	// to a deployment address (index 0 = the primary contract) and
@@ -341,7 +340,7 @@ func (x *executor) run(seq Sequence, seedPrefix []uint64) execOutcome {
 		sender := x.senders[tx.Sender%len(x.senders)]
 		value := tx.Value.And(txValueCap)
 		e.Trace = x.resetTrace()
-		_, err := e.Transact(sender, x.calleeAddr(tx), value, data, x.gasPerTx)
+		_, err := e.Transact(sender, x.calleeAddr(tx), value, data, GasPerTx)
 
 		// Two-pass copy into an exact-size batch carved off the arena: the
 		// batch's ownership transfers to the outcome (and possibly the prefix
@@ -405,7 +404,7 @@ func (x *executor) runFinalState(seq Sequence) *state.State {
 		sender := x.senders[tx.Sender%len(x.senders)]
 		value := tx.Value.And(txValueCap)
 		e.Trace = x.resetTrace()
-		e.Transact(sender, x.calleeAddr(tx), value, data, x.gasPerTx)
+		e.Transact(sender, x.calleeAddr(tx), value, data, GasPerTx)
 	}
 	return st
 }

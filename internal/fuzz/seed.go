@@ -77,14 +77,17 @@ func (s Sequence) Clone() Sequence {
 	return out
 }
 
-// String renders the call order, e.g. "ctor → invest → refund → invest".
-func (s Sequence) String() string {
+// Funcs returns the call order: each transaction's function name.
+func (s Sequence) Funcs() []string {
 	names := make([]string, len(s))
 	for i, t := range s {
 		names[i] = t.Func
 	}
-	return strings.Join(names, " → ")
+	return names
 }
+
+// String renders the call order, e.g. "ctor → invest → refund → invest".
+func (s Sequence) String() string { return strings.Join(s.Funcs(), " → ") }
 
 // Seed is one queue entry: a sequence plus the feedback recorded when it
 // was executed.

@@ -412,7 +412,7 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	// workers=, batched= and copystate= name retired engine options; they
 	// stay in the line, always 1, 0 and 0, so the encoding is unchanged.
 	fmt.Fprintf(bw, "options seed=%d iters=%d maxseq=%d gas=%d energybase=%d initseeds=%d workers=1 batched=0 copystate=0 nocache=%d timebudgetns=%d\n",
-		o.Seed, o.Iterations, o.MaxSeqLen, o.GasPerTx, o.EnergyBase, o.InitialSeeds,
+		o.Seed, o.Iterations, MaxSeqLen, GasPerTx, EnergyBase, InitialSeeds,
 		boolBit01(o.NoPrefixCache), int64(o.TimeBudget))
 	fmt.Fprintf(bw, "progress execs=%d qi=%d corpus=%d rngdraws=%d lastnew=%d maskprobes=%d maskscomputed=%d seqmut=%d linesearches=%d linesteps=%d elapsedns=%d\n",
 		s.Executions, s.QI, s.CorpusSeeded, s.RngDraws, s.LastNewEdgeExec, s.MaskProbes,
@@ -626,16 +626,28 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	if !ok || !strings.HasPrefix(line, "options ") {
 		return nil, snapErr(line, "missing options line")
 	}
-	var nocache int
-	var tbNS int64
+	var nocache, maxseq, energybase, initseeds int
+	var gas, tbNS int64
 	// The retired workers=, batched= and copystate= fields are read and
 	// ignored: a snapshot an older build wrote at workers > 1 resumes on the
 	// one engine.
 	if _, err := fmt.Sscanf(line, "options seed=%d iters=%d maxseq=%d gas=%d energybase=%d initseeds=%d workers=%d batched=%d copystate=%d nocache=%d timebudgetns=%d",
-		&s.Options.Seed, &s.Options.Iterations, &s.Options.MaxSeqLen, &s.Options.GasPerTx,
-		&s.Options.EnergyBase, &s.Options.InitialSeeds,
+		&s.Options.Seed, &s.Options.Iterations, &maxseq, &gas, &energybase, &initseeds,
 		new(int), new(int), new(int), &nocache, &tbNS); err != nil {
 		return nil, snapErr(line, "bad options: %v", err)
+	}
+	// The fixed campaign parameters are printed for the format's sake; a
+	// snapshot carrying any other value was not made by this engine.
+	for _, f := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"maxseq", int64(maxseq), MaxSeqLen}, {"gas", gas, int64(GasPerTx)},
+		{"energybase", int64(energybase), EnergyBase}, {"initseeds", int64(initseeds), InitialSeeds},
+	} {
+		if f.got != f.want {
+			return nil, snapErr(line, "%s=%d, want %d", f.name, f.got, f.want)
+		}
 	}
 	s.Options.NoPrefixCache = nocache == 1
 	s.Options.TimeBudget = time.Duration(tbNS)

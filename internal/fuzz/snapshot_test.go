@@ -356,6 +356,36 @@ func TestDecodeRejectsNegativeQueueCursor(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsNonFixedParams pins the bound on the options line's
+// fixed parameters: the engine runs only maxseq=8 gas=2000000 energybase=16
+// initseeds=4, so a snapshot carrying any other value fails to decode and
+// the error names the field.
+func TestDecodeRejectsNonFixedParams(t *testing.T) {
+	c := NewCampaign(compileT(t, corpus.CrowdsaleBuggy()), Options{Strategy: MuFuzz(), Seed: 1, Iterations: 2000})
+	if _, done := c.RunSlice(context.Background(), 3); done {
+		t.Fatal("campaign finished before the snapshot point; grow the budget")
+	}
+	enc := c.Snapshot().EncodeBytes()
+	if _, err := DecodeSnapshot(bytes.NewReader(enc)); err != nil {
+		t.Fatalf("unedited snapshot: %v", err)
+	}
+	for _, edit := range []struct{ from, to string }{
+		{" maxseq=8 ", " maxseq=12 "},
+		{" gas=2000000 ", " gas=30000000 "},
+		{" energybase=16 ", " energybase=1000000 "},
+		{" initseeds=4 ", " initseeds=0 "},
+	} {
+		bad := bytes.Replace(enc, []byte(edit.from), []byte(edit.to), 1)
+		if bytes.Equal(bad, enc) {
+			t.Fatalf("snapshot carries no %q", edit.from)
+		}
+		field := strings.TrimSpace(edit.to)
+		if _, err := DecodeSnapshot(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("snapshot with %s decoded: err = %v", field, err)
+		}
+	}
+}
+
 // TestDecodeSequenceRejectsOverlongLine pins that a line past the scanner's
 // bound fails the decode instead of silently ending the sequence early.
 func TestDecodeSequenceRejectsOverlongLine(t *testing.T) {

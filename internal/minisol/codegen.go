@@ -68,16 +68,6 @@ type Compiled struct {
 	Branches []BranchSite
 }
 
-// BranchSiteAt finds the branch site for a JUMPI program counter.
-func (c *Compiled) BranchSiteAt(pc uint64) (BranchSite, bool) {
-	for _, b := range c.Branches {
-		if b.PC == pc {
-			return b, true
-		}
-	}
-	return BranchSite{}, false
-}
-
 // abiKind maps a MiniSol type to its ABI kind.
 func abiKind(t Type) (abi.Kind, error) {
 	switch t.Kind {

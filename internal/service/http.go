@@ -21,7 +21,7 @@ func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "campaigns": len(s.Statuses())})
+		WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "campaigns": len(s.Statuses())})
 	})
 
 	// Readiness: the store is open, the scheduler slots are running, and the
@@ -30,67 +30,67 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		ready, reason := s.Ready()
 		if !ready {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": reason})
+			WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": reason})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"ready": true})
+		WriteJSON(w, http.StatusOK, map[string]any{"ready": true})
 	})
 
 	mux.HandleFunc("POST /v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
 		var spec CampaignSpec
 		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
 			return
 		}
 		st, err := s.Submit(spec)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, st)
+		WriteJSON(w, http.StatusCreated, st)
 	})
 
 	mux.HandleFunc("GET /v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Statuses())
+		WriteJSON(w, http.StatusOK, s.Statuses())
 	})
 
 	mux.HandleFunc("GET /v1/campaigns/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, ok := s.Status(r.PathValue("id"))
 		if !ok {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("no campaign %s", r.PathValue("id")))
+			WriteError(w, http.StatusNotFound, fmt.Errorf("no campaign %s", r.PathValue("id")))
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		WriteJSON(w, http.StatusOK, st)
 	})
 
 	mux.HandleFunc("GET /v1/campaigns/{id}/findings", func(w http.ResponseWriter, r *http.Request) {
 		minimize := r.URL.Query().Get("minimize") == "1"
 		findings, err := s.Findings(r.PathValue("id"), minimize)
 		if err != nil {
-			writeErr(w, http.StatusNotFound, err)
+			WriteError(w, http.StatusNotFound, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, findings)
+		WriteJSON(w, http.StatusOK, findings)
 	})
 
 	mux.HandleFunc("POST /v1/campaigns/{id}/cancel", func(w http.ResponseWriter, r *http.Request) {
 		if err := s.Cancel(r.PathValue("id")); err != nil {
-			writeErr(w, http.StatusNotFound, err)
+			WriteError(w, http.StatusNotFound, err)
 			return
 		}
 		st, _ := s.Status(r.PathValue("id"))
-		writeJSON(w, http.StatusOK, st)
+		WriteJSON(w, http.StatusOK, st)
 	})
 
 	mux.HandleFunc("GET /v1/campaigns/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 		j, ok := s.job(r.PathValue("id"))
 		if !ok {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("no campaign %s", r.PathValue("id")))
+			WriteError(w, http.StatusNotFound, fmt.Errorf("no campaign %s", r.PathValue("id")))
 			return
 		}
 		fl, ok := w.(http.Flusher)
 		if !ok {
-			writeErr(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
+			WriteError(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported"))
 			return
 		}
 		w.Header().Set("Content-Type", "text/event-stream")
@@ -119,13 +119,15 @@ func (s *Service) Handler() http.Handler {
 
 	mux.HandleFunc("POST /v1/drain", func(w http.ResponseWriter, r *http.Request) {
 		n := s.Drain()
-		writeJSON(w, http.StatusOK, map[string]any{"drained": n})
+		WriteJSON(w, http.StatusOK, map[string]any{"drained": n})
 	})
 
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the indented JSON body of a code response — the one
+// response envelope the service's and the fleet's handlers share.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -133,6 +135,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeErr(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+// WriteError writes err as the JSON error envelope {"error": "..."}.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, map[string]string{"error": err.Error()})
 }

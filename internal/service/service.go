@@ -5,16 +5,19 @@
 // restarted service resumes exactly where it stopped — no findings, corpus,
 // or schedule position lost.
 //
-// The scheduling unit is one engine slice (Campaign.RunSlice): a bounded
-// number of energy rounds at a deterministic boundary of the campaign
-// schedule. Between slices the service exports new queue seeds to the store
-// (deduplicated by coverage fingerprint) and imports seeds sibling campaigns
-// discovered, so campaigns on the same contract cross-pollinate interesting
-// sequences the way OSS-Fuzz-style fleets share corpora.
+// The scheduling unit is one slice step (Step): a bounded number of energy
+// rounds at a deterministic boundary of the campaign schedule. Each step
+// imports seeds sibling campaigns discovered and exports the slice's new
+// queue seeds to the store (deduplicated by coverage fingerprint), so
+// campaigns on the same contract cross-pollinate interesting sequences the
+// way OSS-Fuzz-style fleets share corpora.
+//
+// The package is also the campaign model the fleet shares: one spec
+// resolution (Resolve, Resolved.Open), one slice step with its seed ledger,
+// and one status and findings model (Status, Progress, Finding).
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -22,12 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mufuzz/internal/corpus"
 	"mufuzz/internal/fuzz"
-	"mufuzz/internal/ingest"
-	"mufuzz/internal/minisol"
 	"mufuzz/internal/store"
-	"mufuzz/internal/world"
 )
 
 // Config tunes one service instance.
@@ -133,24 +132,20 @@ const (
 	StateFailed    = "failed"
 )
 
-// Status is the externally visible campaign state, served as JSON.
+// Status is the externally visible campaign state, served as JSON. The
+// fleet's campaign status embeds it; its State then takes the fleet's
+// values.
 type Status struct {
-	ID            string   `json:"id"`
-	Name          string   `json:"name"`
-	Contract      string   `json:"contract"`
-	State         string   `json:"state"`
-	Error         string   `json:"error,omitempty"`
-	Executions    int      `json:"executions"`
-	Iterations    int      `json:"iterations"`
-	Coverage      float64  `json:"coverage"`
-	CoveredEdges  int      `json:"covered_edges"`
-	TotalEdges    int      `json:"total_edges"`
-	SeedQueueLen  int      `json:"seed_queue_len"`
-	Findings      int      `json:"findings"`
-	Classes       []string `json:"classes,omitempty"`
-	SeedsImported int      `json:"seeds_imported"`
-	SeedsExported int      `json:"seeds_exported"`
-	Slices        int      `json:"slices"`
+	ID         string `json:"id"`
+	Name       string `json:"name"`
+	Contract   string `json:"contract"`
+	State      string `json:"state"`
+	Error      string `json:"error,omitempty"`
+	Iterations int    `json:"iterations"`
+	Progress
+	SeedsImported int `json:"seeds_imported"`
+	SeedsExported int `json:"seeds_exported"`
+	Slices        int `json:"slices"`
 }
 
 // Finding is one reported vulnerability with its proof-of-concept call
@@ -167,7 +162,6 @@ type Finding struct {
 type job struct {
 	id       string
 	spec     CampaignSpec
-	target   fuzz.Target
 	contract string // seed-sharing bucket (contract name or codehash label)
 
 	// execMu serializes campaign engine access: the scheduler slice, the
@@ -175,12 +169,7 @@ type job struct {
 	execMu   sync.Mutex
 	campaign *fuzz.Campaign
 	result   *fuzz.Result
-	// exported/imported track seed fingerprints this campaign already
-	// shared or absorbed; seqSeen short-circuits re-replaying queue
-	// sequences already fingerprinted in an earlier slice.
-	exported map[string]bool
-	imported map[string]bool
-	seqSeen  map[string]bool
+	seeds    SeedLedger
 	// slicesSincePersist and persistedClasses drive the mid-campaign
 	// persistence cadence (owned by the single worker running the job's
 	// slices).
@@ -279,131 +268,16 @@ func (s *Service) worker() {
 	}
 }
 
-// ResolveTarget maps a spec to a fuzzable target: compiled MiniSol source
-// (inline or a built-in example) or source-free bytecode + ABI. Exported for
-// the fleet subsystem, whose workers must resolve leased specs exactly the
-// way the service does — one resolution path, no drift.
-func ResolveTarget(spec CampaignSpec) (fuzz.Target, error) {
-	set := 0
-	for _, s := range []bool{spec.Source != "", spec.Example != "", spec.Bytecode != ""} {
-		if s {
-			set++
-		}
-	}
-	if set != 1 {
-		return nil, fmt.Errorf("spec needs exactly one of source, example, or bytecode")
-	}
-
-	if spec.Bytecode != "" {
-		if len(spec.ABI) == 0 {
-			return nil, fmt.Errorf("bytecode campaigns need an abi")
-		}
-		return ingest.LoadHex(spec.Bytecode, spec.ABI)
-	}
-
-	src := spec.Source
-	if spec.Example != "" {
-		switch spec.Example {
-		case "crowdsale":
-			src = corpus.Crowdsale()
-		case "crowdsale-buggy":
-			src = corpus.CrowdsaleBuggy()
-		case "game":
-			src = corpus.Game()
-		default:
-			return nil, fmt.Errorf("unknown example %q", spec.Example)
-		}
-	}
-	comp, err := minisol.Compile(src)
-	if err != nil {
-		return nil, fmt.Errorf("compile: %w", err)
-	}
-	return fuzz.MinisolTarget(comp), nil
-}
-
-// ResolveWorld maps a spec's world half (members + attacker) to engine
-// WorldOptions and the campaign's seed-sharing bucket. Plain specs get nil
-// options and the primary target's name; specs with members get the
-// order-independent world bucket so campaigns on the same contract set
-// share a corpus no matter how their specs list the members. Exported for
-// the fleet subsystem (see ResolveTarget).
-func ResolveWorld(spec CampaignSpec, primary fuzz.Target) (*fuzz.WorldOptions, string, error) {
-	if len(spec.Members) == 0 && !spec.Attacker {
-		return nil, primary.Name(), nil
-	}
-	w := &fuzz.WorldOptions{}
-	seen := map[string]bool{}
-	for _, m := range spec.Members {
-		if m.Name == "" || seen[m.Name] {
-			return nil, "", fmt.Errorf("world member needs a unique non-empty name (got %q)", m.Name)
-		}
-		seen[m.Name] = true
-		if m.Bytecode == "" || len(m.ABI) == 0 {
-			return nil, "", fmt.Errorf("world member %s needs bytecode and abi", m.Name)
-		}
-		t, err := ingest.LoadHex(m.Bytecode, m.ABI)
-		if err != nil {
-			return nil, "", fmt.Errorf("world member %s: %w", m.Name, err)
-		}
-		w.Members = append(w.Members, fuzz.WorldMember{Name: m.Name, Target: t})
-	}
-	if spec.Attacker {
-		w.Attacker = world.NewModel(primary.Methods())
-	}
-	bucket := primary.Name()
-	if len(w.Members) > 0 {
-		all := []fuzz.Target{primary}
-		for _, m := range w.Members {
-			all = append(all, m.Target)
-		}
-		bucket = world.BucketID(all...)
-	}
-	return w, bucket, nil
-}
-
-// SpecOptions maps a spec to engine options, filling an omitted budget from
-// defaultIterations. Exported for the fleet subsystem: coordinator and
-// workers derive campaign options from the spec through this one function, so
-// a leased slice runs under exactly the options the coordinator scheduled.
-//
-// Deprecated: defaultWorkers is ignored, like CampaignSpec.Workers; the
-// parameter stays only because the benchmark harness in bench/ passes it.
-func SpecOptions(spec CampaignSpec, defaultIterations, defaultWorkers int) (fuzz.Options, error) {
-	strat, ok := fuzz.PresetByName(spec.Strategy)
-	if !ok {
-		return fuzz.Options{}, fmt.Errorf("unknown strategy %q", spec.Strategy)
-	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	iters := spec.Iterations
-	if iters == 0 {
-		iters = defaultIterations
-	}
-	return fuzz.Options{Strategy: strat, Seed: seed, Iterations: iters}, nil
-}
-
-// options maps a spec to engine options under this service's defaults.
-func (s *Service) options(spec CampaignSpec) (fuzz.Options, error) {
-	return SpecOptions(spec, s.cfg.DefaultIterations, 0)
-}
-
 // Submit resolves and enqueues a new campaign.
 func (s *Service) Submit(spec CampaignSpec) (Status, error) {
-	opts, err := s.options(spec)
+	r, err := Resolve(spec, s.cfg.DefaultIterations)
 	if err != nil {
 		return Status{}, err
 	}
-	target, err := ResolveTarget(spec)
+	c, err := r.Open(nil)
 	if err != nil {
 		return Status{}, err
 	}
-	worldOpts, bucket, err := ResolveWorld(spec, target)
-	if err != nil {
-		return Status{}, err
-	}
-	opts.World = worldOpts
 
 	s.mu.Lock()
 	if s.drained {
@@ -412,24 +286,16 @@ func (s *Service) Submit(spec CampaignSpec) (Status, error) {
 	}
 	s.nextID++
 	id := fmt.Sprintf("c%04d", s.nextID)
-	name := spec.Name
-	if name == "" {
-		name = target.Name()
-	}
 	j := &job{
 		id:       id,
 		spec:     spec,
-		target:   target,
-		contract: bucket,
-		campaign: fuzz.NewTargetCampaign(target, opts),
-		exported: make(map[string]bool),
-		imported: make(map[string]bool),
-		seqSeen:  make(map[string]bool),
+		contract: r.Bucket,
+		campaign: c,
 		subs:     make(map[chan Status]struct{}),
 	}
 	j.status = Status{
-		ID: id, Name: name, Contract: bucket,
-		State: StateQueued, Iterations: opts.Iterations,
+		ID: id, Name: r.Name, Contract: r.Bucket,
+		State: StateQueued, Iterations: r.Options.Iterations,
 	}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
@@ -468,22 +334,20 @@ func (s *Service) runSlice(j *job) {
 
 	j.execMu.Lock()
 	j.setState(StateRunning, nil)
-	imported := s.importSeeds(j)
-	res, done := j.campaign.RunSlice(ctx, s.cfg.SliceRounds)
+	// Own exports are never offered back, so a lone campaign never
+	// re-executes its own corpus.
+	offers := j.seeds.Offers(s.cfg.Store, j.contract, importPerSlice)
+	step := Step(ctx, j.campaign, s.cfg.SliceRounds, offers, nil, s.cfg.Store != nil)
+	res, done := step.Result, step.Done
 	j.result = res
-	exported := s.exportSeeds(j)
+	j.seeds.Absorb(step.Imported)
+	exported := j.seeds.Share(s.cfg.Store, j.contract, step.Exports)
 	s.persistPoCs(j, res)
 	j.execMu.Unlock()
 
 	j.publish(func(st *Status) {
-		st.Executions = res.Executions
-		st.Coverage = res.Coverage
-		st.CoveredEdges = res.CoveredEdges
-		st.TotalEdges = res.TotalEdges
-		st.SeedQueueLen = res.SeedQueueLen
-		st.Findings = len(res.Findings)
-		st.Classes = classList(res)
-		st.SeedsImported += imported
+		st.Progress = ProgressOf(res)
+		st.SeedsImported += step.Injected
 		st.SeedsExported += exported
 		st.Slices++
 	})
@@ -513,72 +377,6 @@ func (s *Service) runSlice(j *job) {
 		}
 		s.enqueue(j)
 	}
-}
-
-func classList(res *fuzz.Result) []string {
-	out := make([]string, 0, len(res.BugClasses))
-	for c := range res.BugClasses {
-		out = append(out, string(c))
-	}
-	sort.Strings(out)
-	return out
-}
-
-// importSeeds injects store seeds this campaign has not seen. Own exports
-// are skipped, so a lone campaign never re-executes its own corpus.
-func (s *Service) importSeeds(j *job) int {
-	if s.cfg.Store == nil {
-		return 0
-	}
-	entries, err := s.cfg.Store.Seeds(j.contract)
-	if err != nil {
-		return 0
-	}
-	var batch []fuzz.Sequence
-	for _, e := range entries {
-		if len(batch) >= importPerSlice {
-			break
-		}
-		if j.imported[e.Name] || j.exported[e.Name] {
-			continue
-		}
-		j.imported[e.Name] = true
-		seq, err := fuzz.DecodeSequence(e.Payload)
-		if err != nil {
-			continue
-		}
-		batch = append(batch, seq)
-	}
-	if len(batch) == 0 {
-		return 0
-	}
-	return j.campaign.InjectSequences(batch)
-}
-
-// exportSeeds fingerprints the campaign's new queue sequences by the
-// coverage a detached replay observes and stores the novel ones.
-func (s *Service) exportSeeds(j *job) int {
-	if s.cfg.Store == nil {
-		return 0
-	}
-	n := 0
-	for _, seq := range j.campaign.QueueSequences() {
-		enc := fuzz.EncodeSequence(seq)
-		key := string(enc)
-		if j.seqSeen[key] {
-			continue
-		}
-		j.seqSeen[key] = true
-		fp := store.Fingerprint(j.campaign.ReplayCoverageEdges(seq))
-		if j.exported[fp] || j.imported[fp] {
-			continue
-		}
-		j.exported[fp] = true
-		if wrote, err := s.cfg.Store.PutSeed(j.contract, fp, enc); err == nil && wrote {
-			n++
-		}
-	}
-	return n
 }
 
 // persistPoCs writes each bug class's first triggering sequence — the
@@ -632,13 +430,10 @@ func (s *Service) restore() error {
 			continue
 		}
 		j := &job{
-			id:       m.ID,
-			spec:     m.Spec,
-			exported: make(map[string]bool),
-			imported: make(map[string]bool),
-			seqSeen:  make(map[string]bool),
-			subs:     make(map[chan Status]struct{}),
-			status:   m.Status,
+			id:     m.ID,
+			spec:   m.Spec,
+			subs:   make(map[chan Status]struct{}),
+			status: m.Status,
 		}
 		var n int
 		if _, err := fmt.Sscanf(m.ID, "c%d", &n); err == nil && n > s.nextID {
@@ -669,12 +464,7 @@ func (s *Service) restore() error {
 // rebuild re-resolves a restored job's target and resumes its campaign from
 // the stored snapshot.
 func (s *Service) rebuild(j *job) error {
-	target, err := ResolveTarget(j.spec)
-	if err != nil {
-		return err
-	}
-	j.target = target
-	worldOpts, _, err := ResolveWorld(j.spec, target)
+	r, err := Resolve(j.spec, s.cfg.DefaultIterations)
 	if err != nil {
 		return err
 	}
@@ -682,21 +472,8 @@ func (s *Service) rebuild(j *job) error {
 	if err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
-	snap, err := fuzz.DecodeSnapshot(bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	var c *fuzz.Campaign
-	if worldOpts != nil {
-		c, err = fuzz.ResumeWorldCampaign(target, worldOpts, snap)
-	} else {
-		c, err = fuzz.ResumeTargetCampaign(target, snap)
-	}
-	if err != nil {
-		return err
-	}
-	j.campaign = c
-	return nil
+	j.campaign, err = r.Open(data)
+	return err
 }
 
 // Drain stops the scheduler, snapshots every live campaign to the store,
@@ -789,26 +566,15 @@ func (s *Service) Findings(id string, minimize bool) ([]Finding, error) {
 	if res == nil {
 		res = j.campaign.ResultSoFar()
 	}
-	out := make([]Finding, 0, len(res.Findings))
-	for _, f := range res.Findings {
-		fo := Finding{Class: string(f.Class), PC: f.PC, Description: f.Description}
-		if seq, ok := res.Repro[f.Class]; ok {
-			fo.PoC = callOrder(seq)
-			if minimize {
-				fo.PoCMin = callOrder(j.campaign.MinimizeForBug(seq, f.Class))
+	out := FindingsOf(res)
+	if minimize {
+		for i, f := range res.Findings {
+			if seq, ok := res.Repro[f.Class]; ok {
+				out[i].PoCMin = j.campaign.MinimizeForBug(seq, f.Class).Funcs()
 			}
 		}
-		out = append(out, fo)
 	}
 	return out, nil
-}
-
-func callOrder(seq fuzz.Sequence) []string {
-	out := make([]string, len(seq))
-	for i, tx := range seq {
-		out[i] = tx.Func
-	}
-	return out
 }
 
 func (s *Service) job(id string) (*job, bool) {

@@ -86,9 +86,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Root returns the store's root directory.
-func (s *Store) Root() string { return s.root }
-
 // cleanName rejects path-traversing object names.
 func cleanName(name string) error {
 	if name == "" || strings.ContainsAny(name, "/\\") || name == "." || name == ".." ||
@@ -312,26 +309,6 @@ func (s *Store) List(kind Kind, bucket string) ([]Entry, error) {
 		out = append(out, Entry{Name: de.Name(), Payload: payload})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
-}
-
-// Buckets lists the bucket names of a kind (e.g. the contracts with stored
-// seeds).
-func (s *Store) Buckets(kind Kind) ([]string, error) {
-	des, err := os.ReadDir(filepath.Join(s.root, string(kind)))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var out []string
-	for _, de := range des {
-		if de.IsDir() {
-			out = append(out, de.Name())
-		}
-	}
-	sort.Strings(out)
 	return out, nil
 }
 

@@ -139,7 +139,7 @@ func TestMultiContractCampaign(t *testing.T) {
 	bank := loadFixture(t, "bank-reentrant")
 	token := loadFixture(t, "erc20")
 	c := fuzz.NewTargetCampaign(bank, fuzz.Options{
-		Strategy: fuzz.MuFuzz(), Seed: 1, Iterations: 800, MaxSeqLen: 12,
+		Strategy: fuzz.MuFuzz(), Seed: 1, Iterations: 800,
 		World: &fuzz.WorldOptions{
 			Members: []fuzz.WorldMember{{Name: "token", Target: token}},
 		},
