@@ -292,18 +292,24 @@ func TestBranchSiteDepths(t *testing.T) {
 func TestWeightTraceIncreasesAlongPath(t *testing.T) {
 	comp := mustCompile(t, crowdsaleSrc)
 	cfg := BuildCFG(comp.Code)
-	addr := state.AddressFromUint(1)
-	branches := []evm.BranchEvent{
-		{Addr: addr, PC: 10, Taken: true},
-		{Addr: addr, PC: 20, Taken: false},
-		{Addr: addr, PC: 30, Taken: true},
+	ix := NewBranchIndex(cfg)
+	// Three edges without the vulnerability bonus, so only the position
+	// along the path sets their weights.
+	var branches []evm.BranchEvent
+	for id := int32(0); id < int32(ix.NumEdges()) && len(branches) < 3; id++ {
+		if !ix.VulnPast(id) {
+			branches = append(branches, evm.BranchEvent{Edge: id})
+		}
 	}
-	w := WeightTrace(branches, cfg)
+	if len(branches) != 3 {
+		t.Fatalf("only %d edges without the bonus", len(branches))
+	}
+	w := WeightTrace(branches, ix, cfg)
 	if len(w) != 3 {
 		t.Fatalf("weights = %v", w)
 	}
-	k1 := branches[0].Key()
-	k3 := branches[2].Key()
+	k1 := edgeKey(ix, branches[0].Edge)
+	k3 := edgeKey(ix, branches[2].Edge)
 	if w[k3] <= w[k1] {
 		t.Errorf("later branches must weigh more: %v vs %v", w[k3], w[k1])
 	}
@@ -318,31 +324,35 @@ func TestWeightVulnBonus(t *testing.T) {
 	}`
 	comp := mustCompile(t, src)
 	cfg := BuildCFG(comp.Code)
+	ix := NewBranchIndex(cfg)
 	var ifPC uint64
 	for _, s := range comp.Branches {
 		if s.Kind == minisol.BranchIf {
 			ifPC = s.PC
 		}
 	}
-	addr := state.AddressFromUint(1)
+	vuln, _ := ix.EdgeID(ifPC, false)
+	safe, _ := ix.EdgeID(ifPC, true)
 	// Same position in path; only direction differs.
-	wVuln := WeightTrace([]evm.BranchEvent{{Addr: addr, PC: ifPC, Taken: false}}, cfg)
-	wSafe := WeightTrace([]evm.BranchEvent{{Addr: addr, PC: ifPC, Taken: true}}, cfg)
-	kV := evm.BranchKey{Addr: addr, PC: ifPC, Taken: false}
-	kS := evm.BranchKey{Addr: addr, PC: ifPC, Taken: true}
+	wVuln := WeightTrace([]evm.BranchEvent{{Edge: vuln}}, ix, cfg)
+	wSafe := WeightTrace([]evm.BranchEvent{{Edge: safe}}, ix, cfg)
+	kV := evm.BranchKey{PC: ifPC, Taken: false}
+	kS := evm.BranchKey{PC: ifPC, Taken: true}
 	if wVuln[kV] <= wSafe[kS] {
 		t.Errorf("vulnerable side weight %v should exceed safe side %v", wVuln[kV], wSafe[kS])
 	}
 }
 
 func TestWeightCapAndMerge(t *testing.T) {
-	addr := state.AddressFromUint(1)
+	comp := mustCompile(t, crowdsaleSrc)
+	cfg := BuildCFG(comp.Code)
+	ix := NewBranchIndex(cfg)
 	var branches []evm.BranchEvent
 	for i := 0; i < 100; i++ {
-		branches = append(branches, evm.BranchEvent{Addr: addr, PC: uint64(i), Taken: true})
+		branches = append(branches, evm.BranchEvent{Edge: int32(i % ix.NumEdges())})
 	}
-	w := WeightTrace(branches, nil)
-	last := evm.BranchKey{Addr: addr, PC: 99, Taken: true}
+	w := WeightTrace(branches, ix, cfg)
+	last := edgeKey(ix, branches[99].Edge)
 	if w[last] > maxNestedScore+vulnBonus {
 		t.Errorf("weight should be capped: %v", w[last])
 	}
@@ -355,10 +365,11 @@ func TestWeightCapAndMerge(t *testing.T) {
 }
 
 func TestPathWeightDedupes(t *testing.T) {
-	addr := state.AddressFromUint(1)
-	br := evm.BranchEvent{Addr: addr, PC: 5, Taken: true}
-	w := BranchWeights{br.Key(): 3.0}
-	total := PathWeight([]evm.BranchEvent{br, br, br}, w)
+	comp := mustCompile(t, crowdsaleSrc)
+	ix := NewBranchIndex(BuildCFG(comp.Code))
+	br := evm.BranchEvent{Edge: 1}
+	w := BranchWeights{edgeKey(ix, br.Edge): 3.0}
+	total := PathWeight([]evm.BranchEvent{br, br, br}, ix, w)
 	if total != 3.0 {
 		t.Errorf("repeated edges must count once, got %v", total)
 	}
@@ -386,16 +397,18 @@ func TestWeightsFromExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := BuildCFG(comp.Code)
+	ix := NewBranchIndex(cfg)
+	e.BranchIndex, e.BranchIndexAddr = ix, addrC
 	e.Trace = evm.NewTrace()
 	if _, err := e.Transact(user, addrC, u256.Zero, data, 10_000_000); err != nil {
 		t.Fatal(err)
 	}
-	cfg := BuildCFG(comp.Code)
-	w := WeightTrace(e.Trace.Branches, cfg)
+	w := WeightTrace(e.Trace.Branches, ix, cfg)
 	if len(w) == 0 {
 		t.Fatal("no weights from a real execution")
 	}
-	if PathWeight(e.Trace.Branches, w) <= 0 {
+	if PathWeight(e.Trace.Branches, ix, w) <= 0 {
 		t.Error("path weight should be positive")
 	}
 }

@@ -85,19 +85,6 @@ func (ix *BranchIndex) Edge(id int32) (pc uint64, taken bool) {
 // edge (precomputed CFG.VulnReachablePastBranch).
 func (ix *BranchIndex) VulnPast(id int32) bool { return ix.vulnPast[id] }
 
-// EdgeOf resolves a branch event to its compact edge ID: the interned
-// reference carried by the event when present, an index lookup otherwise.
-// Returns -1 for events whose pc is not a known JUMPI site.
-func (ix *BranchIndex) EdgeOf(br evm.BranchEvent) int32 {
-	if id, ok := br.IndexedEdge(); ok {
-		return id
-	}
-	if id, ok := ix.EdgeID(br.PC, br.Taken); ok {
-		return id
-	}
-	return -1
-}
-
 // EdgeWeights is the indexed replacement for BranchWeights: Algorithm 3
 // weights in a dense slice keyed by edge ID, with the running total and
 // nonzero count maintained incrementally so energy assignment is O(1)
@@ -135,10 +122,7 @@ func (ew *EdgeWeights) MergeTrace(branches []evm.BranchEvent) {
 			nestedScore++
 		}
 		weight := float64(nestedScore) // w1 = WEIGHT_ASSIGN(nested_score)
-		id := ew.ix.EdgeOf(br)
-		if id < 0 {
-			continue
-		}
+		id := br.Edge
 		if ew.vulnPastID(id) {
 			weight += vulnBonus // w2
 		}
@@ -193,8 +177,8 @@ func (ew *EdgeWeights) PathWeight(branches []evm.BranchEvent) float64 {
 	ew.stampGen++
 	total := 0.0
 	for _, br := range branches {
-		id := ew.ix.EdgeOf(br)
-		if id < 0 || ew.stamp[id] == ew.stampGen {
+		id := br.Edge
+		if ew.stamp[id] == ew.stampGen {
 			continue
 		}
 		ew.stamp[id] = ew.stampGen
@@ -210,8 +194,8 @@ func (ew *EdgeWeights) PathWeightTx(branchesByTx [][]evm.BranchEvent) float64 {
 	total := 0.0
 	for _, branches := range branchesByTx {
 		for _, br := range branches {
-			id := ew.ix.EdgeOf(br)
-			if id < 0 || ew.stamp[id] == ew.stampGen {
+			id := br.Edge
+			if ew.stamp[id] == ew.stampGen {
 				continue
 			}
 			ew.stamp[id] = ew.stampGen

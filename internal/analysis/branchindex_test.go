@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mufuzz/internal/evm"
-	"mufuzz/internal/state"
 )
 
 func TestBranchIndexNumbersEveryCFGEdge(t *testing.T) {
@@ -77,9 +76,6 @@ func TestEdgeWeightsMatchMapImplementation(t *testing.T) {
 	comp := mustCompile(t, crowdsaleSrc)
 	cfg := BuildCFG(comp.Code)
 	ix := NewBranchIndex(cfg)
-	pcs := cfg.BranchPCs()
-	addr := state.AddressFromUint(1)
-
 	rng := rand.New(rand.NewSource(11))
 	ew := NewEdgeWeights(ix)
 	ref := make(BranchWeights)
@@ -88,17 +84,15 @@ func TestEdgeWeightsMatchMapImplementation(t *testing.T) {
 		n := 1 + rng.Intn(12)
 		branches := make([]evm.BranchEvent, n)
 		for i := range branches {
-			pc := pcs[rng.Intn(len(pcs))]
-			taken := rng.Intn(2) == 0
-			branches[i] = evm.BranchEvent{Addr: addr, PC: pc, Taken: taken}
+			branches[i] = evm.BranchEvent{Edge: int32(rng.Intn(ix.NumEdges()))}
 		}
 		ew.MergeTrace(branches)
-		ref.Merge(WeightTrace(branches, cfg))
+		ref.Merge(WeightTrace(branches, ix, cfg))
 
-		if got, want := ew.PathWeight(branches), PathWeight(branches, ref); got != want {
+		if got, want := ew.PathWeight(branches), PathWeight(branches, ix, ref); got != want {
 			t.Fatalf("trace %d: PathWeight %v != reference %v", trace, got, want)
 		}
-		if got, want := ew.PathWeightTx([][]evm.BranchEvent{branches[:n/2], branches[n/2:]}), PathWeight(branches, ref); got != want {
+		if got, want := ew.PathWeightTx([][]evm.BranchEvent{branches[:n/2], branches[n/2:]}), PathWeight(branches, ix, ref); got != want {
 			t.Fatalf("trace %d: PathWeightTx %v != reference %v", trace, got, want)
 		}
 	}

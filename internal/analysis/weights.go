@@ -32,8 +32,9 @@ func (w BranchWeights) Merge(o BranchWeights) {
 // the exercised path's split points in order, increment nested_score at each
 // branch instruction (w1), and add the vulnerable-instruction bonus (w2)
 // when the prefix analysis proves a vulnerable instruction reachable past
-// the branch.
-func WeightTrace(branches []evm.BranchEvent, cfg *CFG) BranchWeights {
+// the branch. Each event's edge resolves to its (pc, direction) through ix.
+// It is the map-keyed reference of EdgeWeights.MergeTrace.
+func WeightTrace(branches []evm.BranchEvent, ix *BranchIndex, cfg *CFG) BranchWeights {
 	w := make(BranchWeights, len(branches))
 	nestedScore := 0
 	for _, br := range branches {
@@ -41,10 +42,10 @@ func WeightTrace(branches []evm.BranchEvent, cfg *CFG) BranchWeights {
 			nestedScore++
 		}
 		weight := float64(nestedScore) // w1 = WEIGHT_ASSIGN(nested_score)
-		if cfg != nil && cfg.VulnReachablePastBranch(br.PC, br.Taken) {
+		key := edgeKey(ix, br.Edge)
+		if cfg.VulnReachablePastBranch(key.PC, key.Taken) {
 			weight += vulnBonus // w2
 		}
-		key := br.Key()
 		if weight > w[key] {
 			w[key] = weight
 		}
@@ -53,12 +54,13 @@ func WeightTrace(branches []evm.BranchEvent, cfg *CFG) BranchWeights {
 }
 
 // PathWeight sums the weights of the branch edges exercised by a trace —
-// the quantity energy allocation is proportional to.
-func PathWeight(branches []evm.BranchEvent, w BranchWeights) float64 {
+// the quantity energy allocation is proportional to. It is the map-keyed
+// reference of EdgeWeights.PathWeight.
+func PathWeight(branches []evm.BranchEvent, ix *BranchIndex, w BranchWeights) float64 {
 	total := 0.0
 	seen := make(map[evm.BranchKey]bool, len(branches))
 	for _, br := range branches {
-		k := br.Key()
+		k := edgeKey(ix, br.Edge)
 		if seen[k] {
 			continue
 		}
@@ -66,4 +68,10 @@ func PathWeight(branches []evm.BranchEvent, w BranchWeights) float64 {
 		total += w[k]
 	}
 	return total
+}
+
+// edgeKey resolves an edge ID to its (pc, direction) key.
+func edgeKey(ix *BranchIndex, id int32) evm.BranchKey {
+	pc, taken := ix.Edge(id)
+	return evm.BranchKey{PC: pc, Taken: taken}
 }

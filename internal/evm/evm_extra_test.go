@@ -2,8 +2,10 @@ package evm
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"mufuzz/internal/state"
 	"mufuzz/internal/u256"
@@ -247,9 +249,23 @@ func (stubIndexer) EdgeID(pc uint64, taken bool) (int32, bool) {
 	return id, true
 }
 
+// stubTaken reads the direction of an event recorded under stubIndexer.
+func stubTaken(br BranchEvent) bool { return br.Edge%10 == 1 }
+
+// jumpiPCs lists the pcs of code's JUMPIs on the decode grid.
+func jumpiPCs(code []byte) []uint64 {
+	var out []uint64
+	for _, ins := range Decode(code) {
+		if ins.Op == JUMPI {
+			out = append(out, ins.PC)
+		}
+	}
+	return out
+}
+
 // TestBranchEventEdgeInterning pins the interning contract: with an indexer
 // installed for the executing address, JUMPI events carry the compact edge
-// ID; without one (or for a foreign address), IndexedEdge reports false.
+// ID; without one, or for a foreign address, nothing is recorded.
 func TestBranchEventEdgeInterning(t *testing.T) {
 	// if (calldata word != 0) jump over a STOP to a JUMPDEST.
 	a := NewAssembler()
@@ -259,10 +275,9 @@ func TestBranchEventEdgeInterning(t *testing.T) {
 	a.Label("over")
 	a.Op(STOP)
 	code := a.MustBuild()
+	pc := jumpiPCs(code)[0]
 
 	e, sender, contract := testEnv(t, code)
-	e.BranchIndex = stubIndexer{}
-	e.BranchIndexAddr = contract
 	arg := make([]byte, 32)
 	arg[31] = 1
 	if _, err := run(t, e, sender, contract, u256.Zero, arg); err != nil {
@@ -271,23 +286,118 @@ func TestBranchEventEdgeInterning(t *testing.T) {
 	if len(e.Trace.Branches) != 1 {
 		t.Fatalf("branches = %d, want 1", len(e.Trace.Branches))
 	}
-	br := e.Trace.Branches[0]
-	id, ok := br.IndexedEdge()
-	if !ok {
-		t.Fatal("event not interned despite installed indexer")
-	}
-	if want := int32(br.PC)*10 + 1; id != want {
-		t.Errorf("edge id = %d, want %d (taken edge of pc %d)", id, want, br.PC)
+	if got, want := e.Trace.Branches[0].Edge, int32(pc)*10+1; got != want {
+		t.Errorf("edge id = %d, want %d (taken edge of pc %d)", got, want, pc)
 	}
 
-	// Foreign BranchIndexAddr: events must stay unindexed.
-	e2, sender2, contract2 := testEnv(t, code)
-	e2.BranchIndex = stubIndexer{}
-	e2.BranchIndexAddr = state.AddressFromUint(0xdead)
-	if _, err := run(t, e2, sender2, contract2, u256.Zero, arg); err != nil {
-		t.Fatal(err)
+	// A foreign BranchIndexAddr, or no indexer: nothing is recorded.
+	for _, foreign := range []bool{true, false} {
+		e2, sender2, contract2 := testEnv(t, code)
+		if foreign {
+			e2.BranchIndexAddr = state.AddressFromUint(0xdead)
+		} else {
+			e2.BranchIndex = nil
+		}
+		if _, err := run(t, e2, sender2, contract2, u256.Zero, arg); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(e2.Trace.Branches); n != 0 {
+			t.Errorf("foreign=%v: %d branch events recorded, want 0", foreign, n)
+		}
 	}
-	if _, ok := e2.Trace.Branches[0].IndexedEdge(); ok {
-		t.Error("event interned for a foreign address")
+}
+
+// TestBranchEventsOnlyForOwnCode pins which frames record branches: the
+// indexed contract's own code in its own storage context. Library code it
+// delegatecalls runs in its storage context but is not its code, and the
+// library's own frames run at another address; neither records, while the
+// contract's own JUMPIs on both sides of the calls still do. The checked-call
+// mark and the condition sink are recorded for every frame.
+func TestBranchEventsOnlyForOwnCode(t *testing.T) {
+	// Library: if (calldata word == 0) skip; STOP. Its JUMPI condition is
+	// input-tainted, so each library frame leaves a SinkJumpCond.
+	lib := NewAssembler()
+	lib.PushUint(0).Op(CALLDATALOAD).Op(ISZERO)
+	lib.JumpITo("end")
+	lib.Label("end").Op(STOP)
+	libAddr := state.AddressFromUint(0x11b)
+	libCode := lib.MustBuild()
+
+	// Contract: JUMPI, DELEGATECALL lib, CALL lib, JUMPI on the call status.
+	a := NewAssembler()
+	a.PushUint(1)
+	a.JumpITo("go")
+	a.Label("go")
+	a.PushUint(0).PushUint(0).PushUint(32).PushUint(0)
+	a.Push(libAddr.Word()).Op(GAS).Op(DELEGATECALL).Op(POP)
+	a.PushUint(0).PushUint(0).PushUint(32).PushUint(0).PushUint(0)
+	a.Push(libAddr.Word()).Op(GAS).Op(CALL)
+	a.JumpITo("end")
+	a.Label("end").Op(STOP)
+	code := a.MustBuild()
+	pcs := jumpiPCs(code)
+	libPC := jumpiPCs(libCode)[0]
+
+	for _, disableIR := range []bool{false, true} {
+		e, sender, contract := testEnv(t, code)
+		e.DisableIR = disableIR
+		e.State.CreateContract(libAddr, libCode, sender)
+		e.State.Commit()
+		var libJumpis int
+		e.onStep = func(depth int, pc uint64) {
+			if depth == 2 && pc == libPC {
+				libJumpis++
+			}
+		}
+		if _, err := run(t, e, sender, contract, u256.Zero, nil); err != nil {
+			t.Fatal(err)
+		}
+		if libJumpis != 2 {
+			t.Fatalf("DisableIR=%v: library JUMPIs executed = %d, want 2", disableIR, libJumpis)
+		}
+		var got []int32
+		for _, br := range e.Trace.Branches {
+			got = append(got, br.Edge)
+		}
+		if want := []int32{int32(pcs[0])*10 + 1, int32(pcs[1])*10 + 1}; !reflect.DeepEqual(got, want) {
+			t.Errorf("DisableIR=%v: recorded edges %v, want %v (the contract's own JUMPIs only)", disableIR, got, want)
+		}
+		if len(e.Trace.Calls) != 2 || !e.Trace.Calls[1].Checked {
+			t.Errorf("DisableIR=%v: calls %+v, want the CALL's status checked", disableIR, e.Trace.Calls)
+		}
+		var libSinks int
+		for _, s := range e.Trace.Sinks {
+			if s.Kind == SinkJumpCond && s.PC == libPC {
+				libSinks++
+			}
+		}
+		if libSinks != 2 {
+			t.Errorf("DisableIR=%v: library condition sinks = %d, want 2", disableIR, libSinks)
+		}
+	}
+}
+
+// TestBranchEventSize pins the event's footprint: the edge ID plus the
+// comparison, 80 bytes on 64-bit hosts.
+func TestBranchEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(BranchEvent{}); n != 80 {
+		t.Errorf("BranchEvent is %d bytes, want 80", n)
+	}
+}
+
+// TestZeroSizeAccessAtTopOfAddressSpace pins that the memory-taint walk of
+// a zero-size access ends. Such an access touches no memory, so it may name
+// any offset; in the last word below 2^64, stepping o += 32 wraps to 0.
+func TestZeroSizeAccessAtTopOfAddressSpace(t *testing.T) {
+	a := NewAssembler()
+	a.PushUint(0).PushUint(0).Push(u256.Max).Op(CALLDATACOPY) // size 0, src 0, dst 2^256-1
+	a.PushUint(0).Push(u256.Max).Op(KECCAK256).Op(POP)        // size 0 at the same offset
+	a.Op(STOP)
+	for _, disableIR := range []bool{false, true} {
+		e, sender, contract := testEnv(t, a.MustBuild())
+		e.DisableIR = disableIR
+		if _, err := run(t, e, sender, contract, u256.Zero, nil); err != nil {
+			t.Fatalf("DisableIR=%v: %v", disableIR, err)
+		}
 	}
 }

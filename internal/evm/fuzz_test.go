@@ -21,10 +21,22 @@ var (
 	fuzzContract = state.AddressFromUint(0xc0de)
 )
 
+// fuzzRun is what one fuzzTx observed.
+type fuzzRun struct {
+	st    *state.State
+	trace *Trace
+	ret   []byte
+	err   error
+	// steps is the EVM's step count; path is every executed (depth, pc), in
+	// order, as the step hook saw it.
+	steps int
+	path  [][2]uint64
+}
+
 // fuzzTx runs one transaction of code on a fresh world — a funded sender and
-// the contract deployed by fuzzDeployer — and returns the world afterwards.
-// Gas and the step ceiling bound the run time.
-func fuzzTx(code, input []byte, valueSeed uint64, disableIR bool) (*state.State, *Trace, []byte, error) {
+// the contract deployed by fuzzDeployer, its branches indexed — and returns
+// what it observed. Gas and the step ceiling bound the run time.
+func fuzzTx(code, input []byte, valueSeed uint64, disableIR bool) fuzzRun {
 	st := state.New()
 	st.SetBalance(fuzzSender, u256.One.Lsh(120))
 	st.CreateContract(fuzzContract, code, fuzzDeployer)
@@ -32,10 +44,16 @@ func fuzzTx(code, input []byte, valueSeed uint64, disableIR bool) (*state.State,
 
 	e := New(st, BlockCtx{Timestamp: 1_700_000_000, Number: 1_000_000, GasLimit: 30_000_000})
 	e.Trace = NewTrace()
-	e.CollectPCs = true
+	e.BranchIndex = stubIndexer{}
+	e.BranchIndexAddr = fuzzContract
 	e.DisableIR = disableIR
-	ret, err := e.Transact(fuzzSender, fuzzContract, u256.New(valueSeed%1_000_000), input, 200_000)
-	return st, e.Trace, ret, err
+	r := fuzzRun{st: st, trace: e.Trace}
+	e.onStep = func(depth int, pc uint64) {
+		r.path = append(r.path, [2]uint64{uint64(depth), pc})
+	}
+	r.ret, r.err = e.Transact(fuzzSender, fuzzContract, u256.New(valueSeed%1_000_000), input, 200_000)
+	r.steps = e.steps
+	return r
 }
 
 // FuzzInterpreterNoCrash runs arbitrary bytecode through the interpreter:
@@ -52,8 +70,7 @@ func FuzzInterpreterNoCrash(f *testing.F) {
 		if len(code) > 4096 || len(input) > 4096 {
 			return // keep individual executions fast; size adds no new behavior
 		}
-		_, _, _, err := fuzzTx(code, input, valueSeed, false)
-		_ = err // errors are expected; only panics fail the target
+		_ = fuzzTx(code, input, valueSeed, false) // errors are expected; only panics fail the target
 	})
 }
 
@@ -61,9 +78,10 @@ func FuzzInterpreterNoCrash(f *testing.F) {
 // (code, input, value) runs on two identically built fresh worlds, once on
 // the compiled IR (fused superinstructions included) and once on the
 // reference switch loop, and the two runs must agree on the error, the
-// return data, every account's final state, and the whole trace — branch
-// events with their comparison operands, storage writes, calls, overflows,
-// sinks, executed ops, and the top-level PC path. The seeds are the
+// return data, every account's final state, the whole trace — branch
+// events by edge with their comparison operands, calls, overflows, sinks,
+// storage writes, self-destructs, delegates and reentries — the step count,
+// and the executed (depth, pc) path at every depth. The seeds are the
 // dispatcher arms of the runtime bytecode fixtures, so the fused dispatcher
 // and compare-and-branch patterns run from the first input.
 func FuzzIRMatchesSwitch(f *testing.F) {
@@ -93,25 +111,33 @@ func FuzzIRMatchesSwitch(f *testing.F) {
 		if len(code) > 4096 || len(input) > 4096 {
 			return
 		}
-		stIR, trIR, retIR, errIR := fuzzTx(code, input, valueSeed, false)
-		stSw, trSw, retSw, errSw := fuzzTx(code, input, valueSeed, true)
-		if fmt.Sprint(errIR) != fmt.Sprint(errSw) {
-			t.Fatalf("error: IR %v, switch %v", errIR, errSw)
+		ir := fuzzTx(code, input, valueSeed, false)
+		sw := fuzzTx(code, input, valueSeed, true)
+		if fmt.Sprint(ir.err) != fmt.Sprint(sw.err) {
+			t.Fatalf("error: IR %v, switch %v", ir.err, sw.err)
 		}
-		if !bytes.Equal(retIR, retSw) {
-			t.Fatalf("return data: IR %x, switch %x", retIR, retSw)
+		if !bytes.Equal(ir.ret, sw.ret) {
+			t.Fatalf("return data: IR %x, switch %x", ir.ret, sw.ret)
 		}
-		if a, b := stIR.Accounts(), stSw.Accounts(); !reflect.DeepEqual(a, b) {
+		if a, b := ir.st.Accounts(), sw.st.Accounts(); !reflect.DeepEqual(a, b) {
 			t.Fatalf("accounts: IR %v, switch %v", a, b)
 		}
-		for _, addr := range stIR.Accounts() {
-			if !stIR.AccountEqual(stSw, addr) {
+		for _, addr := range ir.st.Accounts() {
+			if !ir.st.AccountEqual(sw.st, addr) {
 				t.Fatalf("account %s differs: IR bal=%s storage=%v, switch bal=%s storage=%v", addr,
-					stIR.Balance(addr), stIR.StorageDump(addr), stSw.Balance(addr), stSw.StorageDump(addr))
+					ir.st.Balance(addr), ir.st.StorageDump(addr), sw.st.Balance(addr), sw.st.StorageDump(addr))
 			}
 		}
-		if !reflect.DeepEqual(trIR, trSw) {
-			t.Fatalf("trace differs: %s", traceDiff(trIR, trSw))
+		if !reflect.DeepEqual(ir.trace, sw.trace) {
+			t.Fatalf("trace differs: %s", traceDiff(ir.trace, sw.trace))
+		}
+		if ir.steps != sw.steps {
+			t.Fatalf("steps: IR %d, switch %d", ir.steps, sw.steps)
+		}
+		for i := 0; i < len(ir.path) || i < len(sw.path); i++ {
+			if i >= len(ir.path) || i >= len(sw.path) || ir.path[i] != sw.path[i] {
+				t.Fatalf("executed path differs at step %d of IR %d, switch %d", i, len(ir.path), len(sw.path))
+			}
 		}
 	})
 }

@@ -58,12 +58,6 @@ type StorageKey struct {
 	slot u256.Int
 }
 
-// frameID identifies an active call frame for reentry detection.
-type frameID struct {
-	addr     state.Address
-	selector [4]byte
-}
-
 // EVM executes transactions against a world state. One EVM value handles one
 // transaction at a time; reuse across a sequence keeps StorageTaint alive so
 // taints flow through persistent storage.
@@ -80,13 +74,12 @@ type EVM struct {
 	MaxDepth int
 	// MaxSteps bounds total instructions per transaction (default 200000).
 	MaxSteps int
-	// CollectPCs enables recording the top-level program-counter path in the
-	// trace (used by the pre-fuzz path-prefix analysis, paper §IV-C).
-	CollectPCs bool
-	// BranchIndex, together with BranchIndexAddr, interns branch-edge
-	// identities: JUMPI events emitted while executing BranchIndexAddr carry
-	// the indexer's compact edge ID in their EdgeRef (coverage interning for
-	// the contract under test). Nil disables interning.
+	// BranchIndex, together with BranchIndexAddr, selects the code whose
+	// branches the trace records: frames that run BranchIndexAddr's own code
+	// in its own storage context record every JUMPI as a BranchEvent
+	// carrying the indexer's compact edge ID. Other frames (world members,
+	// attackers, code delegatecalled into the indexed contract) record none.
+	// Nil records no branch events.
 	BranchIndex     BranchIndexer
 	BranchIndexAddr state.Address
 
@@ -99,10 +92,17 @@ type EVM struct {
 	// compiled-IR hot path (conformance ablation: Options.NoIR threads here).
 	DisableIR bool
 
-	natives      map[state.Address]Native
-	steps        int
-	callCounter  int
-	activeFrames []frameID
+	natives     map[state.Address]Native
+	steps       int
+	callCounter int
+	// activeFrames lists the storage contexts of the live frames, outermost
+	// first, for reentry detection.
+	activeFrames []state.Address
+	// onStep, when set, is called at every executed instruction, fused
+	// constituents included, with the frame's depth and the instruction's
+	// pc. Package tests set it to observe the executed path; it is nil in
+	// production.
+	onStep func(depth int, pc uint64)
 	// callIndex maps call ID -> index in Trace.Calls. IDs are assigned
 	// densely from 1 per transaction, so a reslice-and-append slice replaces
 	// the map the pre-IR engine cleared and re-populated per transaction.
@@ -265,9 +265,6 @@ func (e *EVM) Transact(sender, to state.Address, value u256.Int, input []byte, g
 	ret, _, err := e.call(CALL, sender, to, to, value, input, gas, 1)
 	if err != nil {
 		e.State.RevertTo(snap)
-		if e.Trace != nil {
-			e.Trace.Reverted = true
-		}
 	} else {
 		e.State.Commit()
 	}
@@ -289,16 +286,11 @@ func (e *EVM) call(op OpCode, caller, selfAddr, codeAddr state.Address, value u2
 	}
 
 	// Reentry detection: entering a contract already active on the stack.
-	var sel [4]byte
-	if len(input) >= 4 {
-		copy(sel[:], input[:4])
-	}
-	for _, f := range e.activeFrames {
-		if f.addr == selfAddr {
+	for _, a := range e.activeFrames {
+		if a == selfAddr {
 			if e.Trace != nil {
 				e.Trace.Reentries = append(e.Trace.Reentries, ReentryEvent{
 					Addr:               selfAddr,
-					Selector:           sel,
 					EnabledByValueCall: e.valueCallActive > 0,
 				})
 			}
@@ -320,9 +312,10 @@ func (e *EVM) call(op OpCode, caller, selfAddr, codeAddr state.Address, value u2
 		return nil, gas, nil
 	}
 
-	e.activeFrames = append(e.activeFrames, frameID{addr: selfAddr, selector: sel})
+	e.activeFrames = append(e.activeFrames, selfAddr)
 	p := e.program(code)
 	f := e.frameFor(selfAddr, caller, value, input, code, gas, depth, p.dests)
+	f.records = e.BranchIndex != nil && selfAddr == codeAddr && selfAddr == e.BranchIndexAddr
 	var ret []byte
 	var err error
 	if e.DisableIR {
@@ -474,6 +467,10 @@ type frame struct {
 	retData    []byte
 	depth      int
 	dests      []bool
+	// records is set when the frame runs the indexed contract's own code in
+	// its own storage context (see EVM.BranchIndex): only such frames
+	// record branch events.
+	records bool
 	// busy guards pooled reuse: set while the frame is executing.
 	busy bool
 }
@@ -590,10 +587,21 @@ func (f *frame) memTaintRange(off, size uint64) Taint {
 		return 0
 	}
 	var t Taint
-	for o := off &^ 31; o < off+size; o += 32 {
+	for o, n := taintWords(off, size); n > 0; n-- {
 		t |= f.memTaint[o]
+		o += 32
 	}
 	return t
+}
+
+// taintWords returns where a walk of the memory-taint grid over
+// [off, off+size) starts, the aligned word holding off, and how many words
+// from there lie below off+size. Counting words rather than comparing
+// offsets keeps the walk finite when a zero-size access (which may name any
+// offset) names one in the last word below 2^64, where o += 32 wraps to 0.
+func taintWords(off, size uint64) (first, n uint64) {
+	first = off &^ 31
+	return first, (off + size - first + 31) / 32
 }
 
 func (f *frame) useGas(amount uint64) error {
@@ -668,34 +676,23 @@ func invalidOpErr(op OpCode, pc uint64) error {
 	return fmt.Errorf("%w: %s at pc %d", ErrInvalidOpcode, op, pc)
 }
 
-// recordBranch emits the JUMPI trace event: the branch itself (with interned
-// edge identity for the contract under test), the checked-call mark when the
-// condition derives from an external call's status word, and the tainted
-// condition sink. Shared verbatim by the switch loop and every fused IR
-// variant so transcripts cannot diverge.
+// recordBranch emits the JUMPI trace events: the branch event when the
+// frame records branches, the checked-call mark when the condition derives
+// from an external call's status word, and the tainted condition sink.
+// Shared verbatim by the switch loop and every fused IR variant so
+// transcripts cannot diverge. A recording frame runs the indexed code, so
+// its JUMPIs lie on the decode grid the index numbers.
 func (f *frame) recordBranch(taken bool, condTaint Taint, hasCmp bool, cmp CmpInfo, callID int) {
 	e := f.evm
-	if e.Trace != nil {
-		ev := BranchEvent{
-			Addr:      f.addr,
-			PC:        f.pc,
-			Taken:     taken,
-			CondTaint: condTaint,
-			Depth:     f.depth,
-			HasCmp:    hasCmp,
-		}
-		if hasCmp {
-			ev.Cmp = cmp
-		}
-		if e.BranchIndex != nil && f.addr == e.BranchIndexAddr {
+	if tr := e.Trace; tr != nil {
+		if f.records {
 			if id, ok := e.BranchIndex.EdgeID(f.pc, taken); ok {
-				ev.EdgeRef = id + 1
+				tr.Branches = append(tr.Branches, BranchEvent{Edge: id, HasCmp: hasCmp, Cmp: cmp})
 			}
 		}
-		e.Trace.Branches = append(e.Trace.Branches, ev)
 		if callID != 0 {
 			if idx := e.callIndexOf(callID); idx >= 0 {
-				e.Trace.Calls[idx].Checked = true
+				tr.Calls[idx].Checked = true
 			}
 		}
 	}
@@ -705,7 +702,6 @@ func (f *frame) recordBranch(taken bool, condTaint Taint, hasCmp bool, cmp CmpIn
 // run executes the frame until termination. Returns the output data.
 func (f *frame) run() ([]byte, error) {
 	e := f.evm
-	tr := e.Trace
 	for {
 		if f.pc >= uint64(len(f.code)) {
 			return nil, nil // implicit STOP off the end of code
@@ -714,14 +710,10 @@ func (f *frame) run() ([]byte, error) {
 		if e.steps > e.maxSteps() {
 			return nil, ErrStepLimit
 		}
-		op := OpCode(f.code[f.pc])
-		if tr != nil {
-			tr.Steps++
-			tr.markOp(op)
-			if e.CollectPCs && f.depth == 1 {
-				tr.PCs = append(tr.PCs, f.pc)
-			}
+		if e.onStep != nil {
+			e.onStep(f.depth, f.pc)
 		}
+		op := OpCode(f.code[f.pc])
 		pop, _, known := op.Arity()
 		if !known {
 			return nil, invalidOpErr(op, f.pc)
@@ -817,7 +809,7 @@ func (f *frame) execute(op OpCode) (done bool, out []byte, err error) {
 			m.taint |= TaintOverflow
 			if e.Trace != nil {
 				e.Trace.Overflows = append(e.Trace.Overflows, OverflowEvent{
-					Addr: f.addr, PC: f.pc, Op: op, A: a, B: b,
+					Addr: f.addr, PC: f.pc, Op: op,
 				})
 			}
 		}
@@ -990,8 +982,9 @@ func (f *frame) execute(op OpCode) (done bool, out []byte, err error) {
 				mem[i] = 0
 			}
 		}
-		for o := dst &^ 31; o < dst+sz; o += 32 {
+		for o, n := taintWords(dst, sz); n > 0; n-- {
 			f.orMemTaintWord(o, TaintInput)
+			o += 32
 		}
 		return false, nil, nil
 
@@ -1152,12 +1145,8 @@ func (f *frame) execute(op OpCode) (done bool, out []byte, err error) {
 	case JUMPDEST:
 		return false, nil, nil
 
-	case CALL:
-		return f.opCall()
-	case DELEGATECALL:
-		return f.opDelegateCall()
-	case STATICCALL:
-		return f.opStaticCall()
+	case CALL, DELEGATECALL, STATICCALL:
+		return f.opCall(op)
 
 	case RETURN:
 		offV, _, _ := f.pop()
@@ -1191,11 +1180,9 @@ func (f *frame) execute(op OpCode) (done bool, out []byte, err error) {
 		if e.Trace != nil {
 			e.Trace.SelfDestructs = append(e.Trace.SelfDestructs, SelfDestructEvent{
 				Addr:            f.addr,
-				Beneficiary:     ben,
 				CallerIsCreator: f.caller == creator,
 				OriginIsCreator: e.Origin == creator,
 			})
-			e.Trace.ValueOutAttempted = true
 		}
 		e.State.Destroy(f.addr, ben)
 		return true, nil, nil
@@ -1205,43 +1192,66 @@ func (f *frame) execute(op OpCode) (done bool, out []byte, err error) {
 	}
 }
 
-// opCall implements the CALL opcode.
-func (f *frame) opCall() (bool, []byte, error) {
+// opCall implements the CALL family. The steps every member shares — the
+// operands, the input copy, the forwarded gas, the call itself, its call
+// event, the return data and the status word — are written once. Each
+// opcode adds only its own: CALL its value operand (write-protected, with
+// the stipend that gates reentrancy) and its two sinks, DELEGATECALL its
+// delegate event and the frame's caller, value and storage context, and
+// STATICCALL the write protection of everything below it (EIP-214: while a
+// static frame is live, SSTORE, SELFDESTRUCT and value-bearing CALLs fail
+// with ErrWriteProtection).
+func (f *frame) opCall(op OpCode) (bool, []byte, error) {
 	e := f.evm
 	gasV, _, _ := f.pop()
 	toV, mTo, _ := f.pop()
-	valV, mVal, _ := f.pop()
+	var valV u256.Int
+	var mVal meta
+	if op == CALL {
+		valV, mVal, _ = f.pop()
+	}
 	inOffV, _, _ := f.pop()
 	inSzV, _, _ := f.pop()
 	outOffV, _, _ := f.pop()
 	outSzV, _, _ := f.pop()
 
 	to := state.AddressFromWord(toV)
-	input, err := f.memSlice(u64(inOffV), u64(inSzV))
+	inOff, inSz := u64(inOffV), u64(inSzV)
+	input, err := f.memSlice(inOff, inSz)
 	if err != nil {
 		return false, nil, err
 	}
 	input = append([]byte(nil), input...)
 
-	// Gas forwarded: requested, capped by what the frame has, plus the
-	// stipend for value-bearing calls (the transfer/send 2300 distinction
-	// that gates reentrancy).
-	forward := u64(gasV)
-	if forward > f.gas {
-		forward = f.gas
-	}
-	if err := f.useGas(forward); err != nil {
-		return false, nil, err
-	}
-	if !valV.IsZero() {
-		if e.staticDepth > 0 {
-			return false, nil, fmt.Errorf("%w: CALL with value at pc %d", ErrWriteProtection, f.pc)
-		}
-		forward += callStipend
-	}
+	// Gas forwarded: requested, capped by what the frame has.
+	forward := min(u64(gasV), f.gas)
+	f.gas -= forward
 
-	f.recordSink(SinkCallValue, mVal.taint)
-	f.recordSink(SinkCallTarget, mTo.taint)
+	caller, self, value := f.addr, to, valV
+	switch op {
+	case CALL:
+		// Value-bearing calls get the transfer/send stipend on top.
+		if !valV.IsZero() {
+			if e.staticDepth > 0 {
+				return false, nil, fmt.Errorf("%w: CALL with value at pc %d", ErrWriteProtection, f.pc)
+			}
+			forward += callStipend
+		}
+		f.recordSink(SinkCallValue, mVal.taint)
+		f.recordSink(SinkCallTarget, mTo.taint)
+	case DELEGATECALL:
+		if e.Trace != nil {
+			e.Trace.Delegates = append(e.Trace.Delegates, DelegateEvent{
+				Addr:            f.addr,
+				TargetTaint:     mTo.taint,
+				InputTaint:      f.memTaintRange(inOff, inSz) | TaintInput&mTo.taint,
+				CallerIsCreator: f.caller == e.State.Creator(f.addr),
+			})
+		}
+		// The callee's code runs in this frame's storage context, with the
+		// frame's caller and value.
+		caller, self, value = f.caller, f.addr, f.value
+	}
 
 	e.callCounter++
 	id := e.callCounter
@@ -1249,7 +1259,13 @@ func (f *frame) opCall() (bool, []byte, error) {
 	if valueCall {
 		e.valueCallActive++
 	}
-	ret, leftGas, callErr := e.call(CALL, f.addr, to, to, valV, input, forward, f.depth+1)
+	if op == STATICCALL {
+		e.staticDepth++
+	}
+	ret, leftGas, callErr := e.call(op, caller, self, to, value, input, forward, f.depth+1)
+	if op == STATICCALL {
+		e.staticDepth--
+	}
 	if valueCall {
 		e.valueCallActive--
 	}
@@ -1259,169 +1275,21 @@ func (f *frame) opCall() (bool, []byte, error) {
 	success := callErr == nil
 	if e.Trace != nil {
 		e.Trace.Calls = append(e.Trace.Calls, CallEvent{
-			ID: id, Op: CALL, From: f.addr, To: to, Value: valV, Gas: forward,
-			Success: success, Depth: f.depth, TargetTaint: mTo.taint, ValueTaint: mVal.taint,
+			ID: id, Op: op, From: f.addr, To: to, Value: valV, Gas: forward,
+			Success: success, Depth: f.depth,
 		})
 		e.setCallIndex(id, len(e.Trace.Calls)-1)
-		if !valV.IsZero() {
-			e.Trace.ValueOutAttempted = true
-		}
 	}
 
 	// Write return data into the requested output window.
-	outOff, outSz := u64(outOffV), u64(outSzV)
-	if outSz > 0 {
-		mem, err := f.memSlice(outOff, outSz)
+	if outSz := u64(outSzV); outSz > 0 {
+		mem, err := f.memSlice(u64(outOffV), outSz)
 		if err != nil {
 			return false, nil, err
 		}
-		for i := range mem {
-			if i < len(ret) {
-				mem[i] = ret[i]
-			} else {
-				mem[i] = 0
-			}
-		}
+		clear(mem[copy(mem, ret):])
 	}
 
-	statusWord := u256.Zero
-	if success {
-		statusWord = u256.One
-	}
-	return false, nil, f.push(statusWord, meta{taint: TaintCallResult, callID: id})
-}
-
-// opDelegateCall implements DELEGATECALL: callee code runs in the caller's
-// storage context with the caller's value.
-func (f *frame) opDelegateCall() (bool, []byte, error) {
-	e := f.evm
-	gasV, _, _ := f.pop()
-	toV, mTo, _ := f.pop()
-	inOffV, _, _ := f.pop()
-	inSzV, _, _ := f.pop()
-	outOffV, _, _ := f.pop()
-	outSzV, _, _ := f.pop()
-
-	to := state.AddressFromWord(toV)
-	input, err := f.memSlice(u64(inOffV), u64(inSzV))
-	if err != nil {
-		return false, nil, err
-	}
-	input = append([]byte(nil), input...)
-
-	forward := u64(gasV)
-	if forward > f.gas {
-		forward = f.gas
-	}
-	if err := f.useGas(forward); err != nil {
-		return false, nil, err
-	}
-
-	if e.Trace != nil {
-		e.Trace.Delegates = append(e.Trace.Delegates, DelegateEvent{
-			Addr:            f.addr,
-			TargetTaint:     mTo.taint,
-			InputTaint:      f.memTaintRange(u64(inOffV), u64(inSzV)) | TaintInput&mTo.taint,
-			CallerIsCreator: f.caller == e.State.Creator(f.addr),
-		})
-	}
-
-	e.callCounter++
-	id := e.callCounter
-	// Storage context stays f.addr; code comes from `to`; caller preserved.
-	ret, leftGas, callErr := e.call(DELEGATECALL, f.caller, f.addr, to, f.value, input, forward, f.depth+1)
-	f.gas += leftGas
-	f.retData = ret
-
-	success := callErr == nil
-	if e.Trace != nil {
-		e.Trace.Calls = append(e.Trace.Calls, CallEvent{
-			ID: id, Op: DELEGATECALL, From: f.addr, To: to, Gas: forward,
-			Success: success, Depth: f.depth, TargetTaint: mTo.taint,
-		})
-		e.setCallIndex(id, len(e.Trace.Calls)-1)
-	}
-
-	outOff, outSz := u64(outOffV), u64(outSzV)
-	if outSz > 0 {
-		mem, err := f.memSlice(outOff, outSz)
-		if err != nil {
-			return false, nil, err
-		}
-		for i := range mem {
-			if i < len(ret) {
-				mem[i] = ret[i]
-			} else {
-				mem[i] = 0
-			}
-		}
-	}
-	statusWord := u256.Zero
-	if success {
-		statusWord = u256.One
-	}
-	return false, nil, f.push(statusWord, meta{taint: TaintCallResult, callID: id})
-}
-
-// opStaticCall implements STATICCALL: a value-less CALL under write
-// protection. While the static frame (or anything it calls, per EIP-214
-// propagation) is live, SSTORE, SELFDESTRUCT, and value-bearing CALLs fail
-// with ErrWriteProtection.
-func (f *frame) opStaticCall() (bool, []byte, error) {
-	e := f.evm
-	gasV, _, _ := f.pop()
-	toV, mTo, _ := f.pop()
-	inOffV, _, _ := f.pop()
-	inSzV, _, _ := f.pop()
-	outOffV, _, _ := f.pop()
-	outSzV, _, _ := f.pop()
-
-	to := state.AddressFromWord(toV)
-	input, err := f.memSlice(u64(inOffV), u64(inSzV))
-	if err != nil {
-		return false, nil, err
-	}
-	input = append([]byte(nil), input...)
-
-	forward := u64(gasV)
-	if forward > f.gas {
-		forward = f.gas
-	}
-	if err := f.useGas(forward); err != nil {
-		return false, nil, err
-	}
-
-	e.callCounter++
-	id := e.callCounter
-	e.staticDepth++
-	ret, leftGas, callErr := e.call(STATICCALL, f.addr, to, to, u256.Zero, input, forward, f.depth+1)
-	e.staticDepth--
-	f.gas += leftGas
-	f.retData = ret
-
-	success := callErr == nil
-	if e.Trace != nil {
-		e.Trace.Calls = append(e.Trace.Calls, CallEvent{
-			ID: id, Op: STATICCALL, From: f.addr, To: to, Gas: forward,
-			Success: success, Depth: f.depth, TargetTaint: mTo.taint,
-		})
-		e.setCallIndex(id, len(e.Trace.Calls)-1)
-	}
-
-	outOff, outSz := u64(outOffV), u64(outSzV)
-	if outSz > 0 {
-		mem, err := f.memSlice(outOff, outSz)
-		if err != nil {
-			return false, nil, err
-		}
-		for i := range mem {
-			if i < len(ret) {
-				mem[i] = ret[i]
-			} else {
-				mem[i] = 0
-			}
-		}
-	}
 	statusWord := u256.Zero
 	if success {
 		statusWord = u256.One

@@ -2,6 +2,7 @@ package evm
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"mufuzz/internal/keccak"
@@ -9,7 +10,9 @@ import (
 	"mufuzz/internal/u256"
 )
 
-// testEnv bundles a fresh state + EVM with a deployed code blob.
+// testEnv bundles a fresh state + EVM with a deployed code blob. The
+// contract's branches are indexed by stubIndexer, so its JUMPIs are
+// recorded and stubTaken reads their direction.
 func testEnv(t testing.TB, code []byte) (*EVM, state.Address, state.Address) {
 	t.Helper()
 	st := state.New()
@@ -20,7 +23,20 @@ func testEnv(t testing.TB, code []byte) (*EVM, state.Address, state.Address) {
 	st.Commit()
 	e := New(st, BlockCtx{Timestamp: 1_700_000_000, Number: 123, GasLimit: 30_000_000})
 	e.Trace = NewTrace()
+	e.BranchIndex = stubIndexer{}
+	e.BranchIndexAddr = contract
 	return e, sender, contract
+}
+
+// hasSink reports whether the trace holds a sink of kind whose taint
+// includes t.
+func hasSink(tr *Trace, kind SinkKind, t Taint) bool {
+	for _, s := range tr.Sinks {
+		if s.Kind == kind && s.Taint.Has(t) {
+			return true
+		}
+	}
+	return false
 }
 
 // run executes a tx against the contract returning output.
@@ -159,9 +175,6 @@ func TestRevertRollsBackState(t *testing.T) {
 	if !e.State.GetStorage(contract, u256.Zero).IsZero() {
 		t.Error("storage write survived revert")
 	}
-	if !e.Trace.Reverted {
-		t.Error("trace should record revert")
-	}
 }
 
 func TestValueTransferOnTransact(t *testing.T) {
@@ -205,11 +218,10 @@ func TestJumpAndBranchEvents(t *testing.T) {
 	if len(e.Trace.Branches) != 1 {
 		t.Fatalf("branches = %d, want 1", len(e.Trace.Branches))
 	}
-	br := e.Trace.Branches[0]
-	if !br.Taken {
+	if !stubTaken(e.Trace.Branches[0]) {
 		t.Error("branch should be taken")
 	}
-	if !br.CondTaint.Has(TaintInput) {
+	if !hasSink(e.Trace, SinkJumpCond, TaintInput) {
 		t.Error("condition should carry input taint")
 	}
 
@@ -222,7 +234,7 @@ func TestJumpAndBranchEvents(t *testing.T) {
 	if got := e.State.GetStorage(contract, u256.Zero); !got.Eq(u256.One) {
 		t.Fatalf("fallthrough storage = %s", got)
 	}
-	if e.Trace.Branches[0].Taken {
+	if stubTaken(e.Trace.Branches[0]) {
 		t.Error("branch should not be taken")
 	}
 }
@@ -242,7 +254,7 @@ func TestBranchCmpProvenanceAndDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := e.Trace.Branches[0]
-	if br.Taken {
+	if stubTaken(br) {
 		t.Fatal("150 < 100 should be false")
 	}
 	if !br.HasCmp || br.Cmp.Op != LT {
@@ -353,8 +365,10 @@ func TestTimestampTaintReachesJumpi(t *testing.T) {
 	if _, err := run(t, e, sender, contract, u256.Zero, nil); err != nil {
 		t.Fatal(err)
 	}
-	br := e.Trace.Branches[0]
-	if !br.CondTaint.Has(TaintTimestamp) {
+	if len(e.Trace.Branches) != 1 {
+		t.Fatalf("branches = %d, want 1", len(e.Trace.Branches))
+	}
+	if !hasSink(e.Trace, SinkJumpCond, TaintTimestamp) {
 		t.Error("JUMPI condition should carry timestamp taint")
 	}
 }
@@ -381,13 +395,7 @@ func TestStorageTaintPersistsAcrossTx(t *testing.T) {
 	if _, err := run(t, e, sender, contract, u256.Zero, one[:]); err != nil {
 		t.Fatal(err)
 	}
-	var tainted bool
-	for _, br := range e.Trace.Branches {
-		if br.CondTaint.Has(TaintTimestamp) {
-			tainted = true
-		}
-	}
-	if !tainted {
+	if !hasSink(e.Trace, SinkJumpCond, TaintTimestamp) {
 		t.Error("timestamp taint should persist through storage to tx2 branch")
 	}
 }
@@ -418,8 +426,8 @@ func TestCallTransfersValueAndReportsStatus(t *testing.T) {
 	if len(e.Trace.Calls) != 1 || !e.Trace.Calls[0].Success {
 		t.Fatalf("call events: %+v", e.Trace.Calls)
 	}
-	if !e.Trace.ValueOutAttempted {
-		t.Error("value-out should be recorded")
+	if !e.Trace.Calls[0].Value.Eq(u256.New(10)) {
+		t.Errorf("call event value = %s, want 10", e.Trace.Calls[0].Value)
 	}
 }
 
@@ -650,21 +658,25 @@ func TestOriginTaint(t *testing.T) {
 	}
 }
 
+// TestCollectPCs observes the top-level executed path through the step
+// hook, on both engines.
 func TestCollectPCs(t *testing.T) {
 	a := NewAssembler()
 	a.PushUint(1).Op(POP).Op(STOP)
-	e, sender, contract := testEnv(t, a.MustBuild())
-	e.CollectPCs = true
-	if _, err := run(t, e, sender, contract, u256.Zero, nil); err != nil {
-		t.Fatal(err)
-	}
-	want := []uint64{0, 2, 3}
-	if len(e.Trace.PCs) != len(want) {
-		t.Fatalf("pcs = %v", e.Trace.PCs)
-	}
-	for i, pc := range want {
-		if e.Trace.PCs[i] != pc {
-			t.Errorf("pc[%d] = %d, want %d", i, e.Trace.PCs[i], pc)
+	for _, disableIR := range []bool{false, true} {
+		e, sender, contract := testEnv(t, a.MustBuild())
+		e.DisableIR = disableIR
+		var pcs []uint64
+		e.onStep = func(depth int, pc uint64) {
+			if depth == 1 {
+				pcs = append(pcs, pc)
+			}
+		}
+		if _, err := run(t, e, sender, contract, u256.Zero, nil); err != nil {
+			t.Fatal(err)
+		}
+		if want := []uint64{0, 2, 3}; !reflect.DeepEqual(pcs, want) {
+			t.Errorf("DisableIR=%v: pcs = %v, want %v", disableIR, pcs, want)
 		}
 	}
 }

@@ -309,7 +309,6 @@ func (p *Program) fuse() {
 // matches the switch loop exactly.
 func (f *frame) runIR(p *Program) ([]byte, error) {
 	e := f.evm
-	tr := e.Trace
 	instrs := p.instrs
 	maxSt := e.maxSteps()
 	i := int(p.pcToIdx[f.pc])
@@ -334,14 +333,10 @@ func (f *frame) runIR(p *Program) ([]byte, error) {
 		if e.steps > maxSt {
 			return nil, ErrStepLimit
 		}
-		op := ins.op
-		if tr != nil {
-			tr.Steps++
-			tr.markOp(op)
-			if e.CollectPCs && f.depth == 1 {
-				tr.PCs = append(tr.PCs, f.pc)
-			}
+		if e.onStep != nil {
+			e.onStep(f.depth, f.pc)
 		}
+		op := ins.op
 
 		switch ins.kind {
 		case irPush:
@@ -469,15 +464,9 @@ func (f *frame) runFused(p *Program, i int, ins *irInstr) (int, bool) {
 
 	e.steps += int(ins.fSteps)
 	f.gas -= uint64(ins.fGas)
-	n := int(ins.fSteps)
-	if tr := e.Trace; tr != nil {
-		tr.Steps += n
-		collect := e.CollectPCs && f.depth == 1
-		for k := i; k < i+n; k++ {
-			tr.markOp(p.instrs[k].op)
-			if collect {
-				tr.PCs = append(tr.PCs, uint64(p.instrs[k].pc))
-			}
+	if e.onStep != nil {
+		for k := i; k < i+int(ins.fSteps); k++ {
+			e.onStep(f.depth, uint64(p.instrs[k].pc))
 		}
 	}
 

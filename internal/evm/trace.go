@@ -75,51 +75,37 @@ func (c CmpInfo) FlipDistance() u256.Int {
 	}
 }
 
-// BranchEvent records one executed JUMPI.
+// BranchEvent records one executed JUMPI of the indexed contract's own code
+// (see EVM.BranchIndex): the edge it took and the comparison behind its
+// condition. Coverage, nesting depth and Algorithm 3's weights read only the
+// edge; branch distance and operand splicing read the comparison.
 type BranchEvent struct {
-	Addr      state.Address
-	PC        uint64 // program counter of the JUMPI
-	Taken     bool   // whether the jump was taken
-	CondTaint Taint
-	HasCmp    bool
-	Cmp       CmpInfo
-	Depth     int // call depth at execution
-	// EdgeRef is the interned coverage identity of the edge, carried through
-	// the trace so feedback folds index arrays instead of hashing BranchKeys.
-	// It is 1 + the compact edge ID assigned by the EVM's BranchIndexer; 0
-	// means unindexed (no indexer installed, or a foreign address). Read it
-	// through IndexedEdge.
-	EdgeRef int32
-}
-
-// IndexedEdge returns the event's compact edge ID and whether one was
-// assigned at trace time.
-func (b BranchEvent) IndexedEdge() (int32, bool) {
-	return b.EdgeRef - 1, b.EdgeRef > 0
+	// Edge is the compact ID the EVM's BranchIndexer assigned to the
+	// (pc, direction) edge.
+	Edge   int32
+	HasCmp bool
+	Cmp    CmpInfo
 }
 
 // BranchIndexer assigns campaign-stable compact IDs to branch edges; the
 // analysis package's BranchIndex implements it over the contract CFG. An
-// EVM with an indexer installed interns edge identities into BranchEvents
-// as they are emitted.
+// EVM with an indexer installed records a BranchEvent, carrying the edge's
+// ID, for every JUMPI of the indexed contract's own code.
 type BranchIndexer interface {
 	EdgeID(pc uint64, taken bool) (int32, bool)
 }
 
 // CallEvent records one external CALL / DELEGATECALL / STATICCALL.
 type CallEvent struct {
-	ID          int
-	Op          OpCode
-	From        state.Address
-	To          state.Address
-	Value       u256.Int
-	Gas         uint64
-	Success     bool
-	Depth       int
-	TargetTaint Taint // taint of the callee address operand
-	ValueTaint  Taint // taint of the value operand
-	Checked     bool  // success flag later consumed by a JUMPI
-	Reentered   bool  // executing the callee re-entered an active contract
+	ID      int
+	Op      OpCode
+	From    state.Address
+	To      state.Address
+	Value   u256.Int
+	Gas     uint64
+	Success bool
+	Depth   int
+	Checked bool // success flag later consumed by a JUMPI
 }
 
 // OverflowEvent records a wrapping arithmetic operation.
@@ -127,10 +113,6 @@ type OverflowEvent struct {
 	Addr state.Address
 	PC   uint64
 	Op   OpCode
-	A, B u256.Int
-	// Stored is set when the overflowed result (tracked by taint) later
-	// reaches an SSTORE or a CALL value in the same transaction.
-	Stored bool
 }
 
 // SinkKind classifies where a tainted value was consumed.
@@ -164,7 +146,6 @@ type SStoreEvent struct {
 // SelfDestructEvent records a SELFDESTRUCT execution.
 type SelfDestructEvent struct {
 	Addr            state.Address
-	Beneficiary     state.Address
 	CallerIsCreator bool
 	OriginIsCreator bool
 }
@@ -181,15 +162,15 @@ type DelegateEvent struct {
 // was already active further up the call stack.
 type ReentryEvent struct {
 	Addr state.Address
-	// Selector of the re-entered function (zero when calldata < 4 bytes).
-	Selector [4]byte
 	// EnabledByValueCall is true when the enabling outer call carried value
 	// and more than the 2300 gas stipend — the reentrancy precondition from
 	// paper §IV-D.
 	EnabledByValueCall bool
 }
 
-// Trace accumulates every event of one transaction execution.
+// Trace accumulates the events of one transaction execution that the
+// fuzzer's feedback (branch events) and the bug oracles (everything else)
+// read.
 type Trace struct {
 	Branches      []BranchEvent
 	Calls         []CallEvent
@@ -199,29 +180,6 @@ type Trace struct {
 	SelfDestructs []SelfDestructEvent
 	Delegates     []DelegateEvent
 	Reentries     []ReentryEvent
-	// ExecutedOps is the set of opcodes executed, used by campaign-level
-	// oracles (e.g. ether freezing).
-	ExecutedOps OpSet
-	// ValueOutAttempted is set when the contract attempted to move value out
-	// (CALL with value, SELFDESTRUCT) regardless of success.
-	ValueOutAttempted bool
-	// Reverted is set when the top-level call reverted or failed.
-	Reverted bool
-	// Steps counts executed instructions.
-	Steps int
-	// PCs is the ordered program-counter path of the top-level frame; the
-	// path-prefix analysis (paper §IV-C, Algorithm 3) walks it.
-	PCs []uint64
-}
-
-// OpSet is a dense opcode membership set. It replaces the map the trace used
-// to allocate and clear per transaction: marking is an array store, reset is
-// a 256-byte memclr.
-type OpSet [256]bool
-
-// Has reports whether op is in the set.
-func (s *OpSet) Has(op OpCode) bool {
-	return s[op]
 }
 
 // NewTrace returns an empty trace ready for one transaction.
@@ -241,19 +199,6 @@ func (t *Trace) Reset() {
 	t.SelfDestructs = t.SelfDestructs[:0]
 	t.Delegates = t.Delegates[:0]
 	t.Reentries = t.Reentries[:0]
-	t.ExecutedOps = OpSet{}
-	t.ValueOutAttempted = false
-	t.Reverted = false
-	t.Steps = 0
-	t.PCs = t.PCs[:0]
-}
-
-// markOp records op execution.
-func (t *Trace) markOp(op OpCode) {
-	if t == nil {
-		return
-	}
-	t.ExecutedOps[op] = true
 }
 
 // BranchKey identifies a branch edge: a JUMPI site plus the direction taken.
@@ -263,9 +208,4 @@ type BranchKey struct {
 	Addr  state.Address
 	PC    uint64
 	Taken bool
-}
-
-// Key returns the coverage key of a branch event.
-func (b BranchEvent) Key() BranchKey {
-	return BranchKey{Addr: b.Addr, PC: b.PC, Taken: b.Taken}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mufuzz/internal/conformance"
+	"mufuzz/internal/fuzz"
 	"mufuzz/internal/service"
 	"mufuzz/internal/store"
 )
@@ -25,19 +26,20 @@ type CoordinatorConfig struct {
 	LeaseTTL time.Duration
 	// DefaultIterations fills omitted spec iteration budgets. Default 20000.
 	DefaultIterations int
-	// TenantMaxInFlight caps concurrently leased slices per tenant.
-	// Default 2.
-	TenantMaxInFlight int
 	// TenantMaxActive caps a tenant's non-terminal campaigns; submissions
 	// beyond it are refused with 429 and a Retry-After hint. Default 16.
 	TenantMaxActive int
-	// RetryAfter is the client back-off hint on 429 and empty lease polls.
-	// Default 1s.
-	RetryAfter time.Duration
 }
 
-// importPerLease caps pollination seeds shipped with one lease.
-const importPerLease = 64
+const (
+	// importPerLease caps pollination seeds shipped with one lease.
+	importPerLease = 64
+	// tenantMaxInFlight caps concurrently leased slices per tenant.
+	tenantMaxInFlight = 2
+	// retryAfterHint is the Retry-After back-off hint, in seconds, on 429
+	// and empty lease polls.
+	retryAfterHint = "1"
+)
 
 func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.Rounds == 0 {
@@ -49,14 +51,8 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.DefaultIterations == 0 {
 		c.DefaultIterations = 20000
 	}
-	if c.TenantMaxInFlight == 0 {
-		c.TenantMaxInFlight = 2
-	}
 	if c.TenantMaxActive == 0 {
 		c.TenantMaxActive = 16
-	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -241,7 +237,7 @@ func (co *Coordinator) expireLocked(now time.Time) {
 }
 
 // Acquire grants one lease to a worker, or returns nil when nothing is
-// runnable (the worker should retry after RetryAfter). Grants are
+// runnable (the worker should retry after retryAfterHint). Grants are
 // fair-share: among tenants under their in-flight cap with queued
 // campaigns, the least-recently-granted tenant wins; within a tenant,
 // campaigns run in submission order.
@@ -259,7 +255,7 @@ func (co *Coordinator) Acquire(req LeaseRequest) (*Lease, error) {
 			continue
 		}
 		t := co.tenants[c.tenant]
-		if t.inFlight >= co.cfg.TenantMaxInFlight {
+		if t.inFlight >= tenantMaxInFlight {
 			continue
 		}
 		if best == nil || t.lastGrant < bestTenant.lastGrant {
@@ -423,6 +419,10 @@ func (co *Coordinator) completeLocked(now time.Time, leaseID string, req Complet
 // 409 so the worker discards the slice instead of retrying.
 type errStale struct{ error }
 
+// errBadSeed marks a seed sync carrying a payload that does not decode; the
+// HTTP layer maps it to 400.
+type errBadSeed struct{ error }
+
 // assembleTranscriptLocked builds the campaign's conformance transcript
 // from the committed record chain — the byte-identical-migration proof.
 // The options line is the one resolved at submit, exactly as a single-node
@@ -439,8 +439,16 @@ func (co *Coordinator) assembleTranscriptLocked(c *campaign, final *conformance.
 }
 
 // SyncSeeds stores pushed seeds into a bucket — the idempotent cross-node
-// pollination entry point. Without a store it reports zero stored.
+// pollination entry point. Every payload must decode as a sequence: one
+// that does not fails the whole request with errBadSeed before anything is
+// stored, since a stored seed is offered to every campaign on its bucket.
+// Without a store it reports zero stored.
 func (co *Coordinator) SyncSeeds(bucket string, seeds []service.SeedObject) (int, error) {
+	for _, s := range seeds {
+		if _, err := fuzz.DecodeSequence(s.Payload); err != nil {
+			return 0, errBadSeed{fmt.Errorf("seed %s: %w", s.Fingerprint, err)}
+		}
+	}
 	if co.cfg.Store == nil {
 		return 0, nil
 	}

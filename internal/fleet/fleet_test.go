@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"mufuzz/internal/fuzz"
 	"mufuzz/internal/service"
 	"mufuzz/internal/store"
 )
@@ -44,7 +47,6 @@ func TestFleetMigrationEquivalence(t *testing.T) {
 		Rounds:            4,
 		LeaseTTL:          liveTTL,
 		DefaultIterations: 2000,
-		RetryAfter:        time.Second,
 	})
 	setTTL := func(d time.Duration) {
 		co.mu.Lock()
@@ -213,8 +215,8 @@ func TestFleetSeedSyncIdempotent(t *testing.T) {
 	ctx := context.Background()
 
 	seeds := []service.SeedObject{
-		{Fingerprint: "aaaa", Payload: []byte("seq-1")},
-		{Fingerprint: "bbbb", Payload: []byte("seq-2")},
+		{Fingerprint: "aaaa", Payload: fuzz.EncodeSequence(fuzz.Sequence{{Func: "__ctor"}, {Func: "invest", Sender: 1}})},
+		{Fingerprint: "bbbb", Payload: fuzz.EncodeSequence(fuzz.Sequence{{Func: "__ctor"}, {Func: "refund", Sender: 2}})},
 	}
 	n, err := client.SyncSeeds(ctx, "CrowdsaleBuggy", seeds)
 	if err != nil || n != 2 {
@@ -230,10 +232,40 @@ func TestFleetSeedSyncIdempotent(t *testing.T) {
 	}
 }
 
+// TestFleetSeedSyncRefusesUndecodable pins that a sync carrying one payload
+// that does not decode as a sequence is refused whole, with 400 naming its
+// fingerprint, and stores nothing — not even its decodable companions.
+func TestFleetSeedSyncRefusesUndecodable(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := NewCoordinator(CoordinatorConfig{Store: st})
+	srv := httptest.NewServer(co.Handler())
+	defer srv.Close()
+
+	body, _ := json.Marshal(SyncRequest{Seeds: []service.SeedObject{
+		{Fingerprint: "good", Payload: fuzz.EncodeSequence(fuzz.Sequence{{Func: "__ctor"}})},
+		{Fingerprint: "bad1", Payload: []byte("not a sequence")},
+	}})
+	resp, err := http.Post(srv.URL+"/v1/fleet/seeds/CrowdsaleBuggy/sync", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "bad1") {
+		t.Fatalf("sync with an undecodable seed: %d %s, want 400 naming bad1", resp.StatusCode, msg)
+	}
+	if entries, err := st.Seeds("CrowdsaleBuggy"); err != nil || len(entries) != 0 {
+		t.Fatalf("refused sync left %d seeds in the bucket, %v", len(entries), err)
+	}
+}
+
 // TestFleetBackPressure pins tenant budgets: a tenant at its active cap is
 // refused with 429 and a Retry-After hint, while other tenants proceed.
 func TestFleetBackPressure(t *testing.T) {
-	co := NewCoordinator(CoordinatorConfig{TenantMaxActive: 1, RetryAfter: 3 * time.Second})
+	co := NewCoordinator(CoordinatorConfig{TenantMaxActive: 1})
 	srv := httptest.NewServer(co.Handler())
 	defer srv.Close()
 	client := NewClient(srv.URL, 7)
@@ -260,8 +292,8 @@ func TestFleetBackPressure(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("want 429, got %d", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Fatalf("want Retry-After: 3, got %q", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("want Retry-After: 1, got %q", ra)
 	}
 }
 
@@ -269,40 +301,40 @@ func TestFleetBackPressure(t *testing.T) {
 // grants alternate to the least-recently-served tenant instead of draining
 // one tenant's queue first.
 func TestFleetFairShare(t *testing.T) {
-	co := NewCoordinator(CoordinatorConfig{TenantMaxInFlight: 1})
-	for _, tenant := range []string{"acme", "acme", "umbrella"} {
+	co := NewCoordinator(CoordinatorConfig{})
+	for _, tenant := range []string{"acme", "acme", "acme", "umbrella", "umbrella"} {
 		if _, err := co.Submit(SubmitRequest{Tenant: tenant, Spec: service.CampaignSpec{Example: "crowdsale", Seed: 3}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	l1, err := co.Acquire(LeaseRequest{Worker: "w"})
-	if err != nil || l1 == nil {
-		t.Fatalf("grant 1: %v %v", l1, err)
+	// Submission order alone would grant acme's f0001..f0003 first;
+	// fairness alternates the tenants until each holds its cap of 2.
+	var grants []string
+	for i := 0; i < tenantMaxInFlight*2; i++ {
+		l, err := co.Acquire(LeaseRequest{Worker: "w"})
+		if err != nil || l == nil {
+			t.Fatalf("grant %d: %v %v", i+1, l, err)
+		}
+		grants = append(grants, l.CampaignID)
 	}
-	l2, err := co.Acquire(LeaseRequest{Worker: "w"})
-	if err != nil || l2 == nil {
-		t.Fatalf("grant 2: %v %v", l2, err)
+	if want := []string{"f0001", "f0004", "f0002", "f0005"}; !reflect.DeepEqual(grants, want) {
+		t.Fatalf("grants %v, want %v (tenant rotation)", grants, want)
 	}
-	// Submission order alone would grant acme twice; fairness hands the
-	// second grant to umbrella.
-	if l1.CampaignID != "f0001" || l2.CampaignID != "f0003" {
-		t.Fatalf("grants %s, %s; want f0001 then f0003 (tenant rotation)", l1.CampaignID, l2.CampaignID)
-	}
-	// Both tenants at their in-flight cap: no third grant even though
+	// Both tenants at their in-flight cap: no further grant even though
 	// acme has a queued campaign.
-	l3, err := co.Acquire(LeaseRequest{Worker: "w"})
+	l, err := co.Acquire(LeaseRequest{Worker: "w"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l3 != nil {
-		t.Fatalf("grant 3 should be refused (caps), got %s", l3.CampaignID)
+	if l != nil {
+		t.Fatalf("grant %d should be refused (caps), got %s", tenantMaxInFlight*2+1, l.CampaignID)
 	}
 }
 
 // TestFleetLeasePollEmpty pins the idle protocol: no campaigns means 204
 // with a Retry-After hint, which the client surfaces as a nil lease.
 func TestFleetLeasePollEmpty(t *testing.T) {
-	co := NewCoordinator(CoordinatorConfig{RetryAfter: 2 * time.Second})
+	co := NewCoordinator(CoordinatorConfig{})
 	srv := httptest.NewServer(co.Handler())
 	defer srv.Close()
 
@@ -314,8 +346,8 @@ func TestFleetLeasePollEmpty(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("want 204, got %d", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Fatalf("want Retry-After: 2, got %q", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("want Retry-After: 1, got %q", ra)
 	}
 	l, err := NewClient(srv.URL, 1).Acquire(context.Background(), LeaseRequest{Worker: "w"})
 	if err != nil || l != nil {

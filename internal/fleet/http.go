@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"time"
 
 	"mufuzz/internal/service"
 )
@@ -56,7 +54,7 @@ func (co *Coordinator) Handler() http.Handler {
 		if err != nil {
 			var busy errBusy
 			if errors.As(err, &busy) {
-				w.Header().Set("Retry-After", retryAfterSeconds(co.cfg.RetryAfter))
+				w.Header().Set("Retry-After", retryAfterHint)
 				service.WriteError(w, http.StatusTooManyRequests, err)
 				return
 			}
@@ -110,7 +108,7 @@ func (co *Coordinator) Handler() http.Handler {
 			return
 		}
 		if l == nil {
-			w.Header().Set("Retry-After", retryAfterSeconds(co.cfg.RetryAfter))
+			w.Header().Set("Retry-After", retryAfterHint)
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
@@ -151,7 +149,11 @@ func (co *Coordinator) Handler() http.Handler {
 		}
 		n, err := co.SyncSeeds(r.PathValue("bucket"), req.Seeds)
 		if err != nil {
-			service.WriteError(w, http.StatusInternalServerError, err)
+			code := http.StatusInternalServerError
+			if errors.As(err, new(errBadSeed)) {
+				code = http.StatusBadRequest
+			}
+			service.WriteError(w, code, err)
 			return
 		}
 		service.WriteJSON(w, http.StatusOK, SyncResponse{Stored: n})
@@ -169,12 +171,4 @@ func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 		return false
 	}
 	return true
-}
-
-func retryAfterSeconds(d time.Duration) string {
-	s := int(d.Seconds())
-	if s < 1 {
-		s = 1
-	}
-	return strconv.Itoa(s)
 }

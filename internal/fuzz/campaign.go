@@ -641,10 +641,7 @@ type execResult struct {
 // the opposite direction of an edge (see analysis.BranchIndex).
 func (c *Campaign) fold(res *execResult, branches []evm.BranchEvent, seq Sequence) {
 	for _, br := range branches {
-		id := c.branchIx.EdgeOf(br)
-		if id < 0 {
-			continue // not a contract JUMPI site; cannot occur for CFG-decoded code
-		}
+		id := br.Edge
 		if !c.covered[id] {
 			c.covered[id] = true
 			c.coveredCount++

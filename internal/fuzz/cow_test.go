@@ -52,8 +52,8 @@ func TestResumeFromForkedCheckpointMatchesFreshRun(t *testing.T) {
 				t.Fatalf("tx %d: %d branch events != %d", i, len(out.branchesByTx[i]), len(ref.branchesByTx[i]))
 			}
 			for j := range ref.branchesByTx[i] {
-				if out.branchesByTx[i][j].Key() != ref.branchesByTx[i][j].Key() {
-					t.Fatalf("tx %d event %d: %+v != %+v", i, j, out.branchesByTx[i][j].Key(), ref.branchesByTx[i][j].Key())
+				if out.branchesByTx[i][j] != ref.branchesByTx[i][j] {
+					t.Fatalf("tx %d event %d: %+v != %+v", i, j, out.branchesByTx[i][j], ref.branchesByTx[i][j])
 				}
 			}
 		}

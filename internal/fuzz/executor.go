@@ -78,8 +78,8 @@ type executor struct {
 	// intermediate-state optimization (ablation / replay).
 	prefixes *prefixCache
 	// branchIx interns the contract's branch edges; installed on every EVM so
-	// trace events carry compact edge IDs. depthByEdge is the per-edge
-	// branch-site nesting depth (read-only).
+	// the contract's trace events carry compact edge IDs. depthByEdge is the
+	// per-edge branch-site nesting depth (read-only).
 	branchIx    *analysis.BranchIndex
 	depthByEdge []int
 	// methods/selectors intern the ABI lookup and the keccak-derived 4-byte
@@ -342,31 +342,20 @@ func (x *executor) run(seq Sequence, seedPrefix []uint64) execOutcome {
 		e.Trace = x.resetTrace()
 		_, err := e.Transact(sender, x.calleeAddr(tx), value, data, GasPerTx)
 
-		// Two-pass copy into an exact-size batch carved off the arena: the
-		// batch's ownership transfers to the outcome (and possibly the prefix
-		// cache), so it must never be written again — carving advances the
-		// arena tail past it, and append-growth overshoot never happens.
-		n := 0
-		for _, br := range e.Trace.Branches {
-			if br.Addr == x.contractAddr {
-				n++
-			}
-		}
+		// Copy the trace's events (the contract's own, see
+		// evm.EVM.BranchIndex) into an exact-size batch carved off the arena:
+		// the batch's ownership transfers to the outcome (and possibly the
+		// prefix cache), so it must never be written again — carving
+		// advances the arena tail past it, and append-growth overshoot never
+		// happens.
 		var txBranches []evm.BranchEvent
-		if n > 0 {
-			txBranches = x.carveBranches(n)
-			for _, br := range e.Trace.Branches {
-				if br.Addr == x.contractAddr {
-					txBranches = append(txBranches, br)
-				}
-			}
+		if n := len(e.Trace.Branches); n > 0 {
+			txBranches = append(x.carveBranches(n), e.Trace.Branches...)
 		}
 		out.branchesByTx = append(out.branchesByTx, txBranches)
 		for _, br := range txBranches {
-			if id, ok := br.IndexedEdge(); ok {
-				if d := x.depthByEdge[id]; d > out.nestedDepth {
-					out.nestedDepth = d
-				}
+			if d := x.depthByEdge[br.Edge]; d > out.nestedDepth {
+				out.nestedDepth = d
 			}
 		}
 

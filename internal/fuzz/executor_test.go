@@ -30,8 +30,8 @@ func TestExecutorPure(t *testing.T) {
 			t.Fatalf("tx %d: branch counts diverge", i)
 		}
 		for j := range o1.branchesByTx[i] {
-			if o1.branchesByTx[i][j].Key() != o2.branchesByTx[i][j].Key() {
-				t.Fatalf("tx %d branch %d: keys diverge", i, j)
+			if o1.branchesByTx[i][j] != o2.branchesByTx[i][j] {
+				t.Fatalf("tx %d branch %d: events diverge", i, j)
 			}
 		}
 	}

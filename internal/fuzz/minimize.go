@@ -43,7 +43,8 @@ func (c *Campaign) Replay(seq Sequence) *ReplayResult {
 	}
 	for _, txBranches := range res.branchesByTx {
 		for _, br := range txBranches {
-			out.Edges[br.Key()] = true
+			pc, taken := c.branchIx.Edge(br.Edge)
+			out.Edges[evm.BranchKey{Addr: c.contractAddr, PC: pc, Taken: taken}] = true
 		}
 	}
 	return out

@@ -19,7 +19,7 @@ type recordingObserver struct {
 
 func (r *recordingObserver) OnExec(rec ExecRecord) { r.records = append(r.records, rec) }
 
-func compileT(t *testing.T, src string) *minisol.Compiled {
+func compileT(t testing.TB, src string) *minisol.Compiled {
 	t.Helper()
 	comp, err := minisol.Compile(src)
 	if err != nil {
@@ -419,6 +419,37 @@ func FuzzDecodeSequence(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again, seq) {
 			t.Fatalf("round trip changed the sequence:\nfirst  %+v\nsecond %+v", seq, again)
+		}
+	})
+}
+
+// FuzzDecodeSnapshot checks the snapshot decoder on arbitrary bytes: any
+// input that decodes re-encodes to bytes that decode and re-encode to the
+// same bytes. The seeds are a plain and a world campaign's mid-run
+// snapshots. It decodes only: resuming replays the rngdraws= count one draw
+// at a time, so a fuzzed count would stall the target.
+func FuzzDecodeSnapshot(f *testing.F) {
+	plain := NewCampaign(compileT(f, corpus.CrowdsaleBuggy()), Options{Strategy: MuFuzz(), Seed: 1, Iterations: 300})
+	world := NewCampaign(compileT(f, corpus.Crowdsale()), Options{Strategy: MuFuzz(), Seed: 5, Iterations: 500,
+		World: &WorldOptions{Members: []WorldMember{{Name: "token", Target: MinisolTarget(compileT(f, corpus.Token()))}}}})
+	for _, c := range []*Campaign{plain, world} {
+		if _, done := c.RunSlice(context.Background(), 2); done {
+			f.Fatal("campaign finished before the snapshot point; grow the budget")
+		}
+		f.Add(c.Snapshot().EncodeBytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := DecodeSnapshot(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		enc := snap.EncodeBytes()
+		again, err := DecodeSnapshot(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-decode of the re-encoding: %v\n%s", err, enc)
+		}
+		if enc2 := again.EncodeBytes(); !bytes.Equal(enc2, enc) {
+			t.Fatalf("encode is not a fixpoint:\nfirst  %q\nsecond %q", enc, enc2)
 		}
 	})
 }

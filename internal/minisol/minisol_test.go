@@ -92,6 +92,7 @@ func compileAndDeploy(t testing.TB, src string, ctorArgs ...u256.Int) *testContr
 	st.Commit()
 	e := evm.New(st, evm.BlockCtx{Timestamp: 1_700_000_000, Number: 99, GasLimit: 30_000_000})
 	e.Trace = evm.NewTrace()
+	e.BranchIndex, e.BranchIndexAddr = pcIndexer{}, addr
 	args := make([]abi.Value, len(comp.Ctor.Inputs))
 	for i, in := range comp.Ctor.Inputs {
 		var w u256.Int
@@ -104,6 +105,19 @@ func compileAndDeploy(t testing.TB, src string, ctorArgs ...u256.Int) *testContr
 		t.Fatalf("deploy: %v", err)
 	}
 	return &testContract{comp: comp, evm: e, addr: addr, deployer: deployer, user: user}
+}
+
+// pcIndexer numbers every pc's two edges (2*pc, +1 when taken), so the
+// deployed contract's JUMPIs are recorded as branch events. The campaign's
+// CFG-based index lives in package analysis, which imports this one.
+type pcIndexer struct{}
+
+func (pcIndexer) EdgeID(pc uint64, taken bool) (int32, bool) {
+	id := 2 * int32(pc)
+	if taken {
+		id++
+	}
+	return id, true
 }
 
 func (tc *testContract) call(t testing.TB, from state.Address, value u256.Int, fn string, args ...u256.Int) error {

@@ -8,13 +8,16 @@ import (
 	"reflect"
 	"testing"
 
+	"mufuzz/internal/analysis"
 	"mufuzz/internal/corpus"
+	"mufuzz/internal/evm"
 	"mufuzz/internal/experiments"
 	"mufuzz/internal/fuzz"
 	"mufuzz/internal/ingest"
 	"mufuzz/internal/minisol"
 	"mufuzz/internal/oracle"
 	"mufuzz/internal/state"
+	"mufuzz/internal/u256"
 )
 
 const fixturesDir = "../../fixtures"
@@ -99,6 +102,54 @@ func TestWitnessedUDProxyDelegate(t *testing.T) {
 	}).Run()
 	if !res.BugClasses[oracle.UD] {
 		t.Fatalf("witnessed UD not found on proxy (classes %v)", res.BugClasses)
+	}
+}
+
+// TestDelegatedAttackerCodeRecordsNoBranches pins which code the trace
+// records branches for: when the proxy's forward delegatecalls the
+// synthesized attacker, the attacker's code runs in the proxy's storage
+// context but is not the proxy's code, so its JUMPIs record no branch event.
+// Every edge the replay reports is one of the proxy's JUMPI sites.
+func TestDelegatedAttackerCodeRecordsNoBranches(t *testing.T) {
+	tgt := loadFixture(t, "proxy-delegate")
+	model := NewModel(tgt.Methods())
+	c := fuzz.NewTargetCampaign(tgt, fuzz.Options{
+		Strategy: fuzz.MuFuzz(), Seed: 1, Iterations: 1,
+		World: &fuzz.WorldOptions{Attacker: model},
+	})
+	sites := make(map[uint64]bool)
+	for _, pc := range analysis.BuildCFG(tgt.Code()).BranchPCs() {
+		sites[pc] = true
+	}
+	// The attacker's code has a JUMPI where the proxy has none, so an
+	// event recorded from it would show as a foreign edge below.
+	foreign := false
+	for _, ins := range analysis.Disassemble(model.Compile(model.Default())) {
+		if ins.Op == evm.JUMPI && !sites[ins.PC] {
+			foreign = true
+		}
+	}
+	if !foreign {
+		t.Fatal("every attacker JUMPI pc is also a proxy JUMPI site; the check below would be vacuous")
+	}
+
+	attacker := state.AddressFromUint(0xa77c) // the campaign's attacker account
+	impl, cmd := attacker.Word().Bytes32(), u256.One.Bytes32()
+	seq := fuzz.Sequence{
+		{Func: tgt.Constructor().Name, Attacker: model.Default()},
+		{Func: "forward", Args: append(impl[:], cmd[:]...), Sender: 1},
+	}
+	rr := c.Replay(seq)
+	if !rr.BugClasses[oracle.UD] {
+		t.Fatalf("forward did not delegatecall the attacker (classes %v)", rr.BugClasses)
+	}
+	if len(rr.Edges) == 0 {
+		t.Fatal("no edges recorded")
+	}
+	for k := range rr.Edges {
+		if k.Addr != c.ContractAddr() || !sites[k.PC] {
+			t.Errorf("edge %+v is not a JUMPI site of the proxy", k)
+		}
 	}
 }
 
