@@ -49,24 +49,17 @@ import (
 	"mufuzz/internal/experiments"
 	"mufuzz/internal/fleet"
 	"mufuzz/internal/fuzz"
-	"mufuzz/internal/ingest"
 	"mufuzz/internal/minisol"
 	"mufuzz/internal/service"
-	"mufuzz/internal/world"
 )
 
 // registry maps every named contract source available to the CLI.
 func registry() map[string]string {
-	out := map[string]string{
-		"crowdsale":       corpus.Crowdsale(),
-		"crowdsale-buggy": corpus.CrowdsaleBuggy(),
-		"game":            corpus.Game(),
-	}
-	for _, l := range corpus.VulnSuite() {
-		out[l.Name] = l.Source
-	}
-	for _, l := range corpus.SafeSuite() {
-		out[l.Name] = l.Source
+	out := map[string]string{}
+	for _, set := range [][]corpus.Labeled{corpus.Examples(), corpus.VulnSuite(), corpus.SafeSuite()} {
+		for _, l := range set {
+			out[l.Name] = l.Source
+		}
 	}
 	return out
 }
@@ -234,38 +227,38 @@ func main() {
 // worldPairs runs the world's differential pairs on the ingest fixtures: the
 // reentrant bank as primary, the token as a member, attacker synthesis on —
 // so member deployment, callee routing, and attacker-spec compilation all
-// sit inside the equivalence check. Returns ok=false (with a stderr notice)
-// when the fixture dir is absent, so the minisol half of mode diff still
-// works away from the repo root.
+// sit inside the equivalence check. The world is a campaign spec, resolved
+// as the service resolves submissions. Returns ok=false (with a stderr
+// notice) when the fixture dir is absent, so the minisol half of mode diff
+// still works away from the repo root.
 func worldPairs(dir string, seed int64, iters int) ([]conformance.PairResult, bool) {
-	load := func(name string) (fuzz.Target, error) {
+	read := func(name string) (string, []byte, error) {
 		bin, err := os.ReadFile(filepath.Join(dir, name+".bin"))
 		if err != nil {
-			return nil, err
+			return "", nil, err
 		}
 		abiJSON, err := os.ReadFile(filepath.Join(dir, name+".abi.json"))
-		if err != nil {
-			return nil, err
-		}
-		return ingest.LoadHex(string(bin), abiJSON)
+		return string(bin), abiJSON, err
 	}
-	if _, err := load("bank-reentrant"); err != nil {
+	bank, bankABI, err := read("bank-reentrant")
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "conform: world pairs skipped (%v; regen with `go run ./cmd/corpusgen -fixtures %s`)\n", err, dir)
 		return nil, false
 	}
+	token, tokenABI, err := read("erc20")
+	if err != nil {
+		fatal(err)
+	}
+	spec := service.CampaignSpec{
+		Bytecode: bank, ABI: bankABI, Attacker: true,
+		Members: []service.WorldMemberSpec{{Name: "token", Bytecode: token, ABI: tokenABI}},
+	}
 	mk := func() (fuzz.Target, *fuzz.WorldOptions) {
-		bank, err := load("bank-reentrant")
+		r, err := service.Resolve(spec, iters)
 		if err != nil {
 			fatal(err)
 		}
-		token, err := load("erc20")
-		if err != nil {
-			fatal(err)
-		}
-		return bank, &fuzz.WorldOptions{
-			Members:  []fuzz.WorldMember{{Name: "token", Target: token}},
-			Attacker: world.NewModel(bank.Methods()),
-		}
+		return r.Target, r.World
 	}
 	return conformance.WorldDifferentialMatrix("bank-reentrant", mk, baseOptions(seed, iters)), true
 }

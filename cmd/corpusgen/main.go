@@ -75,9 +75,9 @@ func main() {
 	for _, l := range corpus.SafeSuite() {
 		write("d2-safe", l.Name, l.Source, nil)
 	}
-	write("examples", "crowdsale", corpus.Crowdsale(), nil)
-	write("examples", "crowdsale_buggy", corpus.CrowdsaleBuggy(), []string{"BD"})
-	write("examples", "game", corpus.Game(), nil)
+	for _, l := range corpus.Examples() {
+		write("examples", strings.ReplaceAll(l.Name, "-", "_"), l.Source, classStrings(l.Labels))
+	}
 
 	if err := os.WriteFile(filepath.Join(*out, "MANIFEST.tsv"), []byte(manifest.String()), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "corpusgen:", err)

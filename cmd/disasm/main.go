@@ -6,7 +6,7 @@
 // Usage:
 //
 //	disasm -file contract.sol [-cfg] [-dataflow] [-asm]
-//	disasm -example crowdsale -cfg -dataflow
+//	disasm -example crowdsale|crowdsale-buggy|game -cfg -dataflow
 //	disasm -bytecode code.bin [-abi contract.abi.json] [-cfg] [-dataflow]
 //
 // In -bytecode mode the branch sites, function entries, and dataflow are
@@ -31,7 +31,7 @@ import (
 func main() {
 	var (
 		file     = flag.String("file", "", "MiniSol source file")
-		example  = flag.String("example", "", "built-in example: crowdsale | game")
+		example  = flag.String("example", "", "built-in example: crowdsale | crowdsale-buggy | game")
 		bytecode = flag.String("bytecode", "", "hex EVM bytecode file: disassemble source-free")
 		abiFile  = flag.String("abi", "", "Solidity ABI JSON for -bytecode (names the recovered functions)")
 		showAsm  = flag.Bool("asm", true, "print disassembly")
@@ -48,20 +48,16 @@ func main() {
 		return
 	}
 
-	var src string
-	switch {
-	case *file != "":
+	src, ok := corpus.Example(*example)
+	if *file != "" {
 		b, err := os.ReadFile(*file)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "disasm:", err)
 			os.Exit(1)
 		}
-		src = string(b)
-	case *example == "crowdsale":
-		src = corpus.Crowdsale()
-	case *example == "game":
-		src = corpus.Game()
-	default:
+		src, ok = string(b), true
+	}
+	if !ok {
 		fmt.Fprintln(os.Stderr, "disasm: pass -file, -example, or -bytecode")
 		os.Exit(1)
 	}

@@ -8,7 +8,7 @@
 //	       [-iters 4000] [-seed 1] [-time 10s] [-v]
 //	       [-corpus-dir DIR] [-resume snapshot] [-snapshot-out snapshot]
 //	       [-cpuprofile cpu.out] [-memprofile mem.out]
-//	mufuzz -example crowdsale|game    # fuzz a built-in paper example
+//	mufuzz -example crowdsale|crowdsale-buggy|game   # fuzz a built-in paper example
 //	mufuzz -bytecode code.bin -abi contract.abi.json   # fuzz deployed bytecode
 //	mufuzz -bytecode bank.bin -abi bank.abi.json \
 //	       -bytecode token.bin -abi token.abi.json -attacker   # world campaign
@@ -41,6 +41,11 @@
 // campaigns on the same contract exported are injected at startup, and the
 // final queue is exported back, deduplicated by coverage fingerprint.
 //
+// The flags map to a campaign spec that resolves exactly as mufuzzd and the
+// fleet resolve submissions (service.Resolve), so the same target and world
+// get the same options, corpus bucket and findings on every front end. -json
+// writes the summary with the findings as the service serves them.
+//
 // SIGINT stops the campaign cleanly mid-round. With -snapshot-out the
 // coordinator state is serialized at exit — whether interrupted or run to
 // budget — so a later run with -resume continues where this one stopped.
@@ -52,8 +57,10 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -64,11 +71,7 @@ import (
 	"strings"
 	"time"
 
-	"mufuzz/internal/corpus"
 	"mufuzz/internal/fuzz"
-	"mufuzz/internal/ingest"
-	"mufuzz/internal/minisol"
-	"mufuzz/internal/report"
 	"mufuzz/internal/service"
 	"mufuzz/internal/state"
 	"mufuzz/internal/store"
@@ -81,37 +84,47 @@ type multiFlag []string
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
-func main() {
-	os.Exit(run())
+// cli is the parsed command line.
+type cli struct {
+	file, example, strategy, worldFile string
+	bytecodes, abiFiles                multiFlag
+	attacker, noCmpFeed                bool
+	iters                              int
+	seed                               int64
+	budget                             time.Duration
+	verbose, minimize                  bool
+	jsonOut, corpusDir, resume         string
+	snapOut, cpuProf, memProf          string
 }
 
-func run() int {
-	var (
-		file      = flag.String("file", "", "MiniSol source file to fuzz")
-		example   = flag.String("example", "", "built-in example: crowdsale | crowdsale-buggy | game")
-		strategy  = flag.String("strategy", "mufuzz", "fuzzer strategy: mufuzz | sfuzz | confuzzius | irfuzz | smartian")
-		iters     = flag.Int("iters", 4000, "transaction-sequence execution budget")
-		seed      = flag.Int64("seed", 1, "campaign random seed")
-		budget    = flag.Duration("time", 0, "optional wall-clock budget (e.g. 10s)")
-		verbose   = flag.Bool("v", false, "print per-finding details")
-		minimize  = flag.Bool("minimize", false, "shrink and print a proof-of-concept sequence per bug class")
-		jsonOut   = flag.String("json", "", "also write a machine-readable report to this file")
-		corpusDir = flag.String("corpus-dir", "", "persistent seed store: import shared seeds, export the final queue")
-		resume    = flag.String("resume", "", "resume from a campaign snapshot file")
-		snapOut   = flag.String("snapshot-out", "", "write a resumable snapshot here on SIGINT (or at exit)")
-		worldFile = flag.String("world", "", "world manifest: `member <name> <bin> <abi> [addr]` lines declaring member contracts")
-		attacker  = flag.Bool("attacker", false, "synthesize a fuzzer-controlled attacker contract into the world")
-		noCmpFeed = flag.Bool("no-cmp-feedback", false, "disable comparison-operand feedback and mined dictionaries (ablation)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the campaign to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile (after the campaign) to this file")
-	)
-	var bytecodes, abiFiles multiFlag
-	flag.Var(&bytecodes, "bytecode", "hex EVM bytecode file: fuzz source-free (requires -abi; repeat the pair for world members)")
-	flag.Var(&abiFiles, "abi", "Solidity ABI JSON file for the matching -bytecode")
+func main() {
+	c := &cli{}
+	flag.StringVar(&c.file, "file", "", "MiniSol source file to fuzz")
+	flag.StringVar(&c.example, "example", "", "built-in example: crowdsale | crowdsale-buggy | game")
+	flag.StringVar(&c.strategy, "strategy", "mufuzz", "fuzzer strategy: mufuzz | sfuzz | confuzzius | irfuzz | smartian")
+	flag.IntVar(&c.iters, "iters", 4000, "transaction-sequence execution budget")
+	flag.Int64Var(&c.seed, "seed", 1, "campaign random seed")
+	flag.DurationVar(&c.budget, "time", 0, "optional wall-clock budget (e.g. 10s)")
+	flag.BoolVar(&c.verbose, "v", false, "print per-finding details")
+	flag.BoolVar(&c.minimize, "minimize", false, "shrink and print a proof-of-concept sequence per bug class")
+	flag.StringVar(&c.jsonOut, "json", "", "also write a machine-readable report to this file")
+	flag.StringVar(&c.corpusDir, "corpus-dir", "", "persistent seed store: import shared seeds, export the final queue")
+	flag.StringVar(&c.resume, "resume", "", "resume from a campaign snapshot file")
+	flag.StringVar(&c.snapOut, "snapshot-out", "", "write a resumable snapshot here on SIGINT (or at exit)")
+	flag.StringVar(&c.worldFile, "world", "", "world manifest: `member <name> <bin> <abi> [addr]` lines declaring member contracts")
+	flag.BoolVar(&c.attacker, "attacker", false, "synthesize a fuzzer-controlled attacker contract into the world")
+	flag.BoolVar(&c.noCmpFeed, "no-cmp-feedback", false, "disable comparison-operand feedback and mined dictionaries (ablation)")
+	flag.StringVar(&c.cpuProf, "cpuprofile", "", "write a CPU profile of the campaign to this file")
+	flag.StringVar(&c.memProf, "memprofile", "", "write a heap profile (after the campaign) to this file")
+	flag.Var(&c.bytecodes, "bytecode", "hex EVM bytecode file: fuzz source-free (requires -abi; repeat the pair for world members)")
+	flag.Var(&c.abiFiles, "abi", "Solidity ABI JSON file for the matching -bytecode")
 	flag.Parse()
+	os.Exit(c.run())
+}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
+func (c *cli) run() int {
+	if c.cpuProf != "" {
+		f, err := os.Create(c.cpuProf)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mufuzz: cpuprofile:", err)
 			return 1
@@ -125,9 +138,9 @@ func run() int {
 			f.Close()
 		}()
 	}
-	if *memProf != "" {
+	if c.memProf != "" {
 		defer func() {
-			f, err := os.Create(*memProf)
+			f, err := os.Create(c.memProf)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "mufuzz: memprofile:", err)
 				return
@@ -140,93 +153,54 @@ func run() int {
 		}()
 	}
 
-	strat, ok := fuzz.PresetByName(*strategy)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "mufuzz: unknown strategy %q\n", *strategy)
-		return 1
-	}
-	if *noCmpFeed {
-		strat.Name += " w/o comparison feedback"
-		strat.CmpFeedback = false
-		strat.MinedDictionary = false
-	}
-
-	target, name, err := loadTarget(*file, *example, bytecodes, abiFiles)
+	r, err := c.resolve()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mufuzz:", err)
 		return 1
 	}
+	target := r.Target
 	fmt.Printf("target %s: %d bytes of code, %d functions, %d branch sites\n",
 		target.Name(), len(target.Code()), len(target.Methods()), len(target.Branches()))
-
-	// World assembly: members from extra -bytecode/-abi pairs, then the
-	// manifest, then the synthesized attacker. bucket is the corpus-store
-	// key — the world bucket when members are present, else the target name.
-	worldOpts, bucket, err := buildWorld(target, bytecodes, abiFiles, *worldFile, *attacker)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mufuzz:", err)
-		return 1
-	}
-	if worldOpts != nil {
-		names := make([]string, len(worldOpts.Members))
-		for i, m := range worldOpts.Members {
-			names[i] = m.Name
+	if r.World != nil {
+		var names []string
+		for _, m := range r.World.Members {
+			names = append(names, m.Name)
 		}
-		desc := strings.Join(names, ", ")
-		if *attacker {
-			if desc != "" {
-				desc += ", "
-			}
-			desc += "synthesized attacker"
+		if r.World.Attacker != nil {
+			names = append(names, "synthesized attacker")
 		}
-		fmt.Printf("world: %s (corpus bucket %s)\n", desc, bucket)
+		fmt.Printf("world: %s (corpus bucket %s)\n", strings.Join(names, ", "), r.Bucket)
 	}
 
 	var st *store.Store
-	if *corpusDir != "" {
-		if st, err = store.Open(*corpusDir); err != nil {
+	if c.corpusDir != "" {
+		if st, err = store.Open(c.corpusDir); err != nil {
 			fmt.Fprintln(os.Stderr, "mufuzz:", err)
 			return 1
 		}
 	}
 
-	var campaign *fuzz.Campaign
-	if *resume != "" {
-		data, err := os.ReadFile(*resume)
-		if err != nil {
+	var snapshot []byte
+	if c.resume != "" {
+		if snapshot, err = readArtifact(c.resume); err != nil {
 			fmt.Fprintln(os.Stderr, "mufuzz:", err)
 			return 1
 		}
-		snap, err := fuzz.DecodeSnapshot(strings.NewReader(string(data)))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mufuzz:", err)
-			return 1
-		}
-		if worldOpts != nil {
-			campaign, err = fuzz.ResumeWorldCampaign(target, worldOpts, snap)
-		} else {
-			campaign, err = fuzz.ResumeTargetCampaign(target, snap)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mufuzz:", err)
-			return 1
-		}
-		fmt.Printf("resumed snapshot %s (%d executions done)\n", *resume, snap.Executions)
-	} else {
-		campaign = fuzz.NewTargetCampaign(target, fuzz.Options{
-			Strategy:   strat,
-			Seed:       *seed,
-			Iterations: *iters,
-			TimeBudget: *budget,
-			World:      worldOpts,
-		})
+	}
+	campaign, err := r.Open(snapshot)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mufuzz:", err)
+		return 1
+	}
+	if c.resume != "" {
+		fmt.Printf("resumed snapshot %s (%d executions done)\n", c.resume, campaign.ResultSoFar().Executions)
 	}
 
 	if st != nil {
 		// A fresh ledger offers the bucket's whole shared corpus.
-		offers := new(service.SeedLedger).Offers(st, bucket, math.MaxInt)
+		offers := new(service.SeedLedger).Offers(st, r.Bucket, math.MaxInt)
 		if n, _ := service.InjectSeeds(campaign, offers); n > 0 {
-			fmt.Printf("imported %d shared corpus seed(s) from %s\n", n, *corpusDir)
+			fmt.Printf("imported %d shared corpus seed(s) from %s\n", n, c.corpusDir)
 		}
 	}
 
@@ -241,22 +215,22 @@ func run() int {
 	if st != nil {
 		// The whole queue, addressed by the coverage fingerprint of a
 		// detached replay.
-		if n := new(service.SeedLedger).Share(st, bucket, service.NewSeeds(campaign, nil)); n > 0 {
-			fmt.Printf("exported %d new corpus seed(s) to %s\n", n, *corpusDir)
+		if n := new(service.SeedLedger).Share(st, r.Bucket, service.NewSeeds(campaign, campaign.QueueSequences())); n > 0 {
+			fmt.Printf("exported %d new corpus seed(s) to %s\n", n, c.corpusDir)
 		}
 	}
 	if interrupted {
 		fmt.Println("\ninterrupted — campaign stopped cleanly mid-round")
 	}
-	if *snapOut != "" {
-		if err := os.WriteFile(*snapOut, campaign.Snapshot().EncodeBytes(), 0o644); err != nil {
+	if c.snapOut != "" {
+		if err := os.WriteFile(c.snapOut, campaign.Snapshot().EncodeBytes(), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "mufuzz: snapshot:", err)
 			return 1
 		}
-		fmt.Printf("snapshot written to %s — continue with -resume %s\n", *snapOut, *snapOut)
+		fmt.Printf("snapshot written to %s — continue with -resume %s\n", c.snapOut, c.snapOut)
 	}
 
-	fmt.Printf("\n[%s] fuzzed %s in %v\n", res.Strategy, name, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("\n[%s] fuzzed %s in %v\n", res.Strategy, r.Name, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("  executions:      %d\n", res.Executions)
 	fmt.Printf("  branch coverage: %.1f%% (%d/%d edges)\n", res.Coverage*100, res.CoveredEdges, res.TotalEdges)
 	fmt.Printf("  seed queue:      %d entries, %d masks computed, %d sequence mutations\n",
@@ -269,12 +243,12 @@ func run() int {
 		}
 		sort.Strings(classes)
 		fmt.Printf("  findings:        %d (%s)\n", len(res.Findings), strings.Join(classes, ", "))
-		if *verbose {
+		if c.verbose {
 			for _, f := range res.Findings {
 				fmt.Printf("    [%s] pc=%d %s\n", f.Class, f.PC, f.Description)
 			}
 		}
-		if *minimize {
+		if c.minimize {
 			fmt.Println("\nproof-of-concept sequences (minimized):")
 			for class, seq := range res.Repro {
 				min := campaign.MinimizeForBug(seq, class)
@@ -285,13 +259,13 @@ func run() int {
 		fmt.Println("  findings:        none")
 	}
 
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
+	if c.jsonOut != "" {
+		f, err := os.Create(c.jsonOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "mufuzz:", err)
 			return 1
 		}
-		werr := report.New(target.Name(), res).WriteJSON(f)
+		werr := writeReport(f, target.Name(), res)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
@@ -299,7 +273,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "mufuzz:", werr)
 			return 1
 		}
-		fmt.Printf("\nJSON report written to %s\n", *jsonOut)
+		fmt.Printf("\nJSON report written to %s\n", c.jsonOut)
 	}
 
 	if len(res.Findings) > 0 {
@@ -308,151 +282,162 @@ func run() int {
 	return 0
 }
 
-// loadBytecodeTarget ingests one bytecode + ABI file pair.
-func loadBytecodeTarget(bin, abiFile string) (fuzz.Target, error) {
-	codeHex, err := os.ReadFile(bin)
+// resolve resolves the command line's campaign spec, then applies what a
+// spec cannot say: the -seed as given (a spec reads 0 as seed 1), the -time
+// budget, the -no-cmp-feedback ablation and the manifest's pinned member
+// addresses.
+func (c *cli) resolve() (*service.Resolved, error) {
+	spec, pins, err := c.spec()
 	if err != nil {
 		return nil, err
 	}
-	abiJSON, err := os.ReadFile(abiFile)
+	r, err := service.Resolve(spec, 0)
 	if err != nil {
 		return nil, err
 	}
-	return ingest.LoadHex(string(codeHex), abiJSON)
+	r.Options.Seed = c.seed
+	r.Options.TimeBudget = c.budget
+	if c.noCmpFeed {
+		r.Options.Strategy.Name += " w/o comparison feedback"
+		r.Options.Strategy.CmpFeedback = false
+		r.Options.Strategy.MinedDictionary = false
+	}
+	for i, addr := range pins {
+		r.World.Members[i].Addr = addr
+	}
+	return r, nil
 }
 
-// loadTarget resolves exactly one of the three target sources: MiniSol file,
-// built-in example, or raw bytecode + ABI JSON (the first -bytecode/-abi
-// pair; later pairs are world members, resolved by buildWorld).
-func loadTarget(file, example string, bytecodes, abiFiles []string) (fuzz.Target, string, error) {
+// spec maps the flags to a campaign spec: -file to Source, -example to
+// Example, the first -bytecode/-abi pair to Bytecode/ABI, and later pairs
+// (named after their bin file) and -world manifest lines (paths relative to
+// the manifest) to Members. Name is the target as the command line gave it.
+// pins holds each member's pinned deployment address (zero = assigned).
+func (c *cli) spec() (spec service.CampaignSpec, pins []state.Address, err error) {
 	sources := 0
-	for _, set := range []bool{file != "", example != "", len(bytecodes) > 0} {
+	for _, set := range []bool{c.file != "", c.example != "", len(c.bytecodes) > 0} {
 		if set {
 			sources++
 		}
 	}
-	if sources != 1 {
-		return nil, "", fmt.Errorf("pass exactly one of -file, -example, or -bytecode")
-	}
-
-	if len(bytecodes) > 0 {
-		if len(abiFiles) != len(bytecodes) {
-			return nil, "", fmt.Errorf("%d -bytecode flag(s) but %d -abi flag(s); each -bytecode needs its -abi", len(bytecodes), len(abiFiles))
-		}
-		t, err := loadBytecodeTarget(bytecodes[0], abiFiles[0])
-		if err != nil {
-			return nil, "", err
-		}
-		return t, bytecodes[0], nil
-	}
-	if len(abiFiles) > 0 {
-		return nil, "", fmt.Errorf("-abi requires a matching -bytecode")
-	}
-
-	var src, name string
 	switch {
-	case file != "":
-		b, err := os.ReadFile(file)
+	case sources != 1:
+		return spec, nil, fmt.Errorf("pass exactly one of -file, -example, or -bytecode")
+	case len(c.bytecodes) == 0 && len(c.abiFiles) > 0:
+		return spec, nil, fmt.Errorf("-abi requires a matching -bytecode")
+	case len(c.abiFiles) != len(c.bytecodes):
+		return spec, nil, fmt.Errorf("%d -bytecode flag(s) but %d -abi flag(s); each -bytecode needs its -abi", len(c.bytecodes), len(c.abiFiles))
+	}
+	spec = service.CampaignSpec{
+		Example: c.example, Attacker: c.attacker,
+		Strategy: c.strategy, Seed: c.seed, Iterations: c.iters,
+	}
+	switch {
+	case c.file != "":
+		src, err := readArtifact(c.file)
 		if err != nil {
-			return nil, "", err
+			return spec, nil, err
 		}
-		src, name = string(b), file
+		spec.Name, spec.Source = c.file, string(src)
+	case c.example != "":
+		spec.Name = c.example
 	default:
-		switch example {
-		case "crowdsale":
-			src, name = corpus.Crowdsale(), "crowdsale"
-		case "crowdsale-buggy":
-			src, name = corpus.CrowdsaleBuggy(), "crowdsale-buggy"
-		case "game":
-			src, name = corpus.Game(), "game"
-		default:
-			return nil, "", fmt.Errorf("unknown example %q", example)
+		spec.Name = c.bytecodes[0]
+		if spec.Bytecode, spec.ABI, err = readPair(c.bytecodes[0], c.abiFiles[0]); err != nil {
+			return spec, nil, err
 		}
 	}
-	comp, err := minisol.Compile(src)
-	if err != nil {
-		return nil, "", fmt.Errorf("compile: %w", err)
-	}
-	return fuzz.MinisolTarget(comp), name, nil
-}
-
-// memberName derives a world-member name from its bin path: the base name
-// with the extension stripped ("fixtures/erc20.bin" -> "erc20").
-func memberName(bin string) string {
-	base := filepath.Base(bin)
-	return strings.TrimSuffix(base, filepath.Ext(base))
-}
-
-// buildWorld assembles the campaign's WorldOptions from the extra
-// -bytecode/-abi pairs, the -world manifest (member paths resolve relative
-// to the manifest's directory), and the -attacker switch. It returns nil
-// options for a plain single-contract run, plus the corpus-store bucket:
-// world.BucketID over all deployed code when members are present (so any
-// campaign fuzzing the same contract set shares seeds, whoever launched
-// it), else the primary target's name.
-func buildWorld(primary fuzz.Target, bytecodes, abiFiles []string, manifest string, attacker bool) (*fuzz.WorldOptions, string, error) {
-	var members []fuzz.WorldMember
-	seen := map[string]bool{}
-	add := func(name string, t fuzz.Target, addr state.Address) error {
-		if seen[name] {
-			return fmt.Errorf("duplicate world member %q", name)
+	addMember := func(name, bin, abiFile string, addr state.Address) error {
+		code, abiJSON, err := readPair(bin, abiFile)
+		if err != nil {
+			return err
 		}
-		seen[name] = true
-		members = append(members, fuzz.WorldMember{Name: name, Target: t, Addr: addr})
+		spec.Members = append(spec.Members, service.WorldMemberSpec{Name: name, Bytecode: code, ABI: abiJSON})
+		pins = append(pins, addr)
 		return nil
 	}
-
-	for i := 1; i < len(bytecodes) && i < len(abiFiles); i++ {
-		t, err := loadBytecodeTarget(bytecodes[i], abiFiles[i])
-		if err != nil {
-			return nil, "", err
-		}
-		if err := add(memberName(bytecodes[i]), t, state.Address{}); err != nil {
-			return nil, "", err
+	for i := 1; i < len(c.bytecodes); i++ {
+		base := filepath.Base(c.bytecodes[i])
+		if err := addMember(strings.TrimSuffix(base, filepath.Ext(base)), c.bytecodes[i], c.abiFiles[i], state.Address{}); err != nil {
+			return spec, nil, err
 		}
 	}
-
-	if manifest != "" {
-		data, err := os.ReadFile(manifest)
+	if c.worldFile != "" {
+		data, err := os.ReadFile(c.worldFile)
 		if err != nil {
-			return nil, "", err
+			return spec, nil, err
 		}
 		decls, err := world.ParseManifest(data)
 		if err != nil {
-			return nil, "", err
+			return spec, nil, err
 		}
-		dir := filepath.Dir(manifest)
-		resolve := func(p string) string {
+		rel := func(p string) string {
 			if filepath.IsAbs(p) {
 				return p
 			}
-			return filepath.Join(dir, p)
+			return filepath.Join(filepath.Dir(c.worldFile), p)
 		}
 		for _, m := range decls {
-			t, err := loadBytecodeTarget(resolve(m.Bin), resolve(m.ABI))
-			if err != nil {
-				return nil, "", fmt.Errorf("world member %s: %w", m.Name, err)
-			}
-			if err := add(m.Name, t, m.Addr); err != nil {
-				return nil, "", err
+			if err := addMember(m.Name, rel(m.Bin), rel(m.ABI), m.Addr); err != nil {
+				return spec, nil, fmt.Errorf("world member %s: %w", m.Name, err)
 			}
 		}
 	}
+	return spec, pins, nil
+}
 
-	if len(members) == 0 && !attacker {
-		return nil, primary.Name(), nil
+// readPair reads one -bytecode/-abi file pair.
+func readPair(bin, abiFile string) (string, []byte, error) {
+	code, err := readArtifact(bin)
+	if err != nil {
+		return "", nil, err
 	}
-	w := &fuzz.WorldOptions{Members: members}
-	if attacker {
-		w.Attacker = world.NewModel(primary.Methods())
+	abiJSON, err := readArtifact(abiFile)
+	return string(code), abiJSON, err
+}
+
+// readArtifact reads a file the campaign is built from. An empty file is an
+// error: a spec reads an empty field as absent.
+func readArtifact(path string) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	if err == nil && len(data) == 0 {
+		err = fmt.Errorf("%s is empty", path)
 	}
-	bucket := primary.Name()
-	if len(members) > 0 {
-		all := []fuzz.Target{primary}
-		for _, m := range members {
-			all = append(all, m.Target)
-		}
-		bucket = world.BucketID(all...)
+	return data, err
+}
+
+// writeReport writes the machine-readable campaign report: the summary
+// counters, the findings as mufuzzd and the fleet serve them (in the
+// detector's class-then-pc order, each with its proof-of-concept call
+// order), and the coverage timeline.
+func writeReport(w io.Writer, contract string, res *fuzz.Result) error {
+	type point struct {
+		Executions int     `json:"executions"`
+		Coverage   float64 `json:"coverage"`
 	}
-	return w, bucket, nil
+	rep := struct {
+		Contract     string            `json:"contract"`
+		Strategy     string            `json:"strategy"`
+		When         time.Time         `json:"when"`
+		Executions   int               `json:"executions"`
+		ElapsedMS    int64             `json:"elapsed_ms"`
+		Coverage     float64           `json:"coverage"`
+		CoveredEdges int               `json:"covered_edges"`
+		TotalEdges   int               `json:"total_edges"`
+		Findings     []service.Finding `json:"findings"`
+		Timeline     []point           `json:"timeline,omitempty"`
+	}{
+		Contract: contract, Strategy: res.Strategy, When: time.Now().UTC(),
+		Executions: res.Executions, ElapsedMS: res.Elapsed.Milliseconds(),
+		Coverage: res.Coverage, CoveredEdges: res.CoveredEdges, TotalEdges: res.TotalEdges,
+	}
+	if len(res.Findings) > 0 { // a clean run reports "findings": null
+		rep.Findings = service.FindingsOf(res)
+	}
+	for _, tp := range res.Timeline {
+		rep.Timeline = append(rep.Timeline, point{tp.Executions, tp.Coverage})
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(rep)
 }

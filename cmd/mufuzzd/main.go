@@ -37,8 +37,9 @@
 //
 // runs a worker node that pulls and executes leased slices. Workers hold no
 // durable state; killing one loses at most the slice in flight, which the
-// coordinator re-leases after its TTL. Both modes serve /healthz and
-// /readyz on -addr.
+// coordinator re-leases after its TTL. Every mode, the service included,
+// serves the same /healthz and /readyz pair on -addr (service.HealthRoutes),
+// and a listener that fails ends the process with status 1.
 package main
 
 import (
@@ -134,29 +135,12 @@ func main() {
 	fmt.Printf("mufuzzd: listening on %s, store %s, %d slot(s), %d campaign(s) resumed\n",
 		*addr, *storeDir, *slots, resumed)
 
-	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-
-	select {
-	case sig := <-sigc:
-		fmt.Printf("mufuzzd: %v — draining\n", sig)
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "mufuzzd:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	n := svc.Drain()
-	fmt.Printf("mufuzzd: drained %d campaign(s) to %s\n", n, *storeDir)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_ = srv.Shutdown(ctx)
+	os.Exit(serve(*addr, svc.Handler(), "draining", func(ctx context.Context) int {
+		<-ctx.Done()
+		n := svc.Drain()
+		fmt.Printf("mufuzzd: drained %d campaign(s) to %s\n", n, *storeDir)
+		return 0
+	}))
 }
 
 // runCoordinator serves the fleet control plane until SIGINT/SIGTERM.
@@ -175,26 +159,10 @@ func runCoordinator(addr, storeDir string, rounds int, ttl time.Duration, iters 
 	fmt.Printf("mufuzzd: fleet coordinator on %s, store %s, %d round(s)/slice, lease TTL %s\n",
 		addr, storeDir, rounds, ttl)
 
-	srv := &http.Server{Addr: addr, Handler: co.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigc:
-		fmt.Printf("mufuzzd: %v — shutting down coordinator\n", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
+	return serve(addr, co.Handler(), "shutting down coordinator", func(ctx context.Context) int {
+		<-ctx.Done()
 		return 0
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "mufuzzd:", err)
-			return 1
-		}
-		return 0
-	}
+	})
 }
 
 // runWorker pulls and executes leased slices until SIGINT/SIGTERM. A
@@ -216,51 +184,63 @@ func runWorker(addr, coordinatorURL, name string) int {
 	// readiness instead of sleep-and-poll.
 	var ready atomic.Bool
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, "{\"ok\":true,\"worker\":%q}\n", name)
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
+	service.HealthRoutes(mux, func() map[string]any {
+		return map[string]any{"ok": true, "worker": name}
+	}, func() (bool, string) {
 		if !ready.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, `{"ready":false,"reason":"coordinator not reachable yet"}`)
-			return
+			return false, "coordinator not reachable yet"
 		}
-		fmt.Fprintln(w, `{"ready":true}`)
+		return true, ""
 	})
-	srv := &http.Server{Addr: addr, Handler: mux}
-	go func() {
-		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, "mufuzzd:", err)
+	return serve(addr, mux, "abandoning slice in flight and exiting", func(ctx context.Context) int {
+		fmt.Printf("mufuzzd: worker %s joining fleet at %s\n", name, coordinatorURL)
+		if err := client.WaitReady(ctx); err != nil {
+			fmt.Fprintln(os.Stderr, "mufuzzd: coordinator never became ready:", err)
+			return 1
 		}
-	}()
+		ready.Store(true)
+		fmt.Printf("mufuzzd: worker %s ready\n", name)
+		if err := w.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
+			fmt.Fprintln(os.Stderr, "mufuzzd:", err)
+			return 1
+		}
+		return 0
+	})
+}
 
+// serve serves h on addr while run works and returns run's exit status.
+// run's context ends on SIGINT or SIGTERM, which serve announces as
+// "mufuzzd: <signal> — <onSignal>", or when the listener fails, which also
+// makes the exit status 1. Once run returns, in-flight requests get five
+// seconds to finish.
+func serve(addr string, h http.Handler, onSignal string, run func(context.Context) int) int {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	srv := &http.Server{Addr: addr, Handler: h}
+	var failed atomic.Bool
+	go func() {
+		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+			fmt.Fprintln(os.Stderr, "mufuzzd:", err)
+			failed.Store(true)
+			cancel()
+		}
+	}()
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
-		sig := <-sigc
-		fmt.Printf("mufuzzd: %v — abandoning slice in flight and exiting\n", sig)
-		cancel()
+		select {
+		case sig := <-sigc:
+			fmt.Printf("mufuzzd: %v — %s\n", sig, onSignal)
+			cancel()
+		case <-ctx.Done():
+		}
 	}()
-
-	fmt.Printf("mufuzzd: worker %s joining fleet at %s\n", name, coordinatorURL)
-	if err := client.WaitReady(ctx); err != nil {
-		fmt.Fprintln(os.Stderr, "mufuzzd: coordinator never became ready:", err)
-		return 1
-	}
-	ready.Store(true)
-	fmt.Printf("mufuzzd: worker %s ready\n", name)
-
-	err := w.Run(ctx)
-	sctx, scancel := context.WithTimeout(context.Background(), 2*time.Second)
+	status := run(ctx)
+	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer scancel()
 	_ = srv.Shutdown(sctx)
-	if err != nil && !errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "mufuzzd:", err)
+	if failed.Load() {
 		return 1
 	}
-	return 0
+	return status
 }

@@ -162,6 +162,27 @@ contract Game {
 }`
 }
 
+// Examples lists the built-in paper examples under the names the CLIs and
+// campaign specs accept: the Fig. 1 crowdsale, its seeded-bug variant and
+// the Fig. 4 game.
+func Examples() []Labeled {
+	return []Labeled{
+		{Name: "crowdsale", Source: Crowdsale()},
+		{Name: "crowdsale-buggy", Source: CrowdsaleBuggy(), Labels: []oracle.BugClass{oracle.BD}},
+		{Name: "game", Source: Game()},
+	}
+}
+
+// Example returns the source of the named built-in example.
+func Example(name string) (string, bool) {
+	for _, e := range Examples() {
+		if e.Name == name {
+			return e.Source, true
+		}
+	}
+	return "", false
+}
+
 // Token returns an ERC20-style token: owner-gated minting, guarded
 // transfers, and burn — the shape of the deployed real-world contracts the
 // paper's large-corpus evaluation runs on. Its compiled bytecode + ABI JSON

@@ -316,6 +316,7 @@ func (e *EVM) call(op OpCode, caller, selfAddr, codeAddr state.Address, value u2
 	p := e.program(code)
 	f := e.frameFor(selfAddr, caller, value, input, code, gas, depth, p.dests)
 	f.records = e.BranchIndex != nil && selfAddr == codeAddr && selfAddr == e.BranchIndexAddr
+	f.delegated = selfAddr != codeAddr
 	var ret []byte
 	var err error
 	if e.DisableIR {
@@ -471,6 +472,10 @@ type frame struct {
 	// its own storage context (see EVM.BranchIndex): only such frames
 	// record branch events.
 	records bool
+	// delegated is set when the frame runs code other than its storage
+	// context's own (DELEGATECALL to another contract); its calls are
+	// marked CallEvent.Delegated.
+	delegated bool
 	// busy guards pooled reuse: set while the frame is executing.
 	busy bool
 }
@@ -1276,7 +1281,7 @@ func (f *frame) opCall(op OpCode) (bool, []byte, error) {
 	if e.Trace != nil {
 		e.Trace.Calls = append(e.Trace.Calls, CallEvent{
 			ID: id, Op: op, From: f.addr, To: to, Value: valV, Gas: forward,
-			Success: success, Depth: f.depth,
+			Success: success, Depth: f.depth, Delegated: f.delegated,
 		})
 		e.setCallIndex(id, len(e.Trace.Calls)-1)
 	}

@@ -106,6 +106,9 @@ type CallEvent struct {
 	Success bool
 	Depth   int
 	Checked bool // success flag later consumed by a JUMPI
+	// Delegated marks a call issued by code that From delegatecalled: From
+	// is the storage context, not the code that made the call.
+	Delegated bool
 }
 
 // OverflowEvent records a wrapping arithmetic operation.

@@ -93,17 +93,6 @@ func (e *apiError) Error() string {
 	return fmt.Sprintf("coordinator: %d: %s", e.Status, e.Msg)
 }
 
-// IsStale reports whether err is the coordinator refusing a lease as no
-// longer current (409 on commit, 410 on heartbeat) — the signal to discard
-// the slice instead of retrying.
-func IsStale(err error) bool {
-	var ae *apiError
-	if !errors.As(err, &ae) {
-		return false
-	}
-	return ae.Status == http.StatusConflict || ae.Status == http.StatusGone
-}
-
 // IsBusy reports whether err is a 429 back-pressure refusal.
 func IsBusy(err error) bool {
 	var ae *apiError
@@ -248,15 +237,15 @@ func (c *Client) Acquire(ctx context.Context, req LeaseRequest) (*Lease, error) 
 	return &l, nil
 }
 
-// Heartbeat extends a lease. A stale lease returns an error satisfying
-// IsStale.
+// Heartbeat extends a lease. A stale lease returns the coordinator's 410
+// refusal.
 func (c *Client) Heartbeat(ctx context.Context, leaseID string) error {
 	return unwrapGiveUp(c.do(ctx, http.MethodPost, "/v1/fleet/leases/"+leaseID+"/heartbeat", LeaseRequest{}, nil))
 }
 
 // Complete commits a finished slice. Safe to retry: commits are
-// idempotent on the coordinator. A stale lease returns an error
-// satisfying IsStale.
+// idempotent on the coordinator. A stale lease returns the coordinator's
+// 409 refusal.
 func (c *Client) Complete(ctx context.Context, leaseID string, req CompleteRequest) (CompleteResponse, error) {
 	var resp CompleteResponse
 	err := c.do(ctx, http.MethodPost, "/v1/fleet/leases/"+leaseID+"/complete", req, &resp)
@@ -323,7 +312,7 @@ func (c *Client) WaitReady(ctx context.Context) error {
 }
 
 // unwrapGiveUp surfaces the terminal cause of an exhausted retry loop so
-// callers can match with IsStale/IsBusy (the "giving up" wrapper keeps
+// callers can match it, as IsBusy does (the "giving up" wrapper keeps
 // %w-chains intact, this just shortens the common case).
 func unwrapGiveUp(err error) error {
 	if err == nil {

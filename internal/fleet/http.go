@@ -33,17 +33,9 @@ const (
 func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		service.WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "campaigns": len(co.Statuses())})
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		ready, reason := co.Ready()
-		if !ready {
-			service.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": reason})
-			return
-		}
-		service.WriteJSON(w, http.StatusOK, map[string]any{"ready": true})
-	})
+	service.HealthRoutes(mux, func() map[string]any {
+		return map[string]any{"ok": true, "campaigns": len(co.Statuses())}
+	}, co.Ready)
 
 	mux.HandleFunc("POST /v1/fleet/campaigns", func(w http.ResponseWriter, r *http.Request) {
 		var req SubmitRequest

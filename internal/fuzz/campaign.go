@@ -208,7 +208,10 @@ type Campaign struct {
 	// — the proof-of-concept the CLI minimizes and prints.
 	repro map[oracle.BugClass]Sequence
 
-	queue      []*Seed
+	queue []*Seed
+	// appended counts the seeds appended to queue since the campaign was
+	// opened (see Appended); snapshots do not carry it.
+	appended   int
 	executions int
 	// qi is the round-robin queue cursor of the main loop; a struct field so
 	// pausing between rounds (RunSlice) and snapshotting preserve it.
@@ -1145,6 +1148,7 @@ func (c *Campaign) RunSlice(ctx context.Context, maxRounds int) (*Result, bool) 
 		seed.DistanceImproved = r.distImproved
 		seed.PathWeight = c.weights.PathWeightTx(r.branchesByTx)
 		c.queue = append(c.queue, seed)
+		c.appended++
 		c.corpusSeeded++
 	}
 
@@ -1265,13 +1269,25 @@ func (c *Campaign) sanitizeSequence(seq Sequence) Sequence {
 
 // QueueSequences returns clones of the sequences currently in the seed queue
 // — the exportable corpus a store shares across campaigns.
-func (c *Campaign) QueueSequences() []Sequence {
-	out := make([]Sequence, len(c.queue))
-	for i, s := range c.queue {
+func (c *Campaign) QueueSequences() []Sequence { return c.NewestSequences(len(c.queue)) }
+
+// NewestSequences returns clones of the newest n queue sequences (the whole
+// queue when n exceeds it), oldest first.
+func (c *Campaign) NewestSequences(n int) []Sequence {
+	n = min(n, len(c.queue))
+	out := make([]Sequence, n)
+	for i, s := range c.queue[len(c.queue)-n:] {
 		out[i] = s.Seq.Clone()
 	}
 	return out
 }
+
+// Appended counts the seeds the campaign has appended to its queue since it
+// was opened: initial corpus, admitted children and injected sequences.
+// Appends go to the queue's end and the queue's trim keeps the newest seeds,
+// so the newest Appended()-mark queue sequences are exactly those appended
+// since mark was read. The count is not part of a snapshot.
+func (c *Campaign) Appended() int { return c.appended }
 
 // SetObserver installs (or clears) the conformance transcript hook. Must not
 // be called while a slice is running.
@@ -1310,6 +1326,7 @@ func (c *Campaign) admit(child *Seed, r execResult) {
 		child.DistanceImproved = r.distImproved
 		child.PathWeight = c.weights.PathWeightTx(r.branchesByTx)
 		c.queue = append(c.queue, child)
+		c.appended++
 		// cap queue growth: keep the newest/most valuable seeds. Copy the
 		// survivors into a fresh slice — reslicing the old backing array
 		// (c.queue[len-192:]) would pin every evicted seed (and its sequence,

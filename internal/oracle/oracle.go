@@ -2,16 +2,17 @@
 // consume EVM execution traces (taint sinks, call events, overflow events,
 // reentry events) plus a little campaign-level state, and emit findings.
 //
-// The oracles are split into two halves so a parallel fuzzing engine can run
-// them off the coordinator thread:
+// The oracles are split into two halves so one transaction's verdict can
+// outlive the execution that produced it:
 //
 //   - Inspector is the stateless per-execution half: it matches one trace
 //     against the per-transaction rules and returns a Report. Inspectors are
-//     immutable after construction and safe for concurrent use by many
-//     executor goroutines.
-//   - Detector is the campaign-level aggregate: it absorbs Reports in a
-//     deterministic order on the coordinator, dedups findings, and applies
-//     whole-campaign oracles (EF) at Finalize.
+//     immutable after construction. The executor caches the Reports of a
+//     sequence prefix in the prefix's checkpoint, so a child resumed from
+//     the checkpoint replays them instead of re-executing the prefix.
+//   - Detector is the campaign-level aggregate: the campaign folds every
+//     Report into it, cached or live, in transaction order; it dedups
+//     findings and applies whole-campaign oracles (EF) at Finalize.
 package oracle
 
 import (
@@ -252,11 +253,12 @@ func (ins *Inspector) inspectOverflows(tr *evm.Trace, r *Report) {
 	}
 }
 
-// inspectCalls covers UE: an external call failed and its status word was
-// never consumed by a conditional jump.
+// inspectCalls covers UE: an external call the contract's own code made
+// failed and its status word was never consumed by a conditional jump. A
+// call made by code the contract delegatecalled is that code's to check.
 func (ins *Inspector) inspectCalls(tr *evm.Trace, r *Report) {
 	for _, c := range tr.Calls {
-		if c.From != ins.addr || c.Op != evm.CALL {
+		if c.From != ins.addr || c.Op != evm.CALL || c.Delegated {
 			continue
 		}
 		if !c.Success && !c.Checked {

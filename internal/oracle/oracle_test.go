@@ -232,6 +232,46 @@ func TestRequiredCallValueIsNotUE(t *testing.T) {
 	wantClass(t, r, UE, false)
 }
 
+// TestDelegatedCallIsNotUE: a failing, unchecked send made by library code
+// the contract delegatecalls runs in the contract's storage context, but it
+// is the library's call, not the contract's. The contract's own unchecked
+// send still is UE.
+func TestDelegatedCallIsNotUE(t *testing.T) {
+	r := newRig(t, `contract C {
+		function run(address lib, uint256 sel) public {
+			lib.delegatecall(sel);
+		}
+		function pay(address to, uint256 amt) public {
+			to.send(amt);
+		}
+	}`)
+	lib, err := minisol.Compile(`contract L {
+		function pay() public { msg.sender.send(1000); }
+	}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	libAddr := state.AddressFromUint(0x11b)
+	if err := minisol.Deploy(r.evm, r.deployer, libAddr, lib, nil, u256.Zero, 10_000_000); err != nil {
+		t.Fatal(err)
+	}
+	data, err := lib.CallData("pay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var word [32]byte
+	copy(word[:], data[:4])
+	r.tx(t, r.user, u256.Zero, "run", libAddr.Word(), u256.FromBytes(word[:]))
+	calls := r.evm.Trace.Calls // the send ends, and is recorded, first
+	if len(calls) != 2 || calls[0].Op != evm.CALL || calls[0].From != r.addr || calls[0].Success || !calls[0].Delegated {
+		t.Fatalf("call events %+v, want the library's failed send from the contract's context, marked delegated", calls)
+	}
+	wantClass(t, r, UE, false)
+
+	r.tx(t, r.user, u256.Zero, "pay", r.user.Word(), u256.New(1000))
+	wantClass(t, r, UE, true)
+}
+
 // --- US ---
 
 func TestUnprotectedSelfDestructDetected(t *testing.T) {

@@ -96,14 +96,8 @@ func ResolveTarget(spec CampaignSpec) (fuzz.Target, error) {
 
 	src := spec.Source
 	if spec.Example != "" {
-		switch spec.Example {
-		case "crowdsale":
-			src = corpus.Crowdsale()
-		case "crowdsale-buggy":
-			src = corpus.CrowdsaleBuggy()
-		case "game":
-			src = corpus.Game()
-		default:
+		var ok bool
+		if src, ok = corpus.Example(spec.Example); !ok {
 			return nil, fmt.Errorf("unknown example %q", spec.Example)
 		}
 	}
@@ -304,31 +298,25 @@ type StepResult struct {
 	Injected int
 	// Imported lists the fingerprints of the offers that decoded.
 	Imported []string
-	// Exports are the sequences new to the queue since the slice started,
-	// fingerprinted; nil unless asked for.
+	// Exports are the queued sequences the slice appended, fingerprinted;
+	// nil unless asked for.
 	Exports []SeedObject
 }
 
 // Step runs one slice of a campaign: it injects the offered seeds, then
 // installs obs (after the injection, so injected executions never reach the
-// slice's observer; nil clears any observer a warm campaign kept), notes the
-// queue when export is set, runs up to rounds energy rounds, and exports the
-// queue sequences that are new since the note. The service's slot loop and
-// the fleet's workers both run their slices through it.
+// slice's observer; nil clears any observer a warm campaign kept), runs up
+// to rounds energy rounds, and, when export is set, exports the seeds the
+// slice appended to the queue. The service's slot loop and the fleet's
+// workers both run their slices through it.
 func Step(ctx context.Context, c *fuzz.Campaign, rounds int, offers []SeedObject, obs fuzz.ExecObserver, export bool) StepResult {
 	var out StepResult
 	out.Injected, out.Imported = InjectSeeds(c, offers)
 	c.SetObserver(obs)
-	var note map[string]bool
-	if export {
-		note = make(map[string]bool)
-		for _, seq := range c.QueueSequences() {
-			note[string(fuzz.EncodeSequence(seq))] = true
-		}
-	}
+	mark := c.Appended()
 	out.Result, out.Done = c.RunSlice(ctx, rounds)
 	if export {
-		out.Exports = NewSeeds(c, note)
+		out.Exports = NewSeeds(c, c.NewestSequences(c.Appended()-mark))
 	}
 	return out
 }
@@ -350,21 +338,19 @@ func InjectSeeds(c *fuzz.Campaign, offers []SeedObject) (int, []string) {
 	return c.InjectSequences(batch), decoded
 }
 
-// NewSeeds fingerprints each queue sequence absent from note (a set of
-// encoded sequences) by the coverage a detached replay observes; a nil note
-// exports the whole queue. The service, the fleet and the CLI's corpus
-// directory share this one content addressing, so their seeds share one
-// namespace.
-func NewSeeds(c *fuzz.Campaign, note map[string]bool) []SeedObject {
+// NewSeeds fingerprints each distinct sequence of seqs (sequences of the
+// campaign's queue) by the coverage a detached replay observes. The service,
+// the fleet and the CLI's corpus directory share this one content
+// addressing, so their seeds share one namespace.
+func NewSeeds(c *fuzz.Campaign, seqs []fuzz.Sequence) []SeedObject {
 	var out []SeedObject
 	seen := make(map[string]bool)
-	for _, seq := range c.QueueSequences() {
+	for _, seq := range seqs {
 		enc := fuzz.EncodeSequence(seq)
-		key := string(enc)
-		if note[key] || seen[key] {
+		if seen[string(enc)] {
 			continue
 		}
-		seen[key] = true
+		seen[string(enc)] = true
 		fp := store.Fingerprint(c.ReplayCoverageEdges(seq))
 		out = append(out, SeedObject{Fingerprint: fp, Payload: enc})
 	}

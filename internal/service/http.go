@@ -20,21 +20,11 @@ import (
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		WriteJSON(w, http.StatusOK, map[string]any{"ok": true, "campaigns": len(s.Statuses())})
-	})
-
 	// Readiness: the store is open, the scheduler slots are running, and the
-	// service accepts submissions (not drained). 503 with a reason otherwise,
-	// so orchestrators and CI jobs can gate on it instead of sleeping.
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		ready, reason := s.Ready()
-		if !ready {
-			WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": reason})
-			return
-		}
-		WriteJSON(w, http.StatusOK, map[string]any{"ready": true})
-	})
+	// service accepts submissions (not drained).
+	HealthRoutes(mux, func() map[string]any {
+		return map[string]any{"ok": true, "campaigns": len(s.Statuses())}
+	}, s.Ready)
 
 	mux.HandleFunc("POST /v1/campaigns", func(w http.ResponseWriter, r *http.Request) {
 		var spec CampaignSpec
@@ -123,6 +113,24 @@ func (s *Service) Handler() http.Handler {
 	})
 
 	return mux
+}
+
+// HealthRoutes serves the liveness and readiness pair every mufuzzd mode
+// answers: GET /healthz writes health's body with 200, and GET /readyz
+// writes {"ready": true} with 200 when ready reports true, else {"ready":
+// false, "reason": ...} with 503, so orchestrators and CI jobs can gate on
+// it instead of sleeping.
+func HealthRoutes(mux *http.ServeMux, health func() map[string]any, ready func() (bool, string)) {
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, health())
+	})
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
+		if ok, reason := ready(); !ok {
+			WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false, "reason": reason})
+			return
+		}
+		WriteJSON(w, http.StatusOK, map[string]any{"ready": true})
+	})
 }
 
 // WriteJSON writes v as the indented JSON body of a code response — the one

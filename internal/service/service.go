@@ -75,8 +75,8 @@ type CampaignSpec struct {
 	// Source is MiniSol source text. Exactly one of Source/Example/Bytecode
 	// is set.
 	Source string `json:"source,omitempty"`
-	// Example names a built-in corpus example (crowdsale, crowdsale-buggy,
-	// game).
+	// Example names a built-in corpus example (corpus.Examples: crowdsale,
+	// crowdsale-buggy, game).
 	Example string `json:"example,omitempty"`
 	// Bytecode is hex-encoded deployed EVM bytecode (runtime or creation;
 	// 0x prefix optional) for a source-free target. Requires ABI. Seeds for

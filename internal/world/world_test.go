@@ -89,7 +89,9 @@ func TestWorldSeparationBankReentrant(t *testing.T) {
 
 // TestWitnessedUDProxyDelegate: a world campaign on the delegatecall proxy
 // must produce a witnessed UD finding — the proxy actually delegatecalled
-// the synthesized attacker's code — not just a taint shape.
+// the synthesized attacker's code — not just a taint shape. It must not
+// report UE: the proxy has no CALL of its own, and the failing calls the
+// attacker's code makes in the proxy's storage context are not the proxy's.
 func TestWitnessedUDProxyDelegate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaigns are slow")
@@ -102,6 +104,9 @@ func TestWitnessedUDProxyDelegate(t *testing.T) {
 	}).Run()
 	if !res.BugClasses[oracle.UD] {
 		t.Fatalf("witnessed UD not found on proxy (classes %v)", res.BugClasses)
+	}
+	if res.BugClasses[oracle.UE] {
+		t.Fatalf("UE reported on a proxy without a CALL of its own (repro %s)", res.Repro[oracle.UE])
 	}
 }
 
