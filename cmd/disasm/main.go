@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	"mufuzz/internal/analysis"
 	"mufuzz/internal/corpus"
@@ -69,8 +70,16 @@ func main() {
 	}
 	fmt.Printf("contract %s — %d bytes\n", comp.Contract.Name, len(comp.Code))
 	fmt.Println("\nfunction entry points:")
-	for name, pc := range comp.FuncEntry {
-		fmt.Printf("  %-16s @ %d\n", name, pc)
+	names := make([]string, 0, len(comp.FuncEntry))
+	for name := range comp.FuncEntry {
+		names = append(names, name)
+	}
+	sort.Slice(names, func(i, j int) bool {
+		a, b := names[i], names[j]
+		return comp.FuncEntry[a] < comp.FuncEntry[b] || comp.FuncEntry[a] == comp.FuncEntry[b] && a < b
+	})
+	for _, name := range names {
+		fmt.Printf("  %-16s @ %d\n", name, comp.FuncEntry[name])
 	}
 	fmt.Println("\nbranch sites:")
 	for _, site := range comp.Branches {

@@ -251,208 +251,87 @@ func (t *Transcript) EncodeBytes() []byte {
 	return buf.Bytes()
 }
 
-// decodeErr wraps a decoding failure with the offending line.
+// decodeErr wraps a record-chunk scanning failure with the offending line.
 func decodeErr(line string, format string, args ...any) error {
 	return fmt.Errorf("conformance: decode %q: %s", line, fmt.Sprintf(format, args...))
 }
 
-// Decode parses a transcript from its v1 text encoding.
-func Decode(r io.Reader) (*Transcript, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	t := &Transcript{}
-	readLine := func() (string, bool) {
-		if !sc.Scan() {
-			return "", false
+// Decode parses a transcript from its v1 text encoding, through the line
+// reader snapshots and corpus seeds share: header, options, the record
+// section, and the final summary, in the order Encode writes them.
+func Decode(rd io.Reader) (*Transcript, error) {
+	r := fuzz.NewLineReader(rd, "conformance: decode transcript", 1<<22)
+	t := &Transcript{Version: r.Header(magic, Version)}
+	r.Expect("contract")
+	t.Contract = r.Rest("contract")
+
+	r.Expect("options")
+	o := &t.Options
+	o.Strategy = r.Quoted("strategy=")
+	o.Seed = r.Int64("seed=")
+	o.Iterations = r.Int("iters=")
+	o.NoPrefixCache = r.EngineOptions("energy=")
+	if r.More() {
+		// Member names carry no whitespace, and a plain campaign's
+		// transcript has no world token.
+		if o.World = r.Quoted("world="); o.World == "" || strings.Contains(o.World, " ") {
+			r.Fail("bad world %q", o.World)
 		}
-		return sc.Text(), true
+	}
+	if _, ok := lookupStrategy(o.Strategy); !ok {
+		r.Fail("unknown strategy %q", o.Strategy)
 	}
 
-	line, ok := readLine()
-	if !ok || !strings.HasPrefix(line, magic+" v") {
-		return nil, decodeErr(line, "missing %s header", magic)
-	}
-	v, err := strconv.Atoi(strings.TrimPrefix(line, magic+" v"))
-	if err != nil || v != Version {
-		return nil, decodeErr(line, "unsupported version")
-	}
-	t.Version = v
+	t.Records = readRecords(r)
 
-	line, ok = readLine()
-	if !ok || !strings.HasPrefix(line, "contract ") {
-		return nil, decodeErr(line, "missing contract line")
+	r.Expect("final")
+	f := &t.Final
+	f.CoveredEdges = r.Int("covered=")
+	f.TotalEdges = r.Int("total=")
+	f.Executions = r.Int("execs=")
+	f.SeedQueueLen = r.Int("queue=")
+	f.MasksComputed = r.Int("masks=")
+	f.SequencesMutated = r.Int("seqmut=")
+	r.Expect("classes")
+	if classes := r.Rest("classes"); classes != "" {
+		f.Classes = strings.Split(classes, ",")
 	}
-	t.Contract = strings.TrimPrefix(line, "contract ")
-
-	line, ok = readLine()
-	if !ok || !strings.HasPrefix(line, "options ") {
-		return nil, decodeErr(line, "missing options line")
+	for r.Next("finding") {
+		f.Findings = append(f.Findings, r.Rest("finding"))
 	}
-	var maxseq, energy, initseeds int
-	var gas int64
-	if _, err := fmt.Sscanf(line, "options strategy=%q seed=%d iters=%d maxseq=%d gas=%d energy=%d initseeds=%d workers=%d batched=%d copystate=%d nocache=%d",
-		&t.Options.Strategy, &t.Options.Seed, &t.Options.Iterations, &maxseq, &gas, &energy, &initseeds,
-		new(int), new(int), new(int), new(int)); err != nil {
-		return nil, decodeErr(line, "bad options: %v", err)
+	for r.Next("repro") {
+		f.Repro = append(f.Repro, r.Rest("repro"))
 	}
-	// A transcript recorded under any other value of the engine's fixed
-	// parameters cannot replay on this engine.
-	for _, f := range []struct {
-		name      string
-		got, want int64
-	}{
-		{"maxseq", int64(maxseq), fuzz.MaxSeqLen}, {"gas", gas, int64(fuzz.GasPerTx)},
-		{"energy", int64(energy), fuzz.EnergyBase}, {"initseeds", int64(initseeds), fuzz.InitialSeeds},
-	} {
-		if f.got != f.want {
-			return nil, decodeErr(line, "%s=%d, want %d", f.name, f.got, f.want)
-		}
+	for r.Next("fedge") {
+		f.Edges = append(f.Edges, r.Edge())
 	}
-	// Sscanf cannot target bools through %d; re-extract the nocache flag and
-	// the optional trailing world token (member names carry no whitespace, so
-	// the quoted token is a single field). The retired workers=, batched= and
-	// copystate= fields are ignored.
-	for _, kv := range strings.Fields(line) {
-		switch {
-		case kv == "nocache=1":
-			t.Options.NoPrefixCache = true
-		case strings.HasPrefix(kv, "world="):
-			w, err := strconv.Unquote(strings.TrimPrefix(kv, "world="))
-			if err != nil {
-				return nil, decodeErr(line, "bad world token: %v", err)
-			}
-			t.Options.World = w
-		}
+	r.Expect("eof")
+	if err := r.Close(); err != nil {
+		return nil, err
 	}
-	if _, ok := lookupStrategy(t.Options.Strategy); !ok {
-		return nil, decodeErr(line, "unknown strategy %q", t.Options.Strategy)
-	}
-
-	rs := &recordScanner{}
-	for {
-		line, ok = readLine()
-		if !ok {
-			return nil, decodeErr("", "truncated transcript (no eof)")
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			return nil, decodeErr(line, "blank line")
-		}
-		if handled, err := rs.feed(line, fields); err != nil {
-			return nil, err
-		} else if handled {
-			t.Records = rs.records
-			continue
-		}
-		switch fields[0] {
-		case "final":
-			if rs.open() {
-				return nil, decodeErr(line, "final inside rec")
-			}
-			if _, err := fmt.Sscanf(line, "final covered=%d total=%d execs=%d queue=%d masks=%d seqmut=%d",
-				&t.Final.CoveredEdges, &t.Final.TotalEdges, &t.Final.Executions,
-				&t.Final.SeedQueueLen, &t.Final.MasksComputed, &t.Final.SequencesMutated); err != nil {
-				return nil, decodeErr(line, "bad final: %v", err)
-			}
-			// trailer: classes, findings, repro, fedges, eof
-			for {
-				line, ok = readLine()
-				if !ok {
-					return nil, decodeErr("", "truncated trailer")
-				}
-				switch {
-				case line == "eof":
-					return t, nil
-				case strings.HasPrefix(line, "classes "):
-					s := strings.TrimPrefix(line, "classes ")
-					if s != "" {
-						t.Final.Classes = strings.Split(s, ",")
-					}
-				case line == "classes":
-					// no classes found
-				case strings.HasPrefix(line, "finding "):
-					t.Final.Findings = append(t.Final.Findings, strings.TrimPrefix(line, "finding "))
-				case strings.HasPrefix(line, "repro "):
-					t.Final.Repro = append(t.Final.Repro, strings.TrimPrefix(line, "repro "))
-				case strings.HasPrefix(line, "fedge "):
-					var pc uint64
-					var taken int
-					if _, err := fmt.Sscanf(line, "fedge %d %d", &pc, &taken); err != nil {
-						return nil, decodeErr(line, "bad fedge: %v", err)
-					}
-					t.Final.Edges = append(t.Final.Edges, fuzz.BranchEdge{PC: pc, Taken: taken == 1})
-				default:
-					return nil, decodeErr(line, "unexpected trailer line")
-				}
-			}
-		default:
-			return nil, decodeErr(line, "unexpected line")
-		}
-	}
+	return t, nil
 }
 
-// recordScanner parses the canonical record lines (rec/tx/edge/class/end)
-// of a transcript's record section — the concatenation of the record chunks
-// fleet workers ship — into fuzz.ExecRecords. Tx lines go through
-// fuzz.ParseTx, the parser snapshots and corpus seeds use too.
-type recordScanner struct {
-	records []fuzz.ExecRecord
-	inRec   bool
-}
-
-func (rs *recordScanner) open() bool { return rs.inRec }
-
-func (rs *recordScanner) cur() *fuzz.ExecRecord { return &rs.records[len(rs.records)-1] }
-
-// feed consumes one line. It reports whether the line belonged to the record
-// grammar; lines of the surrounding transcript grammar (options, final, eof)
-// return handled=false for the caller to process.
-func (rs *recordScanner) feed(line string, fields []string) (bool, error) {
-	switch fields[0] {
-	case "rec":
-		if rs.inRec {
-			return true, decodeErr(line, "rec inside rec")
+// readRecords reads a record section — the concatenation of the record
+// chunks fleet workers ship — into fuzz.ExecRecords: each rec line, then
+// its tx, edge and class lines, then end.
+func readRecords(r *fuzz.LineReader) []fuzz.ExecRecord {
+	var records []fuzz.ExecRecord
+	for r.Next("rec") {
+		rec := fuzz.ExecRecord{
+			Index: r.Int("index"), NestedDepth: r.Int("nested="), DistImproved: r.Flag("dist="),
+			CoveredAfter: r.Int("covered="), Seq: r.TxBlock(),
 		}
-		r := fuzz.ExecRecord{}
-		if _, err := fmt.Sscanf(line, "rec %d nested=%d dist=%d covered=%d",
-			&r.Index, &r.NestedDepth, new(int), &r.CoveredAfter); err != nil {
-			return true, decodeErr(line, "bad rec: %v", err)
+		for r.Next("edge") {
+			rec.NewEdges = append(rec.NewEdges, r.Edge())
 		}
-		r.DistImproved = strings.Contains(line, "dist=1")
-		rs.records = append(rs.records, r)
-		rs.inRec = true
-	case "tx":
-		if !rs.inRec {
-			return true, decodeErr(line, "tx outside rec")
+		for r.Next("class") {
+			rec.NewClasses = append(rec.NewClasses, oracle.BugClass(r.Token("class")))
 		}
-		tx, err := fuzz.ParseTx(fields)
-		if err != nil {
-			return true, decodeErr(line, "%v", err)
-		}
-		rs.cur().Seq = append(rs.cur().Seq, tx)
-	case "edge":
-		if !rs.inRec || len(fields) != 3 {
-			return true, decodeErr(line, "edge outside rec or malformed")
-		}
-		pc, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			return true, decodeErr(line, "bad pc: %v", err)
-		}
-		rs.cur().NewEdges = append(rs.cur().NewEdges, fuzz.BranchEdge{PC: pc, Taken: fields[2] == "1"})
-	case "class":
-		if !rs.inRec || len(fields) != 2 {
-			return true, decodeErr(line, "class outside rec or malformed")
-		}
-		rs.cur().NewClasses = append(rs.cur().NewClasses, oracle.BugClass(fields[1]))
-	case "end":
-		if !rs.inRec {
-			return true, decodeErr(line, "end outside rec")
-		}
-		rs.inRec = false
-	default:
-		return false, nil
+		r.Expect("end")
+		records = append(records, rec)
 	}
-	return true, nil
+	return records
 }
 
 // EncodeRecords renders a record slice in the canonical record-line encoding

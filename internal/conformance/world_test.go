@@ -12,7 +12,7 @@ import (
 	"mufuzz/internal/world"
 )
 
-func loadFixtureTarget(t *testing.T, name string) fuzz.Target {
+func loadFixtureTarget(t testing.TB, name string) fuzz.Target {
 	t.Helper()
 	bin, err := os.ReadFile(filepath.Join("../../fixtures", name+".bin"))
 	if err != nil {

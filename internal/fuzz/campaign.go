@@ -239,9 +239,6 @@ type Campaign struct {
 	lineSteps        int
 }
 
-// LineSearchStats reports (searches, total steps) for diagnostics.
-func (c *Campaign) LineSearchStats() (int, int) { return c.lineSearches, c.lineSteps }
-
 // PrefixCacheStats reports checkpoint cache hits and misses.
 func (c *Campaign) PrefixCacheStats() (hits, misses int) { return c.prefixes.stats() }
 
@@ -1410,17 +1407,4 @@ func seedScore(s *Seed) float64 {
 // Run is the package-level convenience: build a campaign and run it.
 func Run(comp *minisol.Compiled, opts Options) *Result {
 	return NewCampaign(comp, opts).Run()
-}
-
-// DistCmp exposes the uncovered-edge comparisons for diagnostics, as a
-// BranchKey map materialized from the indexed frontier.
-func (c *Campaign) DistCmp() map[evm.BranchKey]evm.CmpInfo {
-	out := make(map[evm.BranchKey]evm.CmpInfo, c.distCount)
-	for id, known := range c.distKnown {
-		if known {
-			pc, taken := c.branchIx.Edge(int32(id))
-			out[evm.BranchKey{Addr: c.contractAddr, PC: pc, Taken: taken}] = c.distCmp[id]
-		}
-	}
-	return out
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -510,12 +509,14 @@ func decodeMask(s string) (*Mask, error) {
 		return nil, nil
 	case ".":
 		return &Mask{}, nil
+	case "":
+		return nil, errors.New("empty mask")
 	}
 	m := &Mask{allowed: make([][numMutTypes]bool, len(s))}
-	for i, ch := range s {
-		n, err := strconv.ParseUint(string(ch), 16, 8)
-		if err != nil {
-			return nil, fmt.Errorf("bad mask nibble %q", string(ch))
+	for i := 0; i < len(s); i++ {
+		n := unhex(s[i])
+		if n > 15 {
+			return nil, fmt.Errorf("bad mask nibble %q", s[i:i+1])
 		}
 		for k := 0; k < int(numMutTypes); k++ {
 			if n&(1<<k) != 0 {
@@ -539,537 +540,157 @@ func hexFloat(f float64) string {
 	return strconv.FormatFloat(f, 'x', -1, 64)
 }
 
-func parseSnapU256(s string) (u256.Int, error) {
-	n, ok := new(big.Int).SetString(s, 0)
-	if !ok {
-		return u256.Int{}, fmt.Errorf("bad u256 %q", s)
-	}
-	return u256.FromBig(n), nil
-}
-
-func snapErr(line, format string, args ...any) error {
-	return fmt.Errorf("fuzz: decode snapshot %q: %s", line, fmt.Sprintf(format, args...))
-}
-
 // DecodeSnapshot parses a snapshot from its text encoding. Every format
 // version up to SnapshotVersion is accepted (older versions decode with the
 // later-added fields at their zero values — the semantics the writing build
 // had); newer versions are rejected with an explicit error instead of
-// misparsing fields whose layout this build does not know.
-func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	readLine := func() (string, bool) {
-		if !sc.Scan() {
-			return "", false
-		}
-		return sc.Text(), true
-	}
+// misparsing fields whose layout this build does not know. Lines come in
+// the order Encode writes them.
+func DecodeSnapshot(rd io.Reader) (*Snapshot, error) {
+	r := NewLineReader(rd, "fuzz: decode snapshot", 1<<24)
 	s := &Snapshot{}
+	v := r.Header(snapshotMagic, SnapshotVersion)
+	r.Expect("contract")
+	s.Contract = r.Rest("contract")
+	r.Expect("codehash")
+	r.Hex("codehash", s.CodeHash[:])
 
-	line, ok := readLine()
-	if !ok || !strings.HasPrefix(line, snapshotMagic+" v") {
-		return nil, snapErr(line, "missing %s header", snapshotMagic)
+	r.Expect("strategy")
+	st := &s.Options.Strategy
+	st.Name = r.Quoted("name=")
+	flags := []struct {
+		key string
+		v   *bool
+	}{
+		{"dataflow=", &st.DataflowSequences}, {"raw=", &st.RAWRepetition}, {"prolong=", &st.Prolongation},
+		{"dist=", &st.BranchDistance}, {"mask=", &st.MutationMasking}, {"energy=", &st.DynamicEnergy},
+		{"cmpfeed=", &st.CmpFeedback}, {"dict=", &st.MinedDictionary},
 	}
-	v, err := strconv.Atoi(strings.TrimPrefix(line, snapshotMagic+" v"))
-	if err != nil || v < 1 {
-		return nil, snapErr(line, "unsupported version")
-	}
-	if v > SnapshotVersion {
-		return nil, snapErr(line, "format v%d was produced by a newer mufuzz (this build reads up to v%d)", v, SnapshotVersion)
-	}
-
-	line, ok = readLine()
-	if !ok || !strings.HasPrefix(line, "contract ") {
-		return nil, snapErr(line, "missing contract line")
-	}
-	s.Contract = strings.TrimPrefix(line, "contract ")
-
-	line, ok = readLine()
-	if !ok || !strings.HasPrefix(line, "codehash ") {
-		return nil, snapErr(line, "missing codehash line")
-	}
-	hb, err := hex.DecodeString(strings.TrimPrefix(line, "codehash "))
-	if err != nil || len(hb) != 32 {
-		return nil, snapErr(line, "bad codehash")
-	}
-	copy(s.CodeHash[:], hb)
-
-	line, ok = readLine()
-	if !ok || !strings.HasPrefix(line, "strategy ") {
-		return nil, snapErr(line, "missing strategy line")
-	}
-	var sb [8]int
-	if v >= 2 {
-		if _, err := fmt.Sscanf(line, "strategy name=%q dataflow=%d raw=%d prolong=%d dist=%d mask=%d energy=%d cmpfeed=%d dict=%d",
-			&s.Options.Strategy.Name, &sb[0], &sb[1], &sb[2], &sb[3], &sb[4], &sb[5], &sb[6], &sb[7]); err != nil {
-			return nil, snapErr(line, "bad strategy: %v", err)
-		}
-	} else {
+	if v < 2 {
 		// v1: the comparison-feedback flags postdate the format; a campaign
 		// snapshotted then ran without them, so they stay off on resume.
-		if _, err := fmt.Sscanf(line, "strategy name=%q dataflow=%d raw=%d prolong=%d dist=%d mask=%d energy=%d",
-			&s.Options.Strategy.Name, &sb[0], &sb[1], &sb[2], &sb[3], &sb[4], &sb[5]); err != nil {
-			return nil, snapErr(line, "bad strategy: %v", err)
-		}
+		flags = flags[:6]
 	}
-	s.Options.Strategy.DataflowSequences = sb[0] == 1
-	s.Options.Strategy.RAWRepetition = sb[1] == 1
-	s.Options.Strategy.Prolongation = sb[2] == 1
-	s.Options.Strategy.BranchDistance = sb[3] == 1
-	s.Options.Strategy.MutationMasking = sb[4] == 1
-	s.Options.Strategy.DynamicEnergy = sb[5] == 1
-	s.Options.Strategy.CmpFeedback = sb[6] == 1
-	s.Options.Strategy.MinedDictionary = sb[7] == 1
+	for _, f := range flags {
+		*f.v = r.Flag(f.key)
+	}
 
-	line, ok = readLine()
-	if !ok || !strings.HasPrefix(line, "options ") {
-		return nil, snapErr(line, "missing options line")
-	}
-	var nocache, maxseq, energybase, initseeds int
-	var gas, tbNS int64
-	// The retired workers=, batched= and copystate= fields are read and
-	// ignored: a snapshot an older build wrote at workers > 1 resumes on the
-	// one engine.
-	if _, err := fmt.Sscanf(line, "options seed=%d iters=%d maxseq=%d gas=%d energybase=%d initseeds=%d workers=%d batched=%d copystate=%d nocache=%d timebudgetns=%d",
-		&s.Options.Seed, &s.Options.Iterations, &maxseq, &gas, &energybase, &initseeds,
-		new(int), new(int), new(int), &nocache, &tbNS); err != nil {
-		return nil, snapErr(line, "bad options: %v", err)
-	}
-	// The fixed campaign parameters are printed for the format's sake; a
-	// snapshot carrying any other value was not made by this engine.
-	for _, f := range []struct {
-		name      string
-		got, want int64
-	}{
-		{"maxseq", int64(maxseq), MaxSeqLen}, {"gas", gas, int64(GasPerTx)},
-		{"energybase", int64(energybase), EnergyBase}, {"initseeds", int64(initseeds), InitialSeeds},
-	} {
-		if f.got != f.want {
-			return nil, snapErr(line, "%s=%d, want %d", f.name, f.got, f.want)
-		}
-	}
-	s.Options.NoPrefixCache = nocache == 1
-	s.Options.TimeBudget = time.Duration(tbNS)
+	r.Expect("options")
+	s.Options.Seed = r.Int64("seed=")
+	s.Options.Iterations = r.Int("iters=")
+	s.Options.NoPrefixCache = r.EngineOptions("energybase=")
+	s.Options.TimeBudget = time.Duration(r.Int64("timebudgetns="))
 
-	line, ok = readLine()
-	if !ok || !strings.HasPrefix(line, "progress ") {
-		return nil, snapErr(line, "missing progress line")
-	}
-	var elapsedNS int64
-	if _, err := fmt.Sscanf(line, "progress execs=%d qi=%d corpus=%d rngdraws=%d lastnew=%d maskprobes=%d maskscomputed=%d seqmut=%d linesearches=%d linesteps=%d elapsedns=%d",
-		&s.Executions, &s.QI, &s.CorpusSeeded, &s.RngDraws, &s.LastNewEdgeExec, &s.MaskProbes,
-		&s.MasksComputed, &s.SequencesMutated, &s.LineSearches, &s.LineSteps, &elapsedNS); err != nil {
-		return nil, snapErr(line, "bad progress: %v", err)
-	}
 	// A negative count would index the seed queue or the budget arithmetic
 	// out of range on the next slice.
-	for _, f := range []struct {
-		name string
-		n    int64
-	}{
-		{"execs", int64(s.Executions)}, {"qi", int64(s.QI)}, {"corpus", int64(s.CorpusSeeded)},
-		{"lastnew", int64(s.LastNewEdgeExec)}, {"maskprobes", int64(s.MaskProbes)},
-		{"maskscomputed", int64(s.MasksComputed)}, {"seqmut", int64(s.SequencesMutated)},
-		{"linesearches", int64(s.LineSearches)}, {"linesteps", int64(s.LineSteps)}, {"elapsedns", elapsedNS},
-	} {
-		if f.n < 0 {
-			return nil, snapErr(line, "negative %s=%d", f.name, f.n)
+	count := func(key string) int64 {
+		n := r.Int64(key)
+		if n < 0 {
+			r.Fail("negative %s%d", key, n)
 		}
+		return n
 	}
-	s.Elapsed = time.Duration(elapsedNS)
+	r.Expect("progress")
+	s.Executions = int(count("execs="))
+	s.QI = int(count("qi="))
+	s.CorpusSeeded = int(count("corpus="))
+	s.RngDraws = r.Uint64("rngdraws=")
+	s.LastNewEdgeExec = int(count("lastnew="))
+	s.MaskProbes = int(count("maskprobes="))
+	s.MasksComputed = int(count("maskscomputed="))
+	s.SequencesMutated = int(count("seqmut="))
+	s.LineSearches = int(count("linesearches="))
+	s.LineSteps = int(count("linesteps="))
+	s.Elapsed = time.Duration(count("elapsedns="))
 
-	// decodeSeedBlock parses the txs/masks/endseed lines following a seed
-	// header into seed; the header fields are already parsed by the caller.
-	decodeSeedBlock := func(seed *Seed, hasMasks bool) error {
-		var maskLines []struct {
-			idx  int
-			mask *Mask
-		}
-		for {
-			line, ok = readLine()
-			if !ok {
-				return snapErr("", "truncated seed block")
-			}
-			fields := strings.Fields(line)
-			if len(fields) == 0 {
-				return snapErr(line, "blank line in seed block")
-			}
-			switch fields[0] {
-			case "tx":
-				tx, err := ParseTx(fields)
-				if err != nil {
-					return snapErr(line, "%v", err)
-				}
-				seed.Seq = append(seed.Seq, tx)
-			case "mask":
-				if len(fields) != 3 {
-					return snapErr(line, "malformed mask")
-				}
-				idx, err := strconv.Atoi(fields[1])
-				if err != nil {
-					return snapErr(line, "bad mask index: %v", err)
-				}
-				m, err := decodeMask(fields[2])
-				if err != nil {
-					return snapErr(line, "%v", err)
-				}
-				maskLines = append(maskLines, struct {
-					idx  int
-					mask *Mask
-				}{idx, m})
-			case "endseed":
-				if hasMasks {
-					seed.masks = make([]*Mask, len(seed.Seq))
-					for _, ml := range maskLines {
-						if ml.idx < 0 || ml.idx >= len(seed.masks) {
-							return snapErr(line, "mask index %d out of range", ml.idx)
-						}
-						seed.masks[ml.idx] = ml.mask
-					}
-				}
-				return nil
-			default:
-				return snapErr(line, "unexpected line in seed block")
-			}
-		}
-	}
-
-	parseSeedHeader := func(line string, kind string) (*Seed, bool, error) {
-		seed := &Seed{}
-		var distBit, hasMasksBit int
-		var pw string
-		if _, err := fmt.Sscanf(line, kind+" newedges=%d nested=%d dist=%d gen=%d pathweight=%s hasmasks=%d",
-			&seed.NewEdges, &seed.HitNestedDepth, &distBit, &seed.Gen, &pw, &hasMasksBit); err != nil {
-			return nil, false, snapErr(line, "bad %s: %v", kind, err)
-		}
-		seed.DistanceImproved = distBit == 1
-		w, err := strconv.ParseFloat(pw, 64)
-		if err != nil {
-			return nil, false, snapErr(line, "bad pathweight: %v", err)
-		}
-		seed.PathWeight = w
-		return seed, hasMasksBit == 1, nil
-	}
-
-	var curRepro *ReproEntry
-	for {
-		line, ok = readLine()
-		if !ok {
-			return nil, snapErr("", "truncated snapshot (no eof)")
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			return nil, snapErr(line, "blank line")
-		}
-		if curRepro != nil {
-			switch fields[0] {
-			case "tx":
-				tx, err := ParseTx(fields)
-				if err != nil {
-					return nil, snapErr(line, "%v", err)
-				}
-				curRepro.Seq = append(curRepro.Seq, tx)
-				continue
-			case "endrepro":
-				s.Repro = append(s.Repro, *curRepro)
-				curRepro = nil
-				continue
-			default:
-				return nil, snapErr(line, "unexpected line in repro block")
-			}
-		}
-		switch fields[0] {
-		case "covered":
-			if len(fields) != 3 {
-				return nil, snapErr(line, "malformed covered")
-			}
-			e, err := decodeSnapEdge(line, fields)
-			if err != nil {
-				return nil, err
-			}
-			s.Covered = append(s.Covered, e)
-		case "weight":
-			if len(fields) != 4 {
-				return nil, snapErr(line, "malformed weight")
-			}
-			e, err := decodeSnapEdge(line, fields)
-			if err != nil {
-				return nil, err
-			}
-			w, err := strconv.ParseFloat(fields[3], 64)
-			if err != nil {
-				return nil, snapErr(line, "bad weight: %v", err)
-			}
-			s.Weights = append(s.Weights, EdgeWeightEntry{Edge: e, W: w})
-		case "tpoint":
-			if len(fields) != 4 {
-				return nil, snapErr(line, "malformed tpoint")
-			}
-			execs, err1 := strconv.Atoi(fields[1])
-			ns, err2 := strconv.ParseInt(fields[2], 10, 64)
-			cov, err3 := strconv.ParseFloat(fields[3], 64)
-			if err1 != nil || err2 != nil || err3 != nil {
-				return nil, snapErr(line, "bad tpoint")
-			}
-			s.Timeline = append(s.Timeline, TimelinePoint{Executions: execs, Elapsed: time.Duration(ns), Coverage: cov})
-		case "qseed":
-			seed, hasMasks, err := parseSeedHeader(line, "qseed")
-			if err != nil {
-				return nil, err
-			}
-			if err := decodeSeedBlock(seed, hasMasks); err != nil {
-				return nil, err
-			}
-			s.Queue = append(s.Queue, seed)
-		case "front":
-			if len(fields) != 7 {
-				return nil, snapErr(line, "malformed front")
-			}
-			e, err := decodeSnapEdge(line, fields)
-			if err != nil {
-				return nil, err
-			}
-			dist, err := parseSnapU256(fields[3])
-			if err != nil {
-				return nil, snapErr(line, "bad dist: %v", err)
-			}
-			op, err := strconv.Atoi(fields[4])
-			if err != nil {
-				return nil, snapErr(line, "bad cmp op: %v", err)
-			}
-			a, err := parseSnapU256(fields[5])
-			if err != nil {
-				return nil, snapErr(line, "bad cmp a: %v", err)
-			}
-			b, err := parseSnapU256(fields[6])
-			if err != nil {
-				return nil, snapErr(line, "bad cmp b: %v", err)
-			}
-			fe := FrontierEntry{Edge: e, Dist: dist, Cmp: evm.CmpInfo{Op: evm.OpCode(op), A: a, B: b}}
-			line, ok = readLine()
-			if !ok || !strings.HasPrefix(line, "fseed ") {
-				return nil, snapErr(line, "front without fseed")
-			}
-			seed, hasMasks, err := parseSeedHeader(line, "fseed")
-			if err != nil {
-				return nil, err
-			}
-			if err := decodeSeedBlock(seed, hasMasks); err != nil {
-				return nil, err
-			}
-			fe.Seed = seed
-			s.Frontier = append(s.Frontier, fe)
-		case "cmpop":
-			if len(fields) != 5 {
-				return nil, snapErr(line, "malformed cmpop")
-			}
-			e, err := decodeSnapEdge(line, fields)
-			if err != nil {
-				return nil, err
-			}
-			a, err := parseSnapU256(fields[3])
-			if err != nil {
-				return nil, snapErr(line, "bad cmpop a: %v", err)
-			}
-			b, err := parseSnapU256(fields[4])
-			if err != nil {
-				return nil, snapErr(line, "bad cmpop b: %v", err)
-			}
-			s.CmpOps = append(s.CmpOps, CmpOpEntry{Edge: e, A: a, B: b})
-		case "repro":
-			if len(fields) != 2 {
-				return nil, snapErr(line, "malformed repro")
-			}
-			curRepro = &ReproEntry{Class: oracle.BugClass(fields[1])}
-		case "world":
-			var ab, rb int
-			if _, err := fmt.Sscanf(line, "world attacker=%d reconfirmed=%d", &ab, &rb); err != nil {
-				return nil, snapErr(line, "bad world: %v", err)
-			}
-			s.Attacker = ab == 1
-			s.REConfirmed = rb == 1
-		case "worldmember":
-			if len(fields) != 4 {
-				return nil, snapErr(line, "malformed worldmember")
-			}
-			var pin WorldMemberPin
-			pin.Name = fields[1]
-			ab, err := hex.DecodeString(fields[2])
-			if err != nil || len(ab) != len(state.Address{}) {
-				return nil, snapErr(line, "bad worldmember address")
-			}
-			copy(pin.Addr[:], ab)
-			ch, err := hex.DecodeString(fields[3])
-			if err != nil || len(ch) != 32 {
-				return nil, snapErr(line, "bad worldmember codehash")
-			}
-			copy(pin.CodeHash[:], ch)
+	if r.Next("world") {
+		s.Attacker = r.Flag("attacker=")
+		s.REConfirmed = r.Flag("reconfirmed=")
+		for r.Next("worldmember") {
+			pin := WorldMemberPin{Name: r.Token("name")}
+			r.Hex("address", pin.Addr[:])
+			r.Hex("codehash", pin.CodeHash[:])
 			s.WorldMembers = append(s.WorldMembers, pin)
-		case "detector":
-			var rv, vo int
-			if v >= 3 {
-				if _, err := fmt.Sscanf(line, "detector received=%d valueout=%d", &rv, &vo); err != nil {
-					return nil, snapErr(line, "bad detector: %v", err)
-				}
-			} else if _, err := fmt.Sscanf(line, "detector received=%d", &rv); err != nil {
-				return nil, snapErr(line, "bad detector: %v", err)
+		}
+	}
+	for r.Next("covered") {
+		s.Covered = append(s.Covered, r.Edge())
+	}
+	for r.Next("weight") {
+		s.Weights = append(s.Weights, EdgeWeightEntry{Edge: r.Edge(), W: r.Float("weight")})
+	}
+	for r.Next("tpoint") {
+		s.Timeline = append(s.Timeline, TimelinePoint{
+			Executions: r.Int("execs"), Elapsed: time.Duration(r.Int64("elapsedns")), Coverage: r.Float("coverage"),
+		})
+	}
+	for r.Next("qseed") {
+		s.Queue = append(s.Queue, readSeed(r))
+	}
+	for r.Next("front") {
+		fe := FrontierEntry{Edge: r.Edge(), Dist: r.Word("dist")}
+		if op := r.Uint64("op"); op > 0xff {
+			r.Fail("bad op %d", op)
+		} else {
+			fe.Cmp.Op = evm.OpCode(op)
+		}
+		fe.Cmp.A, fe.Cmp.B = r.Word("a"), r.Word("b")
+		r.Expect("fseed")
+		fe.Seed = readSeed(r)
+		s.Frontier = append(s.Frontier, fe)
+	}
+	for r.Next("cmpop") {
+		s.CmpOps = append(s.CmpOps, CmpOpEntry{Edge: r.Edge(), A: r.Word("a"), B: r.Word("b")})
+	}
+	for r.Next("repro") {
+		re := ReproEntry{Class: oracle.BugClass(r.Token("class")), Seq: r.TxBlock()}
+		r.Expect("endrepro")
+		s.Repro = append(s.Repro, re)
+	}
+	r.Expect("detector")
+	s.ReceivedValue = r.Flag("received=")
+	if v >= 3 {
+		s.ValueOutSeen = r.Flag("valueout=")
+	}
+	for r.Next("finding") {
+		f := oracle.Finding{Class: oracle.BugClass(r.Token("class"))}
+		r.Hex("address", f.Addr[:])
+		f.PC = r.Uint64("pc")
+		f.Description = r.Rest("description")
+		s.Findings = append(s.Findings, f)
+	}
+	r.Expect("eof")
+	if err := r.Close(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// readSeed reads a qseed or fseed block after its keyword: the header
+// fields, the seed's tx lines, with hasmasks=1 one mask line per
+// transaction in order, and endseed.
+func readSeed(r *LineReader) *Seed {
+	seed := &Seed{
+		NewEdges: r.Int("newedges="), HitNestedDepth: r.Int("nested="), DistanceImproved: r.Flag("dist="),
+		Gen: r.Int("gen="), PathWeight: r.Float("pathweight="),
+	}
+	hasMasks := r.Flag("hasmasks=")
+	seed.Seq = r.TxBlock()
+	if hasMasks {
+		seed.masks = make([]*Mask, len(seed.Seq))
+		for i := range seed.masks {
+			r.Expect("mask")
+			if n := r.Int("index"); n != i {
+				r.Fail("mask index %d, want %d", n, i)
 			}
-			s.ReceivedValue = rv == 1
-			s.ValueOutSeen = vo == 1
-		case "finding":
-			// finding <class> <addr> <pc> <description...>
-			if len(fields) < 4 {
-				return nil, snapErr(line, "malformed finding")
-			}
-			ab, err := hex.DecodeString(fields[2])
-			if err != nil || len(ab) != len(state.Address{}) {
-				return nil, snapErr(line, "bad finding address")
-			}
-			pc, err := strconv.ParseUint(fields[3], 10, 64)
+			tok, _ := r.token("mask")
+			m, err := decodeMask(tok)
 			if err != nil {
-				return nil, snapErr(line, "bad finding pc: %v", err)
+				r.bad("mask", tok)
 			}
-			var addr state.Address
-			copy(addr[:], ab)
-			prefix := fmt.Sprintf("finding %s %s %d ", fields[1], fields[2], pc)
-			s.Findings = append(s.Findings, oracle.Finding{
-				Class:       oracle.BugClass(fields[1]),
-				Addr:        addr,
-				PC:          pc,
-				Description: strings.TrimPrefix(line, prefix),
-			})
-		case "eof":
-			if curRepro != nil {
-				return nil, snapErr(line, "eof inside repro block")
-			}
-			return s, nil
-		default:
-			return nil, snapErr(line, "unexpected line")
+			seed.masks[i] = m
 		}
 	}
-}
-
-func decodeSnapEdge(line string, fields []string) (BranchEdge, error) {
-	if len(fields) < 3 {
-		return BranchEdge{}, snapErr(line, "malformed edge")
-	}
-	pc, err := strconv.ParseUint(fields[1], 10, 64)
-	if err != nil {
-		return BranchEdge{}, snapErr(line, "bad pc: %v", err)
-	}
-	return BranchEdge{PC: pc, Taken: fields[2] == "1"}, nil
-}
-
-// AppendTx appends the canonical line of one transaction to buf:
-//
-//	tx <func> <sender> <value> <args|-> [<callee> <attacker|->]
-//
-// Snapshots, corpus-seed payloads, conformance transcripts and fleet record
-// chunks all carry sequences in this one form. Plain transactions keep the
-// 5-field v1 form byte for byte; a nonzero callee or an attacker spec grows
-// the line to the 7-field world form. Built with appends rather than fmt:
-// transcripts encode one line per executed transaction.
-func AppendTx(buf []byte, tx *TxInput) []byte {
-	buf = append(buf, "tx "...)
-	buf = append(buf, tx.Func...)
-	buf = append(buf, ' ')
-	buf = strconv.AppendInt(buf, int64(tx.Sender), 10)
-	buf = append(buf, ' ')
-	buf = tx.Value.AppendHex(buf)
-	buf = append(buf, ' ')
-	buf = appendHexOrDash(buf, tx.Args)
-	if tx.Callee != 0 || len(tx.Attacker) != 0 {
-		buf = append(buf, ' ')
-		buf = strconv.AppendInt(buf, int64(tx.Callee), 10)
-		buf = append(buf, ' ')
-		buf = appendHexOrDash(buf, tx.Attacker)
-	}
-	return append(buf, '\n')
-}
-
-// appendHexOrDash appends b in hex, or "-" when b is empty.
-func appendHexOrDash(buf, b []byte) []byte {
-	if len(b) == 0 {
-		return append(buf, '-')
-	}
-	return hex.AppendEncode(buf, b)
-}
-
-// ParseTx parses the whitespace-split fields of one line written by
-// AppendTx, keyword included. Sender and callee indexes must be
-// non-negative: the executor reduces them modulo the pool sizes, so a
-// negative index would panic mid-slice. Errors carry no prefix; each caller
-// adds its own.
-func ParseTx(fields []string) (TxInput, error) {
-	if (len(fields) != 5 && len(fields) != 7) || fields[0] != "tx" {
-		return TxInput{}, errors.New("malformed tx")
-	}
-	sender, err := strconv.Atoi(fields[2])
-	if err != nil || sender < 0 {
-		return TxInput{}, fmt.Errorf("bad sender %q", fields[2])
-	}
-	val, err := parseSnapU256(fields[3])
-	if err != nil {
-		return TxInput{}, fmt.Errorf("bad value: %v", err)
-	}
-	args, err := parseHexOrDash(fields[4])
-	if err != nil {
-		return TxInput{}, fmt.Errorf("bad args: %v", err)
-	}
-	tx := TxInput{Func: fields[1], Sender: sender, Value: val, Args: args}
-	if len(fields) == 7 {
-		tx.Callee, err = strconv.Atoi(fields[5])
-		if err != nil || tx.Callee < 0 {
-			return TxInput{}, fmt.Errorf("bad callee %q", fields[5])
-		}
-		if tx.Attacker, err = parseHexOrDash(fields[6]); err != nil {
-			return TxInput{}, fmt.Errorf("bad attacker spec: %v", err)
-		}
-	}
-	return tx, nil
-}
-
-func parseHexOrDash(s string) ([]byte, error) {
-	if s == "-" {
-		return nil, nil
-	}
-	return hex.DecodeString(s)
-}
-
-// EncodeSequence renders one transaction sequence as AppendTx lines — the
-// canonical corpus-seed payload stores exchange.
-func EncodeSequence(seq Sequence) []byte {
-	var buf []byte
-	for i := range seq {
-		buf = AppendTx(buf, &seq[i])
-	}
-	return buf
-}
-
-// DecodeSequence parses a sequence written by EncodeSequence. A line longer
-// than the scanner's 4 MiB bound fails the decode rather than truncating
-// the sequence.
-func DecodeSequence(data []byte) (Sequence, error) {
-	var seq Sequence
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		tx, err := ParseTx(strings.Fields(line))
-		if err != nil {
-			return nil, snapErr(line, "%v", err)
-		}
-		seq = append(seq, tx)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fuzz: decode sequence: %w", err)
-	}
-	if len(seq) == 0 {
-		return nil, fmt.Errorf("fuzz: empty sequence")
-	}
-	return seq, nil
+	r.Expect("endseed")
+	return seed
 }

@@ -395,15 +395,56 @@ func TestDecodeSequenceRejectsOverlongLine(t *testing.T) {
 	}
 }
 
+// TestLineReaderStopsAtFirstError pins that errors are sticky: once an
+// Expect fails, Next refuses even the line that Expect looked at, and Close
+// returns the first error.
+func TestLineReaderStopsAtFirstError(t *testing.T) {
+	r := NewLineReader(strings.NewReader("tx invest 0 0x0 -\n"), "test", 64)
+	r.Expect("header")
+	if r.Next("tx") {
+		t.Fatal("Next accepted a line after the first error")
+	}
+	if err := r.Close(); err == nil || !strings.Contains(err.Error(), `want a "header" line`) {
+		t.Fatalf("Close = %v, want the failed Expect's error", err)
+	}
+}
+
+// checkAgainstReference holds a decoder to its reference, the Sscanf
+// decoder it replaced, on one input: what the decoder accepts, the
+// reference accepts with a deeply equal value, and what the reference
+// accepts and re-encodes to the input bytes, the decoder accepts too.
+// DeepEqual calls NaN unequal to itself, so values decoded from an input
+// that carries a NaN float compare by their encodings.
+func checkAgainstReference[T any](t *testing.T, data []byte, got T, err error, want T, refErr error, encode func(T) []byte) {
+	t.Helper()
+	switch {
+	case err == nil && refErr != nil:
+		t.Fatalf("decoded an input the reference refuses (%v):\n%q", refErr, data)
+	case err == nil && !reflect.DeepEqual(got, want) &&
+		!(bytes.Contains(data, []byte("NaN")) && bytes.Equal(encode(got), encode(want))):
+		t.Fatalf("decoded value differs from the reference's:\ngot  %+v\nwant %+v", got, want)
+	case err != nil && refErr == nil && bytes.Equal(encode(want), data):
+		t.Fatalf("refused a canonical input the reference accepts: %v", err)
+	}
+}
+
 // FuzzDecodeSequence checks the shared tx-line codec on arbitrary payloads:
-// whatever decodes has non-negative sender and callee indexes, and encoding
-// it decodes back to the same sequence.
+// DecodeSequence agrees with its reference, whatever decodes has
+// non-negative sender and callee indexes, and encoding it decodes back to
+// the same sequence. The last seeds are non-canonical forms the reference
+// reads and DecodeSequence refuses.
 func FuzzDecodeSequence(f *testing.F) {
 	f.Add([]byte("tx invest 1 0x2a 00ff\n"))
 	f.Add([]byte("tx __ctor 0 0x0 - 0 01d0e30db0010000\ntx erc20.mint 1 0x0 00aa 1 -\n"))
 	f.Add([]byte("tx invest -1 0x0 -\n"))
+	for _, s := range []string{"tx invest 1 -5 -", "tx invest 1 0x_1_0 -", "tx invest +1 0x2a -", "tx invest 1 0x2A 00FF",
+		"tx invest 1 0x0 -\r", "tx  invest 1 0x0 -", "tx invest 1 0x0 - 0 -", "tx invest 1 0x0 -\n"} {
+		f.Add([]byte(s + "\n"))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		seq, err := DecodeSequence(data)
+		ref, refErr := refDecodeSequence(data)
+		checkAgainstReference(t, data, seq, err, ref, refErr, EncodeSequence)
 		if err != nil {
 			return
 		}
@@ -423,11 +464,13 @@ func FuzzDecodeSequence(f *testing.F) {
 	})
 }
 
-// FuzzDecodeSnapshot checks the snapshot decoder on arbitrary bytes: any
-// input that decodes re-encodes to bytes that decode and re-encode to the
-// same bytes. The seeds are a plain and a world campaign's mid-run
-// snapshots. It decodes only: resuming replays the rngdraws= count one draw
-// at a time, so a fuzzed count would stall the target.
+// FuzzDecodeSnapshot checks the snapshot decoder on arbitrary bytes: it
+// agrees with its reference, and any input that decodes re-encodes to bytes
+// that decode and re-encode to the same bytes. The seeds are a plain and a
+// world campaign's mid-run snapshots, the plain one in its v1 form, and
+// non-canonical edits of it that the reference reads and DecodeSnapshot
+// refuses. It decodes only: resuming replays the rngdraws= count one draw at
+// a time, so a fuzzed count would stall the target.
 func FuzzDecodeSnapshot(f *testing.F) {
 	plain := NewCampaign(compileT(f, corpus.CrowdsaleBuggy()), Options{Strategy: MuFuzz(), Seed: 1, Iterations: 300})
 	world := NewCampaign(compileT(f, corpus.Crowdsale()), Options{Strategy: MuFuzz(), Seed: 5, Iterations: 500,
@@ -438,8 +481,28 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 		f.Add(c.Snapshot().EncodeBytes())
 	}
+	enc := plain.Snapshot().EncodeBytes()
+	v1 := regexp.MustCompile(`(?m) cmpfeed=\d dict=\d$| valueout=\d$|^cmpop .*\n`).ReplaceAll(enc, nil)
+	f.Add(bytes.Replace(v1, []byte("mufuzz-snapshot v3\n"), []byte("mufuzz-snapshot v1\n"), 1))
+	for _, edit := range []struct{ from, to string }{
+		{" mask=1 ", " mask=+1 "},
+		{" nocache=0 ", " nocache=7 "},
+		{" qi=", " qi=0"},
+		{"\ntx ", "\ntx  "},
+		{" 0x0 ", " 0X0 "},
+		{"\neof\n", "\neof\ntrailing\n"},
+		{"\ndetector ", "\r\ndetector "},
+	} {
+		bad := bytes.Replace(enc, []byte(edit.from), []byte(edit.to), 1)
+		if bytes.Equal(bad, enc) {
+			f.Fatalf("snapshot carries no %q", edit.from)
+		}
+		f.Add(bad)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeSnapshot(bytes.NewReader(data))
+		ref, refErr := refDecodeSnapshot(bytes.NewReader(data))
+		checkAgainstReference(t, data, snap, err, ref, refErr, (*Snapshot).EncodeBytes)
 		if err != nil {
 			return
 		}

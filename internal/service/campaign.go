@@ -65,7 +65,7 @@ func (r *Resolved) Open(snapshot []byte) (*fuzz.Campaign, error) {
 	}
 	snap, err := fuzz.DecodeSnapshot(bytes.NewReader(snapshot))
 	if err != nil {
-		return nil, fmt.Errorf("decode snapshot: %w", err)
+		return nil, err
 	}
 	if r.World != nil {
 		return fuzz.ResumeWorldCampaign(r.Target, r.World, snap)

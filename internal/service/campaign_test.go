@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"mufuzz/internal/conformance"
@@ -81,5 +82,20 @@ func TestResolve(t *testing.T) {
 		if r, err := Resolve(spec, 1234); err == nil {
 			t.Errorf("%s: resolved to %+v", name, r)
 		}
+	}
+}
+
+// TestOpenReportsCorruptSnapshotOnce pins that Open returns the snapshot
+// decoder's error as it is: the decoder already names what failed, so a
+// corrupt snapshot's error says "decode snapshot" once, in the CLI, the
+// service and the fleet alike.
+func TestOpenReportsCorruptSnapshotOnce(t *testing.T) {
+	r, err := Resolve(CampaignSpec{Example: "crowdsale"}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.Open([]byte("garbage\n"))
+	if err == nil || strings.Count(err.Error(), "decode snapshot") != 1 {
+		t.Fatalf("garbage snapshot: err = %v, want one mention of decode snapshot", err)
 	}
 }
