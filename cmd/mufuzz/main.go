@@ -49,6 +49,9 @@
 // SIGINT stops the campaign cleanly mid-round. With -snapshot-out the
 // coordinator state is serialized at exit — whether interrupted or run to
 // budget — so a later run with -resume continues where this one stopped.
+// A resumed campaign takes its budget, seed, strategy, time budget and
+// ablation from the snapshot, so -resume refuses -iters, -seed, -strategy,
+// -time and -no-cmp-feedback.
 //
 // Exit status: 0 = clean run without findings, 1 = usage or internal error,
 // 2 = the oracles reported findings (CI-friendly: a red pipeline means a
@@ -95,7 +98,13 @@ type cli struct {
 	verbose, minimize                  bool
 	jsonOut, corpusDir, resume         string
 	snapOut, cpuProf, memProf          string
+	// set holds the names of the flags the command line gave explicitly.
+	set map[string]bool
 }
+
+// snapshotFlags are the flags whose values a resumed campaign takes from
+// its snapshot instead.
+var snapshotFlags = []string{"iters", "seed", "strategy", "time", "no-cmp-feedback"}
 
 func main() {
 	c := &cli{}
@@ -119,6 +128,8 @@ func main() {
 	flag.Var(&c.bytecodes, "bytecode", "hex EVM bytecode file: fuzz source-free (requires -abi; repeat the pair for world members)")
 	flag.Var(&c.abiFiles, "abi", "Solidity ABI JSON file for the matching -bytecode")
 	flag.Parse()
+	c.set = make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { c.set[f.Name] = true })
 	os.Exit(c.run())
 }
 
@@ -285,8 +296,16 @@ func (c *cli) run() int {
 // resolve resolves the command line's campaign spec, then applies what a
 // spec cannot say: the -seed as given (a spec reads 0 as seed 1), the -time
 // budget, the -no-cmp-feedback ablation and the manifest's pinned member
-// addresses.
+// addresses. With -resume it refuses every flag in snapshotFlags the
+// command line gave.
 func (c *cli) resolve() (*service.Resolved, error) {
+	if c.resume != "" {
+		for _, name := range snapshotFlags {
+			if c.set[name] {
+				return nil, fmt.Errorf("-%s cannot be used with -resume: a resumed campaign takes it from the snapshot", name)
+			}
+		}
+	}
 	spec, pins, err := c.spec()
 	if err != nil {
 		return nil, err

@@ -191,6 +191,45 @@ func TestResolveAppliesWhatSpecsCannotSay(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesSnapshotFlags: a resumed campaign takes its budget,
+// seed, strategy, time budget and ablation from the snapshot, so each of
+// those flags given with -resume fails the run (exit 1) and the error names
+// it. The same resume with only target and output flags runs.
+func TestResumeRefusesSnapshotFlags(t *testing.T) {
+	r, err := service.Resolve(service.CampaignSpec{Example: "crowdsale", Seed: 3, Iterations: 300}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0, err := r.Open(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0.Run()
+	snap := filepath.Join(t.TempDir(), "c.snap")
+	write(t, snap, c0.Snapshot().EncodeBytes())
+	resume := func(flags ...string) cli {
+		c := cli{example: "crowdsale", strategy: "mufuzz", iters: 4000, seed: 1, resume: snap,
+			set: map[string]bool{"example": true, "resume": true}}
+		for _, f := range flags {
+			c.set[f] = true
+		}
+		return c
+	}
+	for _, name := range []string{"iters", "seed", "strategy", "time", "no-cmp-feedback"} {
+		c := resume(name)
+		if _, err := c.resolve(); err == nil || !strings.Contains(err.Error(), "-"+name+" cannot be used with -resume") {
+			t.Errorf("-%s with -resume: error %v, want it refused by name", name, err)
+		}
+		if code := c.run(); code != 1 {
+			t.Errorf("-%s with -resume: exit %d, want 1", name, code)
+		}
+	}
+	c := resume("v")
+	if code := c.run(); code == 1 {
+		t.Errorf("-resume with -v: exit 1, want the resumed campaign to run")
+	}
+}
+
 // TestWriteReport pins the -json report: every key, the findings exactly as
 // service.FindingsOf lists them (keys class, pc, description, poc), and the
 // timeline's points.

@@ -399,7 +399,7 @@ func TestWeightsFromExecution(t *testing.T) {
 	}
 	cfg := BuildCFG(comp.Code)
 	ix := NewBranchIndex(cfg)
-	e.BranchIndex, e.BranchIndexAddr = ix, addrC
+	e.BranchIndex, e.InspectedAddr = ix, addrC
 	e.Trace = evm.NewTrace()
 	if _, err := e.Transact(user, addrC, u256.Zero, data, 10_000_000); err != nil {
 		t.Fatal(err)

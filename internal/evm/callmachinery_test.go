@@ -299,7 +299,7 @@ func FuzzWorldNoCrash(f *testing.F) {
 		e := New(st, BlockCtx{Timestamp: 1_700_000_000, Number: 1_000_000, GasLimit: 30_000_000})
 		e.Trace = NewTrace()
 		e.BranchIndex = stubIndexer{}
-		e.BranchIndexAddr = primary
+		e.InspectedAddr = primary
 		// Two transactions so state mutated by the first shapes the second —
 		// the minimal world schedule.
 		first, second := primary, member

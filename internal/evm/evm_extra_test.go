@@ -290,11 +290,11 @@ func TestBranchEventEdgeInterning(t *testing.T) {
 		t.Errorf("edge id = %d, want %d (taken edge of pc %d)", got, want, pc)
 	}
 
-	// A foreign BranchIndexAddr, or no indexer: nothing is recorded.
+	// A foreign InspectedAddr, or no indexer: nothing is recorded.
 	for _, foreign := range []bool{true, false} {
 		e2, sender2, contract2 := testEnv(t, code)
 		if foreign {
-			e2.BranchIndexAddr = state.AddressFromUint(0xdead)
+			e2.InspectedAddr = state.AddressFromUint(0xdead)
 		} else {
 			e2.BranchIndex = nil
 		}
@@ -308,16 +308,19 @@ func TestBranchEventEdgeInterning(t *testing.T) {
 }
 
 // TestBranchEventsOnlyForOwnCode pins which frames record branches: the
-// indexed contract's own code in its own storage context. Library code it
+// inspected contract's own code in its own storage context. Library code it
 // delegatecalls runs in its storage context but is not its code, and the
 // library's own frames run at another address; neither records, while the
 // contract's own JUMPIs on both sides of the calls still do. The checked-call
-// mark and the condition sink are recorded for every frame.
+// mark is recorded for every frame, and the condition sink for the frames
+// in the contract's storage context: the delegatecalled library frame, not
+// the library frame the plain CALL runs at the library's own address.
 func TestBranchEventsOnlyForOwnCode(t *testing.T) {
-	// Library: if (calldata word == 0) skip; STOP. Its JUMPI condition is
-	// input-tainted, so each library frame leaves a SinkJumpCond.
+	// Library: if (block.timestamp == 0) skip; STOP. Its JUMPI condition
+	// carries an oracle source, so a library frame in the contract's
+	// storage context leaves a SinkJumpCond.
 	lib := NewAssembler()
-	lib.PushUint(0).Op(CALLDATALOAD).Op(ISZERO)
+	lib.Op(TIMESTAMP).Op(ISZERO)
 	lib.JumpITo("end")
 	lib.Label("end").Op(STOP)
 	libAddr := state.AddressFromUint(0x11b)
@@ -371,8 +374,8 @@ func TestBranchEventsOnlyForOwnCode(t *testing.T) {
 				libSinks++
 			}
 		}
-		if libSinks != 2 {
-			t.Errorf("DisableIR=%v: library condition sinks = %d, want 2", disableIR, libSinks)
+		if libSinks != 1 {
+			t.Errorf("DisableIR=%v: library condition sinks = %d, want 1", disableIR, libSinks)
 		}
 	}
 }
@@ -382,6 +385,62 @@ func TestBranchEventsOnlyForOwnCode(t *testing.T) {
 func TestBranchEventSize(t *testing.T) {
 	if n := unsafe.Sizeof(BranchEvent{}); n != 80 {
 		t.Errorf("BranchEvent is %d bytes, want 80", n)
+	}
+}
+
+// TestTaintSinkSize pins the sink's footprint: pc, kind and taint, 16 bytes
+// on 64-bit hosts. A sink carries no address: only frames in the inspected
+// contract's storage context record one.
+func TestTaintSinkSize(t *testing.T) {
+	if n := unsafe.Sizeof(TaintSink{}); n != 16 {
+		t.Errorf("TaintSink is %d bytes, want 16", n)
+	}
+}
+
+// TestSinksAndOverflowsOnlyInInspectedContext pins which frames record
+// sinks and overflow events: those in the inspected contract's storage
+// context. A library that wraps an ADD and stores the result leaves one
+// overflow event and one overflow-tainted SinkStore when the contract
+// delegatecalls it, and nothing when the contract calls it at the
+// library's own address.
+func TestSinksAndOverflowsOnlyInInspectedContext(t *testing.T) {
+	lib := NewAssembler()
+	lib.Push(u256.Max).PushUint(1).Op(ADD) // 1 + MAX wraps
+	lib.PushUint(0).Op(SSTORE).Op(STOP)
+	libAddr := state.AddressFromUint(0x11b)
+	libCode := lib.MustBuild()
+	libAdd := Decode(libCode)[2].PC
+
+	for _, op := range []OpCode{CALL, DELEGATECALL} {
+		a := NewAssembler()
+		a.PushUint(0).PushUint(0).PushUint(0).PushUint(0)
+		if op == CALL {
+			a.PushUint(0) // value
+		}
+		a.Push(libAddr.Word()).Op(GAS).Op(op).Op(STOP)
+		for _, disableIR := range []bool{false, true} {
+			e, sender, contract := testEnv(t, a.MustBuild())
+			e.DisableIR = disableIR
+			e.State.CreateContract(libAddr, libCode, sender)
+			e.State.Commit()
+			if _, err := run(t, e, sender, contract, u256.Zero, nil); err != nil {
+				t.Fatal(err)
+			}
+			want := 0
+			if op == DELEGATECALL {
+				want = 1
+			}
+			if n := len(e.Trace.Overflows); n != want {
+				t.Errorf("%s, DisableIR=%v: %d overflow events, want %d", op, disableIR, n, want)
+			} else if n == 1 && e.Trace.Overflows[0] != (OverflowEvent{PC: libAdd, Op: ADD}) {
+				t.Errorf("%s, DisableIR=%v: overflow %+v, want the library's ADD at pc %d", op, disableIR, e.Trace.Overflows[0], libAdd)
+			}
+			if n := len(e.Trace.Sinks); n != want {
+				t.Errorf("%s, DisableIR=%v: %d sinks %+v, want %d", op, disableIR, n, e.Trace.Sinks, want)
+			} else if n == 1 && !hasSink(e.Trace, SinkStore, TaintOverflow) {
+				t.Errorf("%s, DisableIR=%v: sink %+v, want an overflow-tainted SinkStore", op, disableIR, e.Trace.Sinks[0])
+			}
+		}
 	}
 }
 

@@ -25,6 +25,7 @@ var (
 type fuzzRun struct {
 	st    *state.State
 	trace *Trace
+	taint map[StorageKey]Taint
 	ret   []byte
 	err   error
 	// steps is the EVM's step count; path is every executed (depth, pc), in
@@ -34,8 +35,9 @@ type fuzzRun struct {
 }
 
 // fuzzTx runs one transaction of code on a fresh world — a funded sender and
-// the contract deployed by fuzzDeployer, its branches indexed — and returns
-// what it observed. Gas and the step ceiling bound the run time.
+// the contract deployed by fuzzDeployer, inspected with its branches indexed
+// and its sinks recorded for every taint source — and returns what it
+// observed. Gas and the step ceiling bound the run time.
 func fuzzTx(code, input []byte, valueSeed uint64, disableIR bool) fuzzRun {
 	st := state.New()
 	st.SetBalance(fuzzSender, u256.One.Lsh(120))
@@ -45,9 +47,10 @@ func fuzzTx(code, input []byte, valueSeed uint64, disableIR bool) fuzzRun {
 	e := New(st, BlockCtx{Timestamp: 1_700_000_000, Number: 1_000_000, GasLimit: 30_000_000})
 	e.Trace = NewTrace()
 	e.BranchIndex = stubIndexer{}
-	e.BranchIndexAddr = fuzzContract
+	e.InspectedAddr = fuzzContract
+	e.widenSinks = ^Taint(0)
 	e.DisableIR = disableIR
-	r := fuzzRun{st: st, trace: e.Trace}
+	r := fuzzRun{st: st, trace: e.Trace, taint: e.StorageTaint}
 	e.onStep = func(depth int, pc uint64) {
 		r.path = append(r.path, [2]uint64{uint64(depth), pc})
 	}
@@ -79,11 +82,11 @@ func FuzzInterpreterNoCrash(f *testing.F) {
 // the compiled IR (fused superinstructions included) and once on the
 // reference switch loop, and the two runs must agree on the error, the
 // return data, every account's final state, the whole trace — branch
-// events by edge with their comparison operands, calls, overflows, sinks,
-// storage writes, self-destructs, delegates and reentries — the step count,
-// and the executed (depth, pc) path at every depth. The seeds are the
-// dispatcher arms of the runtime bytecode fixtures, so the fused dispatcher
-// and compare-and-branch patterns run from the first input.
+// events by edge with their comparison operands, calls, overflows, sinks of
+// every taint source, self-destructs, delegates and reentries — the storage
+// taint, the step count, and the executed (depth, pc) path at every depth.
+// The seeds are the dispatcher arms of the runtime bytecode fixtures, so the
+// fused dispatcher and compare-and-branch patterns run from the first input.
 func FuzzIRMatchesSwitch(f *testing.F) {
 	for _, name := range []string{"crowdsale-buggy", "erc20", "magic-gate", "bank-reentrant"} {
 		code := loadRuntimeFixture(f, name)
@@ -130,6 +133,9 @@ func FuzzIRMatchesSwitch(f *testing.F) {
 		}
 		if !reflect.DeepEqual(ir.trace, sw.trace) {
 			t.Fatalf("trace differs: %s", traceDiff(ir.trace, sw.trace))
+		}
+		if !reflect.DeepEqual(ir.taint, sw.taint) {
+			t.Fatalf("storage taint: IR %v, switch %v", ir.taint, sw.taint)
 		}
 		if ir.steps != sw.steps {
 			t.Fatalf("steps: IR %d, switch %d", ir.steps, sw.steps)

@@ -74,14 +74,17 @@ type EVM struct {
 	MaxDepth int
 	// MaxSteps bounds total instructions per transaction (default 200000).
 	MaxSteps int
-	// BranchIndex, together with BranchIndexAddr, selects the code whose
-	// branches the trace records: frames that run BranchIndexAddr's own code
-	// in its own storage context record every JUMPI as a BranchEvent
-	// carrying the indexer's compact edge ID. Other frames (world members,
-	// attackers, code delegatecalled into the indexed contract) record none.
-	// Nil records no branch events.
-	BranchIndex     BranchIndexer
-	BranchIndexAddr state.Address
+	// InspectedAddr is the contract the bug oracles inspect. Frames running
+	// in its storage context (its own code, or code it delegatecalls) record
+	// the taint sinks an oracle can fire on (see SinkSources) and the
+	// overflow events; frames of other accounts record neither.
+	InspectedAddr state.Address
+	// BranchIndex selects the code whose branches the trace records: frames
+	// that run InspectedAddr's own code in its own storage context record
+	// every JUMPI as a BranchEvent carrying the indexer's compact edge ID.
+	// Other frames (world members, attackers, code delegatecalled into the
+	// inspected contract) record none. Nil records no branch events.
+	BranchIndex BranchIndexer
 
 	// TopLevelTo / TopLevelInput describe the outermost transaction; natives
 	// (the reentrant attacker) use them to call back into the victim.
@@ -103,6 +106,10 @@ type EVM struct {
 	// pc. Package tests set it to observe the executed path; it is nil in
 	// production.
 	onStep func(depth int, pc uint64)
+	// widenSinks adds taint bits to SinkSources in the frames that record
+	// sinks. Package tests set it to see sinks of other taint, such as
+	// calldata input; it is zero in production.
+	widenSinks Taint
 	// callIndex maps call ID -> index in Trace.Calls. IDs are assigned
 	// densely from 1 per transaction, so a reslice-and-append slice replaces
 	// the map the pre-IR engine cleared and re-populated per transaction.
@@ -315,7 +322,12 @@ func (e *EVM) call(op OpCode, caller, selfAddr, codeAddr state.Address, value u2
 	e.activeFrames = append(e.activeFrames, selfAddr)
 	p := e.program(code)
 	f := e.frameFor(selfAddr, caller, value, input, code, gas, depth, p.dests)
-	f.records = e.BranchIndex != nil && selfAddr == codeAddr && selfAddr == e.BranchIndexAddr
+	inspected := selfAddr == e.InspectedAddr
+	f.records = e.BranchIndex != nil && inspected && selfAddr == codeAddr
+	f.sinks = 0
+	if inspected {
+		f.sinks = SinkSources | e.widenSinks
+	}
 	f.delegated = selfAddr != codeAddr
 	var ret []byte
 	var err error
@@ -468,10 +480,14 @@ type frame struct {
 	retData    []byte
 	depth      int
 	dests      []bool
-	// records is set when the frame runs the indexed contract's own code in
-	// its own storage context (see EVM.BranchIndex): only such frames
+	// records is set when the frame runs the inspected contract's own code
+	// in its own storage context (see EVM.BranchIndex): only such frames
 	// record branch events.
 	records bool
+	// sinks holds the taint bits whose sinks the frame records: SinkSources
+	// (plus EVM.widenSinks) in the inspected contract's storage context,
+	// none elsewhere. Frames with nonzero sinks also record overflow events.
+	sinks Taint
 	// delegated is set when the frame runs code other than its storage
 	// context's own (DELEGATECALL to another contract); its calls are
 	// marked CallEvent.Delegated.
@@ -630,14 +646,13 @@ func (f *frame) storageKeyFor(slot u256.Int) StorageKey {
 	return StorageKey{addr: f.addr, slot: slot}
 }
 
-// recordSink appends a taint sink event when taint is interesting.
+// recordSink appends a taint sink event when t holds a bit the frame
+// records sinks for (see frame.sinks).
 func (f *frame) recordSink(kind SinkKind, t Taint) {
-	if t == 0 || f.evm.Trace == nil {
+	if t&f.sinks == 0 || f.evm.Trace == nil {
 		return
 	}
-	f.evm.Trace.Sinks = append(f.evm.Trace.Sinks, TaintSink{
-		Addr: f.addr, PC: f.pc, Kind: kind, Taint: t,
-	})
+	f.evm.Trace.Sinks = append(f.evm.Trace.Sinks, TaintSink{PC: f.pc, Kind: kind, Taint: t})
 }
 
 // newCmp carves a CmpInfo out of the per-transaction arena. Records die with
@@ -685,8 +700,8 @@ func invalidOpErr(op OpCode, pc uint64) error {
 // frame records branches, the checked-call mark when the condition derives
 // from an external call's status word, and the tainted condition sink.
 // Shared verbatim by the switch loop and every fused IR variant so
-// transcripts cannot diverge. A recording frame runs the indexed code, so
-// its JUMPIs lie on the decode grid the index numbers.
+// transcripts cannot diverge. A recording frame runs the inspected
+// contract's code, so its JUMPIs lie on the decode grid the index numbers.
 func (f *frame) recordBranch(taken bool, condTaint Taint, hasCmp bool, cmp CmpInfo, callID int) {
 	e := f.evm
 	if tr := e.Trace; tr != nil {
@@ -812,10 +827,8 @@ func (f *frame) execute(op OpCode) (done bool, out []byte, err error) {
 		m := ma.merge(mb)
 		if wrapped {
 			m.taint |= TaintOverflow
-			if e.Trace != nil {
-				e.Trace.Overflows = append(e.Trace.Overflows, OverflowEvent{
-					Addr: f.addr, PC: f.pc, Op: op,
-				})
+			if f.sinks != 0 && e.Trace != nil {
+				e.Trace.Overflows = append(e.Trace.Overflows, OverflowEvent{PC: f.pc, Op: op})
 			}
 		}
 		return false, nil, f.push(z, m)
@@ -1108,11 +1121,6 @@ func (f *frame) execute(op OpCode) (done bool, out []byte, err error) {
 		}
 		e.State.SetStorage(f.addr, slot, val)
 		e.StorageTaint[f.storageKeyFor(slot)] = mv.taint
-		if e.Trace != nil {
-			e.Trace.SStores = append(e.Trace.SStores, SStoreEvent{
-				Addr: f.addr, Slot: slot, Value: val, Taint: mv.taint,
-			})
-		}
 		f.recordSink(SinkStore, mv.taint)
 		return false, nil, nil
 

@@ -11,8 +11,9 @@ import (
 )
 
 // testEnv bundles a fresh state + EVM with a deployed code blob. The
-// contract's branches are indexed by stubIndexer, so its JUMPIs are
-// recorded and stubTaken reads their direction.
+// contract is the inspected one, so its oracle-source sinks are recorded,
+// and its branches are indexed by stubIndexer, so its JUMPIs are recorded
+// and stubTaken reads their direction.
 func testEnv(t testing.TB, code []byte) (*EVM, state.Address, state.Address) {
 	t.Helper()
 	st := state.New()
@@ -24,7 +25,7 @@ func testEnv(t testing.TB, code []byte) (*EVM, state.Address, state.Address) {
 	e := New(st, BlockCtx{Timestamp: 1_700_000_000, Number: 123, GasLimit: 30_000_000})
 	e.Trace = NewTrace()
 	e.BranchIndex = stubIndexer{}
-	e.BranchIndexAddr = contract
+	e.InspectedAddr = contract
 	return e, sender, contract
 }
 
@@ -220,6 +221,16 @@ func TestJumpAndBranchEvents(t *testing.T) {
 	}
 	if !stubTaken(e.Trace.Branches[0]) {
 		t.Error("branch should be taken")
+	}
+	// Calldata is no oracle source: its sinks are recorded only when the
+	// test widens the source set.
+	if n := len(e.Trace.Sinks); n != 0 {
+		t.Errorf("%d sinks recorded for an input-tainted condition, want 0", n)
+	}
+	e.Trace = NewTrace()
+	e.widenSinks = TaintInput
+	if _, err := run(t, e, sender, contract, u256.Zero, one[:]); err != nil {
+		t.Fatal(err)
 	}
 	if !hasSink(e.Trace, SinkJumpCond, TaintInput) {
 		t.Error("condition should carry input taint")

@@ -75,8 +75,8 @@ func (c CmpInfo) FlipDistance() u256.Int {
 	}
 }
 
-// BranchEvent records one executed JUMPI of the indexed contract's own code
-// (see EVM.BranchIndex): the edge it took and the comparison behind its
+// BranchEvent records one executed JUMPI of the inspected contract's own
+// code (see EVM.BranchIndex): the edge it took and the comparison behind its
 // condition. Coverage, nesting depth and Algorithm 3's weights read only the
 // edge; branch distance and operand splicing read the comparison.
 type BranchEvent struct {
@@ -90,7 +90,7 @@ type BranchEvent struct {
 // BranchIndexer assigns campaign-stable compact IDs to branch edges; the
 // analysis package's BranchIndex implements it over the contract CFG. An
 // EVM with an indexer installed records a BranchEvent, carrying the edge's
-// ID, for every JUMPI of the indexed contract's own code.
+// ID, for every JUMPI of the inspected contract's own code.
 type BranchIndexer interface {
 	EdgeID(pc uint64, taken bool) (int32, bool)
 }
@@ -111,11 +111,11 @@ type CallEvent struct {
 	Delegated bool
 }
 
-// OverflowEvent records a wrapping arithmetic operation.
+// OverflowEvent records a wrapping arithmetic operation of the inspected
+// contract's storage context (see EVM.InspectedAddr).
 type OverflowEvent struct {
-	Addr state.Address
-	PC   uint64
-	Op   OpCode
+	PC uint64
+	Op OpCode
 }
 
 // SinkKind classifies where a tainted value was consumed.
@@ -130,19 +130,18 @@ const (
 	SinkStore                      // SSTORE value
 )
 
-// TaintSink records a tainted value reaching an oracle-relevant sink.
+// SinkSources is the set of taint sources the bug oracles match at sinks:
+// block state (BD), the balance (SE), tx.origin (TO) and wrapped arithmetic
+// (IO), paper §IV-D. A sink whose taint holds none of them can fire no
+// oracle, so the EVM does not record it.
+const SinkSources = TaintTimestamp | TaintNumber | TaintBalance | TaintOrigin | TaintOverflow
+
+// TaintSink records a value tainted by a SinkSources bit reaching an
+// oracle-relevant sink in the inspected contract's storage context (see
+// EVM.InspectedAddr).
 type TaintSink struct {
-	Addr  state.Address
 	PC    uint64
 	Kind  SinkKind
-	Taint Taint
-}
-
-// SStoreEvent records one storage write.
-type SStoreEvent struct {
-	Addr  state.Address
-	Slot  u256.Int
-	Value u256.Int
 	Taint Taint
 }
 
@@ -179,7 +178,6 @@ type Trace struct {
 	Calls         []CallEvent
 	Overflows     []OverflowEvent
 	Sinks         []TaintSink
-	SStores       []SStoreEvent
 	SelfDestructs []SelfDestructEvent
 	Delegates     []DelegateEvent
 	Reentries     []ReentryEvent
@@ -192,13 +190,12 @@ func NewTrace() *Trace {
 
 // Reset clears the trace for reuse, keeping the capacity of its event
 // buffers. Executors recycle one Trace across transactions so the hot path
-// does not reallocate eight slices per execution.
+// does not reallocate seven slices per execution.
 func (t *Trace) Reset() {
 	t.Branches = t.Branches[:0]
 	t.Calls = t.Calls[:0]
 	t.Overflows = t.Overflows[:0]
 	t.Sinks = t.Sinks[:0]
-	t.SStores = t.SStores[:0]
 	t.SelfDestructs = t.SelfDestructs[:0]
 	t.Delegates = t.Delegates[:0]
 	t.Reentries = t.Reentries[:0]

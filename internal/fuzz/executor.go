@@ -96,7 +96,7 @@ type executor struct {
 	noIR bool
 	// trace is the reusable per-transaction event buffer. Branch events are
 	// copied out of it before reuse, so recycling it across transactions and
-	// executions is safe and saves eight slice allocations per transaction.
+	// executions is safe and saves seven slice allocations per transaction.
 	trace *evm.Trace
 	// txBuf is the reusable calldata encoding buffer. The EVM only reads
 	// TopLevelInput during its own transaction and every consumer that retains
@@ -119,6 +119,11 @@ type executor struct {
 	// chunk allocation amortizes over many transactions; only the unused tail
 	// capacity is ever written again.
 	brArena []evm.BranchEvent
+	// recorded counts the executor's live transactions and the taint sinks
+	// and overflow events the EVM recorded in them. The counts are work,
+	// not results: no transcript, snapshot or decision reads them, and they
+	// repeat exactly per seed, so a test can hold them to a budget.
+	recorded struct{ txs, sinks, overflows int }
 }
 
 // detached returns an executor sharing the immutable substrate but owning a
@@ -174,7 +179,7 @@ func (x *executor) engine(st *state.State) *evm.EVM {
 	if x.vm == nil {
 		x.vm = evm.New(st, campaignBlockCtx)
 		x.vm.BranchIndex = x.branchIx
-		x.vm.BranchIndexAddr = x.contractAddr
+		x.vm.InspectedAddr = x.contractAddr
 		x.vm.DisableIR = x.noIR
 		x.vm.UseProgram(x.prog)
 		if x.attackerModel == nil {
@@ -341,6 +346,9 @@ func (x *executor) run(seq Sequence, seedPrefix []uint64) execOutcome {
 		value := tx.Value.And(txValueCap)
 		e.Trace = x.resetTrace()
 		_, err := e.Transact(sender, x.calleeAddr(tx), value, data, GasPerTx)
+		x.recorded.txs++
+		x.recorded.sinks += len(e.Trace.Sinks)
+		x.recorded.overflows += len(e.Trace.Overflows)
 
 		// Copy the trace's events (the contract's own, see
 		// evm.EVM.BranchIndex) into an exact-size batch carved off the arena:

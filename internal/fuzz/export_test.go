@@ -17,3 +17,11 @@ func (a *AttackerMemo) Compile(enc []byte) []byte { return a.x.compileAttacker(e
 
 // Len is the number of specs the memo holds.
 func (a *AttackerMemo) Len() int { return len(a.x.attackerCode) }
+
+// TraceCounts returns how many transactions the campaign's executor ran
+// live, and how many taint sinks and overflow events the EVM recorded in
+// them.
+func (c *Campaign) TraceCounts() (txs, sinks, overflows int) {
+	r := c.exec.recorded
+	return r.txs, r.sinks, r.overflows
+}

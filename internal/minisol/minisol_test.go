@@ -92,7 +92,7 @@ func compileAndDeploy(t testing.TB, src string, ctorArgs ...u256.Int) *testContr
 	st.Commit()
 	e := evm.New(st, evm.BlockCtx{Timestamp: 1_700_000_000, Number: 99, GasLimit: 30_000_000})
 	e.Trace = evm.NewTrace()
-	e.BranchIndex, e.BranchIndexAddr = pcIndexer{}, addr
+	e.BranchIndex, e.InspectedAddr = pcIndexer{}, addr
 	args := make([]abi.Value, len(comp.Ctor.Inputs))
 	for i, in := range comp.Ctor.Inputs {
 		var w u256.Int

@@ -192,17 +192,16 @@ func (ins *Inspector) inspectValueOut(tr *evm.Trace, r *Report) {
 }
 
 // inspectSinks covers BD, SE, and TO, which are all source→sink taint rules.
+// The EVM records sinks only in the inspected contract's storage context
+// (evm.EVM.InspectedAddr), so every sink is the contract's.
 func (ins *Inspector) inspectSinks(tr *evm.Trace, r *Report) {
 	for _, s := range tr.Sinks {
-		if s.Addr != ins.addr {
-			continue
-		}
 		// BD: block state contaminates a CALL, JUMPI, or comparison.
 		if s.Taint&(evm.TaintTimestamp|evm.TaintNumber) != 0 {
 			switch s.Kind {
 			case evm.SinkJumpCond, evm.SinkCompare, evm.SinkCallValue, evm.SinkCallTarget:
 				r.add(Finding{
-					Class: BD, Addr: s.Addr, PC: s.PC,
+					Class: BD, Addr: ins.addr, PC: s.PC,
 					Description: "block state (timestamp/number) influences a branch or call",
 				})
 			}
@@ -210,7 +209,7 @@ func (ins *Inspector) inspectSinks(tr *evm.Trace, r *Report) {
 		// SE: BALANCE flows into a strict equality comparison.
 		if s.Kind == evm.SinkEq && s.Taint.Has(evm.TaintBalance) {
 			r.add(Finding{
-				Class: SE, Addr: s.Addr, PC: s.PC,
+				Class: SE, Addr: ins.addr, PC: s.PC,
 				Description: "contract balance compared with strict equality",
 			})
 		}
@@ -218,7 +217,7 @@ func (ins *Inspector) inspectSinks(tr *evm.Trace, r *Report) {
 		if (s.Kind == evm.SinkCompare || s.Kind == evm.SinkEq || s.Kind == evm.SinkJumpCond) &&
 			s.Taint.Has(evm.TaintOrigin) {
 			r.add(Finding{
-				Class: TO, Addr: s.Addr, PC: s.PC,
+				Class: TO, Addr: ins.addr, PC: s.PC,
 				Description: "tx.origin used in a comparison/guard",
 			})
 		}
@@ -226,15 +225,16 @@ func (ins *Inspector) inspectSinks(tr *evm.Trace, r *Report) {
 }
 
 // inspectOverflows covers IO: a wrapping ADD/SUB/MUL whose result reached
-// persistent storage or a call value in the same transaction.
+// persistent storage or a call value in the same transaction. Like sinks,
+// overflow events are recorded only in the inspected contract's storage
+// context.
 func (ins *Inspector) inspectOverflows(tr *evm.Trace, r *Report) {
 	if len(tr.Overflows) == 0 {
 		return
 	}
 	sinkSeen := false
 	for _, s := range tr.Sinks {
-		if s.Addr == ins.addr && s.Taint.Has(evm.TaintOverflow) &&
-			(s.Kind == evm.SinkStore || s.Kind == evm.SinkCallValue) {
+		if s.Taint.Has(evm.TaintOverflow) && (s.Kind == evm.SinkStore || s.Kind == evm.SinkCallValue) {
 			sinkSeen = true
 			break
 		}
@@ -243,11 +243,8 @@ func (ins *Inspector) inspectOverflows(tr *evm.Trace, r *Report) {
 		return
 	}
 	for _, ov := range tr.Overflows {
-		if ov.Addr != ins.addr {
-			continue
-		}
 		r.add(Finding{
-			Class: IO, Addr: ov.Addr, PC: ov.PC,
+			Class: IO, Addr: ins.addr, PC: ov.PC,
 			Description: fmt.Sprintf("%s wraps mod 2^256 and the result persists", ov.Op),
 		})
 	}

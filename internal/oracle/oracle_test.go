@@ -36,6 +36,7 @@ func newRig(t testing.TB, src string) *rig {
 	st.Commit()
 	e := evm.New(st, evm.BlockCtx{Timestamp: 1_700_000_001, Number: 42})
 	e.Trace = evm.NewTrace()
+	e.InspectedAddr = addr // the EVM records sinks for the detector's contract only
 
 	attacker := &evm.ReentrantAttacker{Addr: state.AddressFromUint(0xa77), MaxReentries: 1}
 	e.RegisterNative(attacker.Addr, attacker)

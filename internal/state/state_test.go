@@ -19,6 +19,41 @@ func TestAddressConversions(t *testing.T) {
 	}
 }
 
+// TestAccountsSharingATagStayApart pins that the lookup tag only filters:
+// addresses that agree in their last eight bytes, the tag, are still
+// separate accounts, through writes, forks, copies and reverts.
+func TestAccountsSharingATagStayApart(t *testing.T) {
+	a := AddressFromUint(0xc0de)
+	b := a
+	b[0] = 1
+	c := a
+	c[11] = 1
+	s := New()
+	s.SetBalance(a, u256.New(1))
+	s.SetBalance(b, u256.New(2))
+	s.Commit()
+	snap := s.Snapshot()
+	s.SetBalance(c, u256.New(3))
+	s.SetStorage(b, u256.One, u256.New(9))
+	for _, st := range []*State{s, s.Fork(), s.Copy()} {
+		for addr, want := range map[Address]uint64{a: 1, b: 2, c: 3} {
+			if got := st.Balance(addr); !got.Eq(u256.New(want)) {
+				t.Errorf("balance of %s = %s, want %d", addr, got, want)
+			}
+		}
+		if st.StorageSize(a) != 0 || st.StorageSize(c) != 0 || !st.GetStorage(b, u256.One).Eq(u256.New(9)) {
+			t.Errorf("storage write to %s leaked to an account sharing its tag", b)
+		}
+	}
+	s.RevertTo(snap)
+	if s.Exists(c) || !s.Balance(b).Eq(u256.New(2)) || s.StorageSize(b) != 0 {
+		t.Error("revert did not undo exactly the writes to the tag-sharing accounts")
+	}
+	if got := len(s.Accounts()); got != 2 {
+		t.Errorf("%d accounts after revert, want 2", got)
+	}
+}
+
 func TestStorageReadWrite(t *testing.T) {
 	s := New()
 	addr := AddressFromUint(1)
