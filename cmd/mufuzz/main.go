@@ -64,12 +64,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -261,9 +263,8 @@ func (c *cli) run() int {
 		}
 		if c.minimize {
 			fmt.Println("\nproof-of-concept sequences (minimized):")
-			for class, seq := range res.Repro {
-				min := campaign.MinimizeForBug(seq, class)
-				fmt.Printf("  [%s] %s\n", class, min)
+			for _, class := range slices.Sorted(maps.Keys(res.Repro)) {
+				fmt.Printf("  [%s] %s\n", class, campaign.MinimizeForBug(res.Repro[class], class))
 			}
 		}
 	} else {

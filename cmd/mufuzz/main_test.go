@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -324,4 +325,51 @@ func TestWriteReportClean(t *testing.T) {
 	if _, ok := rep["timeline"]; ok {
 		t.Error("timeline written without points")
 	}
+}
+
+// TestMinimizePrintsClassOrder: -minimize prints its proof-of-concept lines
+// in sorted class order, as the findings line lists the classes, on every
+// run. Each run finds BD and IO; ranging over the repro map printed them in
+// either order.
+func TestMinimizePrintsClassOrder(t *testing.T) {
+	for run := 0; run < 8; run++ {
+		c := cli{example: "crowdsale-buggy", strategy: "mufuzz", iters: 2000, seed: 3, minimize: true}
+		var code int
+		out := captureStdout(t, func() { code = c.run() })
+		if code != 2 {
+			t.Fatalf("run %d: exit %d, want 2 (findings)", run, code)
+		}
+		var classes []string
+		for _, line := range strings.Split(out, "\n") {
+			if rest, ok := strings.CutPrefix(line, "  ["); ok {
+				classes = append(classes, rest[:strings.Index(rest, "]")])
+			}
+		}
+		if len(classes) < 2 {
+			t.Fatalf("run %d: %d proof-of-concept lines, want at least 2:\n%s", run, len(classes), out)
+		}
+		if !sort.StringsAreSorted(classes) {
+			t.Fatalf("run %d: proof-of-concept lines in class order %v, want sorted", run, classes)
+		}
+	}
+}
+
+// captureStdout returns what f writes to os.Stdout.
+func captureStdout(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		data, _ := io.ReadAll(r)
+		done <- data
+	}()
+	defer func() { os.Stdout = saved }()
+	f()
+	w.Close()
+	return string(<-done)
 }

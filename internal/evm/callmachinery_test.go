@@ -127,7 +127,7 @@ func TestStaticCallWriteRejection(t *testing.T) {
 			"sstore",
 			func(a *Assembler) { a.PushUint(1).PushUint(0).Op(SSTORE) },
 			func(t *testing.T, e *EVM, contract state.Address) {
-				if got := e.State.GetStorage(contract, u256.Zero); !got.IsZero() {
+				if got, _ := e.State.GetStorage(contract, u256.Zero); !got.IsZero() {
 					t.Fatalf("SSTORE landed under STATICCALL: slot0=%s", got)
 				}
 			},
@@ -307,7 +307,6 @@ func FuzzWorldNoCrash(f *testing.F) {
 			first, second = member, primary
 		}
 		_, _ = e.Transact(sender, first, u256.New(seed%1_000), input, 300_000)
-		e.ResetTaint()
 		_, _ = e.Transact(sender, second, u256.Zero, input, 300_000)
 	})
 }

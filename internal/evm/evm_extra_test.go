@@ -151,27 +151,6 @@ func TestReturndataPlumbing(t *testing.T) {
 	}
 }
 
-func TestTaintSnapshotRestore(t *testing.T) {
-	e := New(state.New(), BlockCtx{})
-	key := StorageKey{addr: state.AddressFromUint(1), slot: u256.New(2)}
-	e.StorageTaint[key] = TaintTimestamp
-	snap := e.TaintSnapshot()
-	e.StorageTaint[key] = TaintOrigin
-	e.StorageTaint[StorageKey{addr: state.AddressFromUint(3)}] = TaintInput
-	e.RestoreTaint(snap)
-	if e.StorageTaint[key] != TaintTimestamp {
-		t.Error("restore lost the original taint")
-	}
-	if len(e.StorageTaint) != 1 {
-		t.Error("restore kept extra entries")
-	}
-	// snapshot is a copy: mutating it must not affect the EVM
-	snap[key] = TaintBalance
-	if e.StorageTaint[key] != TaintTimestamp {
-		t.Error("snapshot aliases live map")
-	}
-}
-
 func TestFlipDistanceProperties(t *testing.T) {
 	// FlipDistance is positive for any comparison outcome and exactly
 	// |a-b| (or 1) for EQ.

@@ -25,7 +25,6 @@ var (
 type fuzzRun struct {
 	st    *state.State
 	trace *Trace
-	taint map[StorageKey]Taint
 	ret   []byte
 	err   error
 	// steps is the EVM's step count; path is every executed (depth, pc), in
@@ -50,7 +49,7 @@ func fuzzTx(code, input []byte, valueSeed uint64, disableIR bool) fuzzRun {
 	e.InspectedAddr = fuzzContract
 	e.widenSinks = ^Taint(0)
 	e.DisableIR = disableIR
-	r := fuzzRun{st: st, trace: e.Trace, taint: e.StorageTaint}
+	r := fuzzRun{st: st, trace: e.Trace}
 	e.onStep = func(depth int, pc uint64) {
 		r.path = append(r.path, [2]uint64{uint64(depth), pc})
 	}
@@ -81,10 +80,11 @@ func FuzzInterpreterNoCrash(f *testing.F) {
 // (code, input, value) runs on two identically built fresh worlds, once on
 // the compiled IR (fused superinstructions included) and once on the
 // reference switch loop, and the two runs must agree on the error, the
-// return data, every account's final state, the whole trace — branch
-// events by edge with their comparison operands, calls, overflows, sinks of
-// every taint source, self-destructs, delegates and reentries — the storage
-// taint, the step count, and the executed (depth, pc) path at every depth.
+// return data, every account's final state with every storage slot's taint
+// tag, the whole trace — branch events by edge with their comparison
+// operands, calls, overflows, sinks of every taint source, self-destructs,
+// delegates and reentries — the step count, and the executed (depth, pc)
+// path at every depth.
 // The seeds are the dispatcher arms of the runtime bytecode fixtures, so the
 // fused dispatcher and compare-and-branch patterns run from the first input.
 func FuzzIRMatchesSwitch(f *testing.F) {
@@ -130,12 +130,12 @@ func FuzzIRMatchesSwitch(f *testing.F) {
 				t.Fatalf("account %s differs: IR bal=%s storage=%v, switch bal=%s storage=%v", addr,
 					ir.st.Balance(addr), ir.st.StorageDump(addr), sw.st.Balance(addr), sw.st.StorageDump(addr))
 			}
+			if a, b := ir.st.StorageTags(addr), sw.st.StorageTags(addr); !reflect.DeepEqual(a, b) {
+				t.Fatalf("account %s storage tags: IR %v, switch %v", addr, a, b)
+			}
 		}
 		if !reflect.DeepEqual(ir.trace, sw.trace) {
 			t.Fatalf("trace differs: %s", traceDiff(ir.trace, sw.trace))
-		}
-		if !reflect.DeepEqual(ir.taint, sw.taint) {
-			t.Fatalf("storage taint: IR %v, switch %v", ir.taint, sw.taint)
 		}
 		if ir.steps != sw.steps {
 			t.Fatalf("steps: IR %d, switch %d", ir.steps, sw.steps)

@@ -52,24 +52,19 @@ type Native interface {
 	Run(evm *EVM, caller state.Address, value u256.Int, input []byte, gas uint64) ([]byte, error)
 }
 
-// StorageKey addresses one storage slot for cross-transaction taint.
-type StorageKey struct {
-	addr state.Address
-	slot u256.Int
-}
-
 // EVM executes transactions against a world state. One EVM value handles one
-// transaction at a time; reuse across a sequence keeps StorageTaint alive so
-// taints flow through persistent storage.
+// transaction at a time. Taint written to storage is kept in the state as
+// the slot's tag, so it flows from one transaction to the next with the
+// values, and a fork of the state carries it.
 type EVM struct {
+	// State is the world state the EVM executes against. Callers rebind it
+	// to run the next sequence; the EVM's compiled programs, frame pool and
+	// registered natives stay warm.
 	State  *state.State
 	Block  BlockCtx
 	Origin state.Address
 	// Trace receives execution events; nil disables tracing.
 	Trace *Trace
-	// StorageTaint persists taint across the transactions of one sequence.
-	// Callers reset it when starting a fresh sequence.
-	StorageTaint map[StorageKey]Taint
 	// MaxDepth bounds call nesting (default 64).
 	MaxDepth int
 	// MaxSteps bounds total instructions per transaction (default 200000).
@@ -143,7 +138,8 @@ type EVM struct {
 	// keccak32/keccak64 memoize KECCAK256 results for the two input shapes
 	// Solidity storage layout hashes constantly (dynamic-array slots and
 	// mapping keys). Fuzzing re-executes near-identical transactions, so the
-	// same few keys dominate; hashing is pure, so the memo survives Reset.
+	// same few keys dominate; hashing is pure, so the memo lives as long as
+	// the EVM.
 	keccak32 map[[32]byte]u256.Int
 	keccak64 map[[64]byte]u256.Int
 }
@@ -193,60 +189,17 @@ func (e *EVM) keccakOf(data []byte) u256.Int {
 // New constructs an EVM over the given state.
 func New(st *state.State, block BlockCtx) *EVM {
 	return &EVM{
-		State:        st,
-		Block:        block,
-		StorageTaint: make(map[StorageKey]Taint),
-		MaxDepth:     defaultDepth,
-		MaxSteps:     200000,
-		natives:      make(map[state.Address]Native),
+		State:    st,
+		Block:    block,
+		MaxDepth: defaultDepth,
+		MaxSteps: 200000,
+		natives:  make(map[state.Address]Native),
 	}
 }
 
 // RegisterNative installs a Go-implemented account at addr.
 func (e *EVM) RegisterNative(addr state.Address, n Native) {
 	e.natives[addr] = n
-}
-
-// ResetTaint clears cross-transaction storage taint (new sequence).
-func (e *EVM) ResetTaint() {
-	if e.StorageTaint == nil {
-		e.StorageTaint = make(map[StorageKey]Taint)
-		return
-	}
-	clear(e.StorageTaint)
-}
-
-// Reset rebinds the EVM to a new world state for a fresh transaction
-// sequence, clearing cross-sequence bookkeeping (storage taint) while
-// keeping the allocation-heavy internals — registered natives, the compiled
-// program cache, the frame pool — warm. Executors reuse one EVM across every
-// execution of a campaign instead of constructing one per sequence.
-func (e *EVM) Reset(st *state.State) {
-	e.State = st
-	e.ResetTaint()
-}
-
-// TaintSnapshot returns a copy of the cross-transaction storage taint, so a
-// caller can checkpoint mid-sequence state (prefix caching).
-func (e *EVM) TaintSnapshot() map[StorageKey]Taint {
-	out := make(map[StorageKey]Taint, len(e.StorageTaint))
-	for k, v := range e.StorageTaint {
-		out[k] = v
-	}
-	return out
-}
-
-// RestoreTaint replaces the storage taint with a copy of m, reusing the
-// existing map's storage when possible.
-func (e *EVM) RestoreTaint(m map[StorageKey]Taint) {
-	if e.StorageTaint == nil {
-		e.StorageTaint = make(map[StorageKey]Taint, len(m))
-	} else {
-		clear(e.StorageTaint)
-	}
-	for k, v := range m {
-		e.StorageTaint[k] = v
-	}
 }
 
 // Transact runs a top-level transaction: transfers value from sender to
@@ -640,10 +593,6 @@ func u64(v u256.Int) uint64 {
 		return ^uint64(0)
 	}
 	return v.Uint64()
-}
-
-func (f *frame) storageKeyFor(slot u256.Int) StorageKey {
-	return StorageKey{addr: f.addr, slot: slot}
 }
 
 // recordSink appends a taint sink event when t holds a bit the frame
@@ -1109,9 +1058,8 @@ func (f *frame) execute(op OpCode) (done bool, out []byte, err error) {
 
 	case SLOAD:
 		slot, _, _ := f.pop()
-		val := e.State.GetStorage(f.addr, slot)
-		t := e.StorageTaint[f.storageKeyFor(slot)]
-		return false, nil, f.push(val, meta{taint: t})
+		val, tag := e.State.GetStorage(f.addr, slot)
+		return false, nil, f.push(val, meta{taint: Taint(tag)})
 
 	case SSTORE:
 		slot, _, _ := f.pop()
@@ -1119,8 +1067,7 @@ func (f *frame) execute(op OpCode) (done bool, out []byte, err error) {
 		if e.staticDepth > 0 {
 			return false, nil, fmt.Errorf("%w: SSTORE at pc %d", ErrWriteProtection, f.pc)
 		}
-		e.State.SetStorage(f.addr, slot, val)
-		e.StorageTaint[f.storageKeyFor(slot)] = mv.taint
+		e.State.SetStorage(f.addr, slot, val, uint16(mv.taint))
 		f.recordSink(SinkStore, mv.taint)
 		return false, nil, nil
 

@@ -159,7 +159,7 @@ func TestStoragePersistsAcrossTransactions(t *testing.T) {
 	if _, err := run(t, e, sender, contract, u256.Zero, v[:]); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.State.GetStorage(contract, u256.Zero); !got.Eq(u256.New(777)) {
+	if got, _ := e.State.GetStorage(contract, u256.Zero); !got.Eq(u256.New(777)) {
 		t.Fatalf("storage = %s, want 777", got)
 	}
 }
@@ -173,7 +173,7 @@ func TestRevertRollsBackState(t *testing.T) {
 	if !errors.Is(err, ErrRevert) {
 		t.Fatalf("err = %v, want ErrRevert", err)
 	}
-	if !e.State.GetStorage(contract, u256.Zero).IsZero() {
+	if got, _ := e.State.GetStorage(contract, u256.Zero); !got.IsZero() {
 		t.Error("storage write survived revert")
 	}
 }
@@ -213,7 +213,7 @@ func TestJumpAndBranchEvents(t *testing.T) {
 	if _, err := run(t, e, sender, contract, u256.Zero, one[:]); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.State.GetStorage(contract, u256.Zero); !got.Eq(u256.New(2)) {
+	if got, _ := e.State.GetStorage(contract, u256.Zero); !got.Eq(u256.New(2)) {
 		t.Fatalf("taken branch storage = %s", got)
 	}
 	if len(e.Trace.Branches) != 1 {
@@ -242,7 +242,7 @@ func TestJumpAndBranchEvents(t *testing.T) {
 	if _, err := run(t, e, sender, contract, u256.Zero, zero[:]); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.State.GetStorage(contract, u256.Zero); !got.Eq(u256.One) {
+	if got, _ := e.State.GetStorage(contract, u256.Zero); !got.Eq(u256.One) {
 		t.Fatalf("fallthrough storage = %s", got)
 	}
 	if stubTaken(e.Trace.Branches[0]) {
@@ -411,6 +411,44 @@ func TestStorageTaintPersistsAcrossTx(t *testing.T) {
 	}
 }
 
+// TestStorageTaintSurvivesRevert: a transaction that stores TIMESTAMP and
+// then reverts restores the slot's value but leaves the taint on it, as the
+// state keeps a reverted slot's tag, so the next transaction's JUMPI on the
+// slot records a timestamp sink, on both engines. The read is DUP1 SLOAD,
+// which the IR runs fused.
+func TestStorageTaintSurvivesRevert(t *testing.T) {
+	a := NewAssembler()
+	a.PushUint(0).Op(CALLDATALOAD)
+	a.JumpITo("read")
+	a.Op(TIMESTAMP).PushUint(0).Op(SSTORE)
+	a.PushUint(0).PushUint(0).Op(REVERT)
+	a.Label("read")
+	a.PushUint(0).Op(DUP1, SLOAD, GT)
+	a.JumpITo("z")
+	a.Op(STOP)
+	a.Label("z").Op(STOP)
+	code := a.MustBuild()
+	for _, noIR := range []bool{false, true} {
+		e, sender, contract := testEnv(t, code)
+		e.DisableIR = noIR
+		zero := u256.Zero.Bytes32()
+		if _, err := run(t, e, sender, contract, u256.Zero, zero[:]); !errors.Is(err, ErrRevert) {
+			t.Fatalf("noIR=%v: store tx: %v, want a revert", noIR, err)
+		}
+		if v, tag := e.State.GetStorage(contract, u256.Zero); !v.IsZero() || Taint(tag) != TaintTimestamp {
+			t.Fatalf("noIR=%v: after the revert slot 0 holds %s with taint %#x, want 0 with the timestamp taint", noIR, v, tag)
+		}
+		e.Trace = NewTrace()
+		one := u256.One.Bytes32()
+		if _, err := run(t, e, sender, contract, u256.Zero, one[:]); err != nil {
+			t.Fatal(err)
+		}
+		if !hasSink(e.Trace, SinkJumpCond, TaintTimestamp) {
+			t.Errorf("noIR=%v: a reverted store's timestamp taint should reach the next tx's branch", noIR)
+		}
+	}
+}
+
 func TestCallTransfersValueAndReportsStatus(t *testing.T) {
 	// Contract sends 10 wei to an EOA via CALL and stores the status word.
 	dest := state.AddressFromUint(0xbeef)
@@ -431,7 +469,7 @@ func TestCallTransfersValueAndReportsStatus(t *testing.T) {
 	if !e.State.Balance(dest).Eq(u256.New(10)) {
 		t.Errorf("dest balance = %s", e.State.Balance(dest))
 	}
-	if !e.State.GetStorage(contract, u256.Zero).Eq(u256.One) {
+	if got, _ := e.State.GetStorage(contract, u256.Zero); !got.Eq(u256.One) {
 		t.Error("successful call should store status 1")
 	}
 	if len(e.Trace.Calls) != 1 || !e.Trace.Calls[0].Success {
@@ -520,7 +558,7 @@ func TestReentrantAttackerCallsBack(t *testing.T) {
 		t.Error("reentry should be marked as enabled by a value call")
 	}
 	// Counter incremented twice: original + reentrant call.
-	if got := e.State.GetStorage(contract, u256.Zero); !got.Eq(u256.New(2)) {
+	if got, _ := e.State.GetStorage(contract, u256.Zero); !got.Eq(u256.New(2)) {
 		t.Errorf("counter = %s, want 2 (reentered)", got)
 	}
 }
@@ -596,10 +634,10 @@ func TestDelegatecallRunsInCallerContext(t *testing.T) {
 	if _, err := run(t, e, sender, contract, u256.Zero, nil); err != nil {
 		t.Fatal(err)
 	}
-	if !e.State.GetStorage(contract, u256.Zero).Eq(u256.New(99)) {
+	if got, _ := e.State.GetStorage(contract, u256.Zero); !got.Eq(u256.New(99)) {
 		t.Error("delegatecall must write the caller's storage")
 	}
-	if !e.State.GetStorage(libAddr, u256.Zero).IsZero() {
+	if got, _ := e.State.GetStorage(libAddr, u256.Zero); !got.IsZero() {
 		t.Error("library storage must be untouched")
 	}
 	if len(e.Trace.Delegates) != 1 {

@@ -566,10 +566,9 @@ func (f *frame) runFused(p *Program, i int, ins *irInstr) (int, bool) {
 
 	default: // fuseDupSload
 		slot := f.stack[L-int(ins.n)]
-		val := e.State.GetStorage(f.addr, slot)
-		t := e.StorageTaint[f.storageKeyFor(slot)]
+		val, tag := e.State.GetStorage(f.addr, slot)
 		f.stack = append(f.stack, val)
-		f.metas = append(f.metas, meta{taint: t})
+		f.metas = append(f.metas, meta{taint: Taint(tag)})
 		return i + 2, true
 	}
 }

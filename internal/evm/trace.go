@@ -7,7 +7,8 @@ import (
 
 // Taint is a bitmask recording which environment sources influenced a value.
 // Taints propagate through arithmetic, memory, and (across transactions)
-// storage; the bug oracles (paper §IV-D) match sources against sinks.
+// storage, where the state keeps them as each slot's 16-bit tag; the bug
+// oracles (paper §IV-D) match sources against sinks.
 type Taint uint16
 
 const (

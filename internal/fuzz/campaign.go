@@ -354,7 +354,6 @@ func NewTargetCampaign(t Target, opts Options) *Campaign {
 		inspector:     c.detector.Inspector(),
 		prefixes:      c.prefixes,
 		branchIx:      c.branchIx,
-		depthByEdge:   c.depthByEdge,
 		methods:       methods,
 		selectors:     selectors,
 		worldAddrs:    c.worldAddrs,
@@ -719,9 +718,6 @@ func (c *Campaign) foldOutcome(seq Sequence, out *execOutcome) execResult {
 			}
 			ri++
 		}
-	}
-	if out.nestedDepth > res.hitNestedDepth {
-		res.hitNestedDepth = out.nestedDepth
 	}
 	if res.newEdges > 0 {
 		c.timeline = append(c.timeline, TimelinePoint{

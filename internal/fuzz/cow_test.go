@@ -34,7 +34,7 @@ func TestResumeFromForkedCheckpointMatchesFreshRun(t *testing.T) {
 	for _, e := range collectEntries(cached.prefixes) {
 		for i := 0; i < 4; i++ {
 			ch := e.st.Fork()
-			ch.SetStorage(cached.contractAddr, u256.New(uint64(i)), u256.New(999))
+			ch.SetStorage(cached.contractAddr, u256.New(uint64(i)), u256.New(999), 0)
 		}
 	}
 	out2 := cached.exec.run(seq, table)

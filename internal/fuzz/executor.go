@@ -25,9 +25,9 @@ type txReport struct {
 	report oracle.Report
 }
 
-// execOutcome is the pure result of executing one sequence: branch events,
-// nesting depth, and per-transaction oracle reports. It carries no campaign
-// state and is produced without mutating any; the campaign folds it.
+// execOutcome is the pure result of executing one sequence: branch events
+// and per-transaction oracle reports. It carries no campaign state and is
+// produced without mutating any; the campaign folds it.
 type execOutcome struct {
 	// branchesByTx holds the contract's branch events, one batch per
 	// transaction, covering the whole sequence: checkpoint-replayed prefix
@@ -37,9 +37,6 @@ type execOutcome struct {
 	// firstLive is the number of leading transactions served from a prefix
 	// checkpoint (0 when the sequence ran from genesis).
 	firstLive int
-	// nestedDepth is the deepest compile-time branch nesting reached across
-	// the whole sequence, prefix included.
-	nestedDepth int
 	// reports are the non-empty oracle reports of the whole sequence in
 	// transaction order: checkpoint-replayed prefix reports first, then live
 	// ones. Carrying the prefix reports makes the outcome self-contained, so
@@ -78,10 +75,8 @@ type executor struct {
 	// intermediate-state optimization (ablation / replay).
 	prefixes *prefixCache
 	// branchIx interns the contract's branch edges; installed on every EVM so
-	// the contract's trace events carry compact edge IDs. depthByEdge is the
-	// per-edge branch-site nesting depth (read-only).
-	branchIx    *analysis.BranchIndex
-	depthByEdge []int
+	// the contract's trace events carry compact edge IDs.
+	branchIx *analysis.BranchIndex
 	// methods/selectors intern the ABI lookup and the keccak-derived 4-byte
 	// selector per function name once per campaign (read-only) — the
 	// pre-interning engine re-hashed the signature on every transaction.
@@ -103,7 +98,8 @@ type executor struct {
 	// input bytes copies them, so one buffer per executor is safe.
 	txBuf []byte
 	// vm is the executor's persistent EVM, rebound to a fresh world state per
-	// execution (natives, program cache, and frame pool stay warm).
+	// execution (natives, program cache, and frame pool stay warm). The state
+	// holds the storage taint, so rebinding is all a new sequence needs.
 	vm       *evm.EVM
 	attacker *evm.ReentrantAttacker
 	// scratch is the reusable working state: every execution re-forks its
@@ -188,7 +184,7 @@ func (x *executor) engine(st *state.State) *evm.EVM {
 		}
 		return x.vm
 	}
-	x.vm.Reset(st)
+	x.vm.State = st
 	return x.vm
 }
 
@@ -327,11 +323,9 @@ func (x *executor) run(seq Sequence, seedPrefix []uint64) execOutcome {
 	if entry := x.prefixes.lookupHashed(hashes); entry != nil {
 		st = x.workState(entry.st)
 		e = x.engine(st)
-		e.RestoreTaint(entry.taint)
 		start = entry.txs
 		out.branchesByTx = append(out.branchesByTx, entry.branchesByTx...)
 		out.reports = append(out.reports, entry.reports...)
-		out.nestedDepth = entry.nestedDepth
 	} else {
 		st = x.workState(x.genesis)
 		e = x.engine(st)
@@ -361,11 +355,6 @@ func (x *executor) run(seq Sequence, seedPrefix []uint64) execOutcome {
 			txBranches = append(x.carveBranches(n), e.Trace.Branches...)
 		}
 		out.branchesByTx = append(out.branchesByTx, txBranches)
-		for _, br := range txBranches {
-			if d := x.depthByEdge[br.Edge]; d > out.nestedDepth {
-				out.nestedDepth = d
-			}
-		}
 
 		if rep := x.inspector.Inspect(e.Trace, value, err == nil); !rep.Empty() {
 			out.reports = append(out.reports, txReport{txIdx: i, report: rep})
@@ -376,7 +365,7 @@ func (x *executor) run(seq Sequence, seedPrefix []uint64) execOutcome {
 		// checkpoint's payload.
 		if i < len(hashes) && i < len(seedPrefix) && hashes[i] == seedPrefix[i] {
 			if key := hashes[i]; x.prefixes.admissible(out.branchesByTx) && !x.prefixes.contains(key) {
-				x.prefixes.storeKeyed(key, i+1, st.Fork(), e.TaintSnapshot(), out.branchesByTx, out.reports, out.nestedDepth)
+				x.prefixes.storeKeyed(key, i+1, st.Fork(), out.branchesByTx, out.reports)
 			}
 		} else {
 			seedPrefix = nil

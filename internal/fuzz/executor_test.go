@@ -21,7 +21,7 @@ func TestExecutorPure(t *testing.T) {
 	if len(c.covered) != covBefore || c.executions != execBefore {
 		t.Error("executor.run mutated campaign state")
 	}
-	if len(o1.branchesByTx) != len(o2.branchesByTx) || o1.nestedDepth != o2.nestedDepth ||
+	if len(o1.branchesByTx) != len(o2.branchesByTx) ||
 		len(o1.reports) != len(o2.reports) || o1.firstLive != o2.firstLive {
 		t.Error("identical sequences produced different outcomes")
 	}

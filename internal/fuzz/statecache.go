@@ -14,9 +14,10 @@ import (
 // This implements the improvement the paper sketches in §VI ("not to
 // re-execute the previous transactions, but to move directly to some
 // intermediate state"). Entries capture everything semantically relevant:
-// the post-prefix state, the cross-transaction storage taint, and the branch
-// events of the prefix (replayed into the campaign's feedback fold so
-// coverage/distance bookkeeping is identical to a full execution).
+// the post-prefix state (its storage slots carry their taint tags), and the
+// branch events and oracle reports of the prefix (replayed into the
+// campaign's feedback fold so coverage/distance bookkeeping is identical to
+// a full execution).
 //
 // What gets stored is the executor's policy (see executor.run): only the
 // boundaries a run shares with its round's seed, which every sibling child
@@ -40,11 +41,9 @@ type prefixCache struct {
 type prefixEntry struct {
 	// txs is the prefix length the entry checkpoints.
 	txs int
-	// st is the world state after the prefix (committed). Never mutated
-	// after store; resuming executions copy it.
+	// st is the world state after the prefix (committed), storage taint
+	// included. Never mutated after store; resuming executions fork it.
 	st *state.State
-	// taint is the EVM's cross-transaction storage taint after the prefix.
-	taint map[evm.StorageKey]evm.Taint
 	// branchesByTx are the contract's branch events of the prefix, one batch
 	// per transaction, so the feedback fold (per-transaction weight traces)
 	// sees exactly what a re-execution would produce.
@@ -55,8 +54,6 @@ type prefixEntry struct {
 	// proof-of-concept capture reads the same reports whether a prefix ran
 	// live or came from a checkpoint.
 	reports []txReport
-	// nestedDepth is the deepest branch-site nesting reached in the prefix.
-	nestedDepth int
 }
 
 // newPrefixCache builds a cache holding at most max entries.
@@ -183,9 +180,9 @@ func (pc *prefixCache) contains(key uint64) bool {
 // admissible reports whether a prefix's branch log is small enough to
 // cache. Oversized logs are not cached (loop-heavy prefixes would make
 // replaying the fold as costly as re-execution); callers should check this
-// BEFORE materializing the state fork and taint snapshot a store needs, or
-// an inadmissible prefix pays that cost on every execution forever (its key
-// never enters the cache, so the contains() pre-check never short-circuits).
+// BEFORE materializing the state fork a store needs, or an inadmissible
+// prefix pays that cost on every execution forever (its key never enters
+// the cache, so the contains() pre-check never short-circuits).
 func (pc *prefixCache) admissible(branchesByTx [][]evm.BranchEvent) bool {
 	total := 0
 	for _, b := range branchesByTx {
@@ -196,7 +193,7 @@ func (pc *prefixCache) admissible(branchesByTx [][]evm.BranchEvent) bool {
 
 // storeKeyed records a checkpoint for a pre-computed prefix hash. The first
 // writer of a key wins; a full cache evicts its oldest entry.
-func (pc *prefixCache) storeKeyed(key uint64, n int, st *state.State, taint map[evm.StorageKey]evm.Taint, branchesByTx [][]evm.BranchEvent, reports []txReport, nestedDepth int) {
+func (pc *prefixCache) storeKeyed(key uint64, n int, st *state.State, branchesByTx [][]evm.BranchEvent, reports []txReport) {
 	if pc == nil || n < 1 || !pc.admissible(branchesByTx) {
 		return
 	}
@@ -214,10 +211,8 @@ func (pc *prefixCache) storeKeyed(key uint64, n int, st *state.State, taint map[
 	pc.entries[key] = &prefixEntry{
 		txs:          n,
 		st:           st,
-		taint:        taint,
 		branchesByTx: append([][]evm.BranchEvent(nil), branchesByTx...),
 		reports:      append([]txReport(nil), reports...),
-		nestedDepth:  nestedDepth,
 	}
 	pc.order = append(pc.order, key)
 	pc.stores++

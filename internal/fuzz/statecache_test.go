@@ -1,9 +1,12 @@
 package fuzz
 
 import (
+	"reflect"
 	"testing"
 
 	"mufuzz/internal/corpus"
+	"mufuzz/internal/evm"
+	"mufuzz/internal/minisol"
 	"mufuzz/internal/state"
 	"mufuzz/internal/u256"
 )
@@ -39,7 +42,7 @@ func TestHashPrefixDistinguishesSequences(t *testing.T) {
 func TestPrefixCacheFIFOEviction(t *testing.T) {
 	pc := newPrefixCache(2)
 	for _, k := range []uint64{3, 19, 35} {
-		pc.storeKeyed(k, 1, nil, nil, nil, nil, 0)
+		pc.storeKeyed(k, 1, nil, nil, nil)
 	}
 	if pc.len() != 2 {
 		t.Errorf("cache size = %d, want 2 (FIFO eviction)", pc.len())
@@ -50,7 +53,7 @@ func TestPrefixCacheFIFOEviction(t *testing.T) {
 	if !pc.contains(19) || !pc.contains(35) {
 		t.Error("newer entries must remain")
 	}
-	pc.storeKeyed(4, 1, nil, nil, nil, nil, 0) // evicts 19
+	pc.storeKeyed(4, 1, nil, nil, nil) // evicts 19
 	if pc.contains(19) || !pc.contains(35) || !pc.contains(4) {
 		t.Error("FIFO should have evicted the second-oldest entry only")
 	}
@@ -65,7 +68,7 @@ func TestPrefixCacheCollisionKeying(t *testing.T) {
 	// entry that checkpoints only 1 transaction.
 	collided := hashPrefix(seq, 2)
 	pc := newPrefixCache(8)
-	pc.storeKeyed(collided, 1, state.New(), nil, nil, nil, 0)
+	pc.storeKeyed(collided, 1, state.New(), nil, nil)
 	if e := pc.lookup(seq); e != nil {
 		t.Errorf("lookup served a collided entry (txs=%d) for a 2-tx prefix", e.txs)
 	}
@@ -74,7 +77,7 @@ func TestPrefixCacheCollisionKeying(t *testing.T) {
 		t.Errorf("stats = %d/%d, want 0 hits / 1 miss", hits, misses)
 	}
 	// A correctly keyed entry is served.
-	pc.storeKeyed(hashPrefix(seq, 2), 2, state.New(), nil, nil, nil, 0)
+	pc.storeKeyed(hashPrefix(seq, 2), 2, state.New(), nil, nil)
 	// (same key — the collided entry occupies it, so lookup still rejects)
 	if pc.contains(collided) && pc.lookup(seq) != nil {
 		t.Error("occupied colliding key must stay rejected, not overwritten")
@@ -86,7 +89,7 @@ func TestNilPrefixCacheSafe(t *testing.T) {
 	if pc.lookup(Sequence{{Func: "x"}, {Func: "y"}}) != nil {
 		t.Error("nil cache lookup must miss")
 	}
-	pc.storeKeyed(1, 1, nil, nil, nil, nil, 0) // must not panic
+	pc.storeKeyed(1, 1, nil, nil, nil) // must not panic
 	if pc.contains(1) {
 		t.Error("nil cache contains nothing")
 	}
@@ -219,5 +222,45 @@ func TestRunWithoutSeedTableStoresNothing(t *testing.T) {
 	}
 	if n := c.prefixes.len(); n != 0 {
 		t.Errorf("runs without a seed table stored %d checkpoints", n)
+	}
+}
+
+// stampSrc stores block.timestamp in one transaction and branches on the
+// stored value in another, so the branch's timestamp sink needs the taint
+// the first left in storage.
+const stampSrc = `contract Stamp {
+	uint256 t;
+	function stamp() public { t = block.timestamp; }
+	function check() public { if (t > 5) { t = 1; } }
+}`
+
+// TestResumedChildRecordsGenesisSinks pins that a checkpoint carries storage
+// taint: a child resumed from the checkpoint after a TIMESTAMP-storing
+// transaction records the same sinks and oracle reports as its replay from
+// genesis, a timestamp sink among them.
+func TestResumedChildRecordsGenesisSinks(t *testing.T) {
+	c := NewCampaign(mustCompile(t, stampSrc), Options{Strategy: MuFuzz(), Seed: 1, Iterations: 1})
+	seq := Sequence{{Func: minisol.CtorName}, {Func: "stamp"}, {Func: "check"}}
+	table := prefixHashes(seq, nil)
+	c.exec.run(seq, table)
+	resumed := c.exec.run(seq, table)
+	if resumed.firstLive != 2 {
+		t.Fatalf("child resumed at %d, want at the checkpoint after stamp (2)", resumed.firstLive)
+	}
+	sinks := append([]evm.TaintSink(nil), c.exec.trace.Sinks...)
+	x := c.exec.detached()
+	genesis := x.run(seq, nil)
+	found := false
+	for _, s := range sinks {
+		found = found || s.Taint.Has(evm.TaintTimestamp)
+	}
+	if !found {
+		t.Fatalf("the resumed check recorded no timestamp sink: %v", sinks)
+	}
+	if !reflect.DeepEqual(sinks, x.trace.Sinks) {
+		t.Errorf("resumed check recorded sinks %v, its replay from genesis %v", sinks, x.trace.Sinks)
+	}
+	if !reflect.DeepEqual(resumed.reports, genesis.reports) {
+		t.Errorf("resumed run reports %v, replay from genesis %v", resumed.reports, genesis.reports)
 	}
 }

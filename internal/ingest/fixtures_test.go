@@ -15,7 +15,7 @@ import (
 
 const fixturesDir = "../../fixtures"
 
-func readFixture(t *testing.T, name string) (codeHex string, abiJSON []byte) {
+func readFixture(t testing.TB, name string) (codeHex string, abiJSON []byte) {
 	t.Helper()
 	bin, err := os.ReadFile(filepath.Join(fixturesDir, name+".bin"))
 	if err != nil {

@@ -142,11 +142,13 @@ func (tc *testContract) callOut(t testing.TB, from state.Address, value u256.Int
 }
 
 func (tc *testContract) slot(i uint64) u256.Int {
-	return tc.evm.State.GetStorage(tc.addr, u256.New(i))
+	v, _ := tc.evm.State.GetStorage(tc.addr, u256.New(i))
+	return v
 }
 
 func (tc *testContract) mapSlot(mapIdx uint64, key u256.Int) u256.Int {
-	return tc.evm.State.GetStorage(tc.addr, SlotOfMapping(u256.New(mapIdx), key))
+	v, _ := tc.evm.State.GetStorage(tc.addr, SlotOfMapping(u256.New(mapIdx), key))
+	return v
 }
 
 // --- Lexer tests ---

@@ -13,20 +13,26 @@ import (
 
 // dump renders a state's full observable content canonically: every account
 // in address order with balance, code, creator, destroyed flag, and sorted
-// storage. Two states with equal dumps are observationally identical.
+// storage, each slot as value/tag (zero-valued tagged slots included). Two
+// states with equal dumps are observationally identical.
 func dump(s *State) string {
 	var b strings.Builder
 	for _, addr := range s.Accounts() {
 		fmt.Fprintf(&b, "%s bal=%s code=%x creator=%s destroyed=%v storage{",
 			addr, s.Balance(addr), s.Code(addr), s.Creator(addr), s.Destroyed(addr))
-		st := s.StorageDump(addr)
-		keys := make([]u256.Int, 0, len(st))
+		st, tags := s.StorageDump(addr), s.StorageTags(addr)
+		keys := make([]u256.Int, 0, len(st)+len(tags))
 		for k := range st {
 			keys = append(keys, k)
 		}
+		for k := range tags {
+			if _, ok := st[k]; !ok {
+				keys = append(keys, k)
+			}
+		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i].Lt(keys[j]) })
 		for _, k := range keys {
-			fmt.Fprintf(&b, " %s=%s", k, st[k])
+			fmt.Fprintf(&b, " %s=%s/%d", k, st[k], tags[k])
 		}
 		b.WriteString(" }\n")
 	}
@@ -34,16 +40,18 @@ func dump(s *State) string {
 }
 
 // mutateRandomly applies one random state operation drawn from rng,
-// exercising every write path: storage writes (including zeroing), balance
-// writes, transfers, contract creation, destruction, and snapshot/revert.
+// exercising every write path: storage writes with and without tags
+// (including zeroing, which keeps a tagged slot), balance writes,
+// transfers, contract creation, destruction, and snapshot/revert (which
+// restores values and keeps tags).
 func mutateRandomly(s *State, rng *rand.Rand) {
 	addr := AddressFromUint(uint64(rng.Intn(6)))
 	other := AddressFromUint(uint64(rng.Intn(6)))
 	switch rng.Intn(8) {
 	case 0:
-		s.SetStorage(addr, u256.New(uint64(rng.Intn(8))), u256.New(rng.Uint64()))
+		s.SetStorage(addr, u256.New(uint64(rng.Intn(8))), u256.New(rng.Uint64()), uint16(rng.Intn(4)))
 	case 1:
-		s.SetStorage(addr, u256.New(uint64(rng.Intn(8))), u256.Zero) // slot delete
+		s.SetStorage(addr, u256.New(uint64(rng.Intn(8))), u256.Zero, uint16(rng.Intn(2))) // slot delete, or a tagged zero
 	case 2:
 		s.SetBalance(addr, u256.New(rng.Uint64()))
 	case 3:
@@ -56,7 +64,7 @@ func mutateRandomly(s *State, rng *rand.Rand) {
 		s.Destroy(addr, other)
 	case 7:
 		snap := s.Snapshot()
-		s.SetStorage(addr, u256.New(1), u256.New(rng.Uint64()))
+		s.SetStorage(addr, u256.New(1), u256.New(rng.Uint64()), uint16(rng.Intn(4)))
 		s.SetBalance(other, u256.New(rng.Uint64()))
 		if rng.Intn(2) == 0 {
 			s.RevertTo(snap)
@@ -74,7 +82,7 @@ func seedWorld(seed int64) *State {
 	c := AddressFromUint(5)
 	s.CreateContract(c, []byte{0x60, 0x00, 0x57}, AddressFromUint(0))
 	for slot := 0; slot < 6; slot++ {
-		s.SetStorage(c, u256.New(uint64(slot)), u256.New(rng.Uint64()))
+		s.SetStorage(c, u256.New(uint64(slot)), u256.New(rng.Uint64()), 0)
 	}
 	s.Commit()
 	return s
@@ -207,26 +215,26 @@ func TestForkOfForkChains(t *testing.T) {
 	a := AddressFromUint(5)
 
 	child := root.Fork()
-	child.SetStorage(a, u256.New(0), u256.New(111))
+	child.SetStorage(a, u256.New(0), u256.New(111), 0)
 	grand := child.Fork()
-	grand.SetStorage(a, u256.New(0), u256.New(222))
-	grandSlot1 := grand.GetStorage(a, u256.New(1))
+	grand.SetStorage(a, u256.New(0), u256.New(222), 0)
+	grandSlot1 := value(grand, a, u256.New(1))
 	great := grand.Fork()
-	great.SetStorage(a, u256.New(1), u256.New(333))
+	great.SetStorage(a, u256.New(1), u256.New(333), 0)
 
-	if v := child.GetStorage(a, u256.New(0)); !v.Eq(u256.New(111)) {
+	if v := value(child, a, u256.New(0)); !v.Eq(u256.New(111)) {
 		t.Errorf("child slot0 = %s, want 111", v)
 	}
-	if v := grand.GetStorage(a, u256.New(0)); !v.Eq(u256.New(222)) {
+	if v := value(grand, a, u256.New(0)); !v.Eq(u256.New(222)) {
 		t.Errorf("grand slot0 = %s, want 222", v)
 	}
-	if v := great.GetStorage(a, u256.New(0)); !v.Eq(u256.New(222)) {
+	if v := value(great, a, u256.New(0)); !v.Eq(u256.New(222)) {
 		t.Errorf("great inherits slot0 = %s, want 222", v)
 	}
-	if v := great.GetStorage(a, u256.New(1)); !v.Eq(u256.New(333)) {
+	if v := value(great, a, u256.New(1)); !v.Eq(u256.New(333)) {
 		t.Errorf("great slot1 = %s, want 333", v)
 	}
-	if v := grand.GetStorage(a, u256.New(1)); !v.Eq(grandSlot1) {
+	if v := value(grand, a, u256.New(1)); !v.Eq(grandSlot1) {
 		t.Errorf("great's write leaked up: slot1 = %s, want %s", v, grandSlot1)
 	}
 }
@@ -238,7 +246,7 @@ func TestForkRevertAcrossForkPoint(t *testing.T) {
 	s := seedWorld(3)
 	a := AddressFromUint(5)
 	snap := s.Snapshot()
-	s.SetStorage(a, u256.New(0), u256.New(42))
+	s.SetStorage(a, u256.New(0), u256.New(42), 0)
 	s.SetBalance(AddressFromUint(1), u256.New(42))
 
 	child := s.Fork()
@@ -248,7 +256,7 @@ func TestForkRevertAcrossForkPoint(t *testing.T) {
 	if got := dump(child); got != childBefore {
 		t.Fatalf("parent revert leaked into child\nbefore:\n%s\nafter:\n%s", childBefore, got)
 	}
-	if v := s.GetStorage(a, u256.New(0)); v.Eq(u256.New(42)) {
+	if v := value(s, a, u256.New(0)); v.Eq(u256.New(42)) {
 		t.Error("parent revert did not apply")
 	}
 }

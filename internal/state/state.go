@@ -18,11 +18,22 @@
 // it writes it after the fork. Copy remains the semantic specification — a
 // Fork must be observationally identical to a Copy — and the tests assert
 // the two stay in lockstep.
+//
+// # Storage tags
+//
+// Each storage slot holds a 16-bit tag next to its value: the EVM keeps its
+// taint bits there, so taint written to storage in one transaction reaches
+// the next (paper §IV-D), and a fork or copy carries it with the values.
+// The state stores tags and never interprets them. A revert restores a
+// slot's value but keeps its tag, and a zero-valued slot keeps its entry
+// while it holds a tag; StorageSize, StorageDump and AccountEqual see values
+// only.
 package state
 
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"sort"
 	"sync/atomic"
 
@@ -64,7 +75,7 @@ func (a Address) String() string {
 type Account struct {
 	Balance u256.Int
 	Code    []byte
-	Storage map[u256.Int]u256.Int
+	storage map[u256.Int]cell
 	// Creator is the address that deployed the account's code. Oracles use
 	// it to decide whether a caller is the legitimate owner (e.g. the US and
 	// UD oracles, paper §IV-D).
@@ -76,11 +87,17 @@ type Account struct {
 	// whose generation matches may mutate it in place. After a Fork no live
 	// state matches, so the first writer clones the account privately.
 	gen uint64
-	// storageOwned marks Storage as exclusively owned by this struct. A
+	// storageOwned marks storage as exclusively owned by this struct. A
 	// cloned account initially shares its parent's storage map; the first
 	// storage write copies it (storage-level copy-on-write, so balance-only
 	// writes — value transfers — never pay for a storage copy).
 	storageOwned bool
+}
+
+// cell is one storage slot: its value and its tag.
+type cell struct {
+	val u256.Int
+	tag uint16
 }
 
 // cloneFor returns a private shallow clone owned by generation g. The clone
@@ -236,7 +253,7 @@ func (s *State) mutableOrCreate(addr Address) *Account {
 	i := s.findIdx(addr)
 	if i < 0 {
 		acc := &Account{
-			Storage:      make(map[u256.Int]u256.Int),
+			storage:      make(map[u256.Int]cell),
 			gen:          s.gen.Load(),
 			storageOwned: true,
 		}
@@ -252,18 +269,24 @@ func (s *State) mutableOrCreate(addr Address) *Account {
 	return acc
 }
 
-// ownedStorage returns acc.Storage guaranteed private to acc, copying a
+// ownedStorage returns acc.storage guaranteed private to acc, copying a
 // shared map on first storage write after a fork.
-func (s *State) ownedStorage(acc *Account) map[u256.Int]u256.Int {
+func (s *State) ownedStorage(acc *Account) map[u256.Int]cell {
 	if !acc.storageOwned {
-		ns := make(map[u256.Int]u256.Int, len(acc.Storage))
-		for k, v := range acc.Storage {
-			ns[k] = v
-		}
-		acc.Storage = ns
+		acc.storage = maps.Clone(acc.storage)
 		acc.storageOwned = true
 	}
-	return acc.Storage
+	return acc.storage
+}
+
+// setCell stores c at key in st, dropping the entry once it holds neither a
+// value nor a tag.
+func setCell(st map[u256.Int]cell, key u256.Int, c cell) {
+	if c == (cell{}) {
+		delete(st, key)
+	} else {
+		st[key] = c
+	}
 }
 
 // Exists reports whether an account is present.
@@ -294,25 +317,21 @@ func (s *State) Creator(addr Address) Address {
 	return Address{}
 }
 
-// GetStorage reads a storage slot (zero for absent slots).
-func (s *State) GetStorage(addr Address, slot u256.Int) u256.Int {
+// GetStorage reads a storage slot's value and tag (zero for absent slots).
+func (s *State) GetStorage(addr Address, slot u256.Int) (u256.Int, uint16) {
 	if acc := s.find(addr); acc != nil {
-		return acc.Storage[slot]
+		c := acc.storage[slot]
+		return c.val, c.tag
 	}
-	return u256.Zero
+	return u256.Zero, 0
 }
 
-// SetStorage writes a storage slot, journaling the previous value.
-func (s *State) SetStorage(addr Address, slot, val u256.Int) {
+// SetStorage writes a storage slot's value and tag, journaling the previous
+// value. The tag is not journaled: a revert keeps it.
+func (s *State) SetStorage(addr Address, slot, val u256.Int, tag uint16) {
 	acc := s.mutableOrCreate(addr)
-	prev := acc.Storage[slot]
-	s.journal = append(s.journal, journalEntry{kind: jStorage, addr: addr, slot: slot, prevVal: prev})
-	st := s.ownedStorage(acc)
-	if val.IsZero() {
-		delete(st, slot)
-	} else {
-		st[slot] = val
-	}
+	s.journal = append(s.journal, journalEntry{kind: jStorage, addr: addr, slot: slot, prevVal: acc.storage[slot].val})
+	setCell(s.ownedStorage(acc), slot, cell{val: val, tag: tag})
 }
 
 // Balance returns the balance of addr.
@@ -386,13 +405,10 @@ func (s *State) RevertTo(snap int) {
 		e := s.journal[i]
 		switch e.kind {
 		case jStorage:
-			acc := s.mutableAt(e.addr)
-			st := s.ownedStorage(acc)
-			if e.prevVal.IsZero() {
-				delete(st, e.slot)
-			} else {
-				st[e.slot] = e.prevVal
-			}
+			st := s.ownedStorage(s.mutableAt(e.addr))
+			c := st[e.slot]
+			c.val = e.prevVal
+			setCell(st, e.slot, c)
 		case jBalance:
 			s.mutableAt(e.addr).Balance = e.prevBal
 		case jCreate:
@@ -425,15 +441,13 @@ func (s *State) Copy() *State {
 		na := &Account{
 			Balance:      acc.Balance,
 			Code:         append([]byte(nil), acc.Code...),
-			Storage:      make(map[u256.Int]u256.Int, len(acc.Storage)),
+			storage:      make(map[u256.Int]cell, len(acc.storage)),
 			Creator:      acc.Creator,
 			Destroyed:    acc.Destroyed,
 			gen:          g,
 			storageOwned: true,
 		}
-		for k, v := range acc.Storage {
-			na.Storage[k] = v
-		}
+		maps.Copy(na.storage, acc.storage)
 		ns.accounts = append(ns.accounts, accountSlot{tag: slot.tag, addr: slot.addr, acc: na})
 	}
 	return ns
@@ -458,10 +472,7 @@ func (s *State) Accounts() []Address {
 
 // StorageSize returns the number of non-zero slots at addr.
 func (s *State) StorageSize(addr Address) int {
-	if acc := s.find(addr); acc != nil {
-		return len(acc.Storage)
-	}
-	return 0
+	return len(s.StorageDump(addr))
 }
 
 // StorageDump returns a copy of every non-zero storage slot at addr, for
@@ -471,9 +482,27 @@ func (s *State) StorageDump(addr Address) map[u256.Int]u256.Int {
 	if acc == nil {
 		return nil
 	}
-	out := make(map[u256.Int]u256.Int, len(acc.Storage))
-	for k, v := range acc.Storage {
-		out[k] = v
+	out := make(map[u256.Int]u256.Int, len(acc.storage))
+	for k, c := range acc.storage {
+		if !c.val.IsZero() {
+			out[k] = c.val
+		}
+	}
+	return out
+}
+
+// StorageTags returns every nonzero storage tag at addr, zero-valued slots
+// included, for state-equality checks in tests.
+func (s *State) StorageTags(addr Address) map[u256.Int]uint16 {
+	acc := s.find(addr)
+	if acc == nil {
+		return nil
+	}
+	out := make(map[u256.Int]uint16)
+	for k, c := range acc.storage {
+		if c.tag != 0 {
+			out[k] = c.tag
+		}
 	}
 	return out
 }
@@ -484,7 +513,7 @@ func (s *State) StorageDump(addr Address) map[u256.Int]u256.Int {
 // replays of one schedule (attacker present vs absent) are compared account
 // by account, and any difference witnesses that the reentrant interleaving
 // changed the outcome. Zero-valued slots and missing accounts compare equal,
-// matching EVM semantics.
+// matching EVM semantics, and tags are not compared.
 func (s *State) AccountEqual(o *State, addr Address) bool {
 	if !s.Balance(addr).Eq(o.Balance(addr)) {
 		return false
@@ -493,20 +522,20 @@ func (s *State) AccountEqual(o *State, addr Address) bool {
 		return false
 	}
 	sa, oa := s.find(addr), o.find(addr)
-	var sst, ost map[u256.Int]u256.Int
+	var sst, ost map[u256.Int]cell
 	if sa != nil {
-		sst = sa.Storage
+		sst = sa.storage
 	}
 	if oa != nil {
-		ost = oa.Storage
+		ost = oa.storage
 	}
-	for k, v := range sst {
-		if !ost[k].Eq(v) {
+	for k, c := range sst {
+		if !ost[k].val.Eq(c.val) {
 			return false
 		}
 	}
-	for k, v := range ost {
-		if !sst[k].Eq(v) {
+	for k, c := range ost {
+		if !sst[k].val.Eq(c.val) {
 			return false
 		}
 	}

@@ -34,14 +34,14 @@ func TestAccountsSharingATagStayApart(t *testing.T) {
 	s.Commit()
 	snap := s.Snapshot()
 	s.SetBalance(c, u256.New(3))
-	s.SetStorage(b, u256.One, u256.New(9))
+	s.SetStorage(b, u256.One, u256.New(9), 0)
 	for _, st := range []*State{s, s.Fork(), s.Copy()} {
 		for addr, want := range map[Address]uint64{a: 1, b: 2, c: 3} {
 			if got := st.Balance(addr); !got.Eq(u256.New(want)) {
 				t.Errorf("balance of %s = %s, want %d", addr, got, want)
 			}
 		}
-		if st.StorageSize(a) != 0 || st.StorageSize(c) != 0 || !st.GetStorage(b, u256.One).Eq(u256.New(9)) {
+		if st.StorageSize(a) != 0 || st.StorageSize(c) != 0 || !value(st, b, u256.One).Eq(u256.New(9)) {
 			t.Errorf("storage write to %s leaked to an account sharing its tag", b)
 		}
 	}
@@ -54,18 +54,68 @@ func TestAccountsSharingATagStayApart(t *testing.T) {
 	}
 }
 
+// value reads a storage slot's value alone.
+func value(s *State, addr Address, slot u256.Int) u256.Int {
+	v, _ := s.GetStorage(addr, slot)
+	return v
+}
+
+// TestStorageTags pins the tag rules: a write stores value and tag
+// together, a revert restores the value and keeps the tag, a zero-valued
+// slot keeps its entry while it holds a tag and drops it once it holds
+// none, and such a slot is invisible to StorageSize, StorageDump and
+// AccountEqual, in the state and in its forks and copies.
+func TestStorageTags(t *testing.T) {
+	a := AddressFromUint(1)
+	k, k2 := u256.New(3), u256.New(4)
+	s := New()
+	s.SetStorage(a, k, u256.New(7), 2)
+	snap := s.Snapshot()
+	s.SetStorage(a, k, u256.New(9), 5)
+	s.RevertTo(snap)
+	if v, tag := s.GetStorage(a, k); !v.Eq(u256.New(7)) || tag != 5 {
+		t.Errorf("after revert: value %s tag %d, want 7 and the reverted write's tag 5", v, tag)
+	}
+
+	ref := New()
+	ref.SetBalance(a, u256.Zero)
+	z := New()
+	z.SetStorage(a, k, u256.Zero, 1)
+	snap = z.Snapshot()
+	z.SetStorage(a, k2, u256.New(8), 6)
+	z.RevertTo(snap)
+	for i, st := range []*State{z, z.Fork(), z.Copy()} {
+		if v, tag := st.GetStorage(a, k); !v.IsZero() || tag != 1 {
+			t.Errorf("state %d: zero write: value %s tag %d, want 0 and 1", i, v, tag)
+		}
+		if v, tag := st.GetStorage(a, k2); !v.IsZero() || tag != 6 {
+			t.Errorf("state %d: reverted write: value %s tag %d, want 0 and 6", i, v, tag)
+		}
+		if len(st.StorageTags(a)) != 2 {
+			t.Errorf("state %d: tags %v, want both zero-valued slots", i, st.StorageTags(a))
+		}
+		if st.StorageSize(a) != 0 || len(st.StorageDump(a)) != 0 || !st.AccountEqual(ref, a) || !ref.AccountEqual(st, a) {
+			t.Errorf("state %d: a zero-valued tagged slot is visible: size %d dump %v", i, st.StorageSize(a), st.StorageDump(a))
+		}
+	}
+	z.SetStorage(a, k, u256.Zero, 0)
+	if tags := z.StorageTags(a); len(tags) != 1 || tags[k2] != 6 {
+		t.Errorf("tags after an untagged zero write %v, want only slot 4", tags)
+	}
+}
+
 func TestStorageReadWrite(t *testing.T) {
 	s := New()
 	addr := AddressFromUint(1)
 	slot := u256.New(42)
-	if !s.GetStorage(addr, slot).IsZero() {
+	if !value(s, addr, slot).IsZero() {
 		t.Error("absent slot should read zero")
 	}
-	s.SetStorage(addr, slot, u256.New(7))
-	if !s.GetStorage(addr, slot).Eq(u256.New(7)) {
+	s.SetStorage(addr, slot, u256.New(7), 0)
+	if !value(s, addr, slot).Eq(u256.New(7)) {
 		t.Error("storage write lost")
 	}
-	s.SetStorage(addr, slot, u256.Zero)
+	s.SetStorage(addr, slot, u256.Zero, 0)
 	if s.StorageSize(addr) != 0 {
 		t.Error("zero write should delete slot")
 	}
@@ -76,12 +126,12 @@ func TestSnapshotRevert(t *testing.T) {
 	a := AddressFromUint(1)
 	b := AddressFromUint(2)
 	s.SetBalance(a, u256.New(100))
-	s.SetStorage(a, u256.New(1), u256.New(11))
+	s.SetStorage(a, u256.New(1), u256.New(11), 0)
 	s.Commit()
 
 	snap := s.Snapshot()
-	s.SetStorage(a, u256.New(1), u256.New(22))
-	s.SetStorage(a, u256.New(2), u256.New(33))
+	s.SetStorage(a, u256.New(1), u256.New(22), 0)
+	s.SetStorage(a, u256.New(2), u256.New(33), 0)
 	s.SetBalance(b, u256.New(5))
 	s.Transfer(a, b, u256.New(50))
 	if !s.Balance(b).Eq(u256.New(55)) {
@@ -89,10 +139,10 @@ func TestSnapshotRevert(t *testing.T) {
 	}
 	s.RevertTo(snap)
 
-	if !s.GetStorage(a, u256.New(1)).Eq(u256.New(11)) {
+	if !value(s, a, u256.New(1)).Eq(u256.New(11)) {
 		t.Error("slot 1 not reverted")
 	}
-	if !s.GetStorage(a, u256.New(2)).IsZero() {
+	if !value(s, a, u256.New(2)).IsZero() {
 		t.Error("slot 2 not reverted")
 	}
 	if !s.Balance(a).Eq(u256.New(100)) {
@@ -106,17 +156,17 @@ func TestSnapshotRevert(t *testing.T) {
 func TestNestedSnapshots(t *testing.T) {
 	s := New()
 	a := AddressFromUint(1)
-	s.SetStorage(a, u256.New(0), u256.New(1))
+	s.SetStorage(a, u256.New(0), u256.New(1), 0)
 	outer := s.Snapshot()
-	s.SetStorage(a, u256.New(0), u256.New(2))
+	s.SetStorage(a, u256.New(0), u256.New(2), 0)
 	inner := s.Snapshot()
-	s.SetStorage(a, u256.New(0), u256.New(3))
+	s.SetStorage(a, u256.New(0), u256.New(3), 0)
 	s.RevertTo(inner)
-	if !s.GetStorage(a, u256.New(0)).Eq(u256.New(2)) {
+	if !value(s, a, u256.New(0)).Eq(u256.New(2)) {
 		t.Error("inner revert wrong")
 	}
 	s.RevertTo(outer)
-	if !s.GetStorage(a, u256.New(0)).Eq(u256.New(1)) {
+	if !value(s, a, u256.New(0)).Eq(u256.New(1)) {
 		t.Error("outer revert wrong")
 	}
 }
@@ -184,15 +234,15 @@ func TestCopyIsDeep(t *testing.T) {
 	s := New()
 	a := AddressFromUint(1)
 	s.CreateContract(a, []byte{1, 2, 3}, AddressFromUint(0))
-	s.SetStorage(a, u256.New(1), u256.New(9))
+	s.SetStorage(a, u256.New(1), u256.New(9), 0)
 	s.SetBalance(a, u256.New(4))
 
 	cp := s.Copy()
-	cp.SetStorage(a, u256.New(1), u256.New(100))
+	cp.SetStorage(a, u256.New(1), u256.New(100), 0)
 	cp.SetBalance(a, u256.New(200))
 	cp.Code(a)[0] = 0xff
 
-	if !s.GetStorage(a, u256.New(1)).Eq(u256.New(9)) {
+	if !value(s, a, u256.New(1)).Eq(u256.New(9)) {
 		t.Error("copy shares storage")
 	}
 	if !s.Balance(a).Eq(u256.New(4)) {
@@ -231,10 +281,10 @@ func TestRevertRestoresProperty(t *testing.T) {
 		s := New()
 		a := AddressFromUint(1)
 		s.SetBalance(a, u256.New(1000))
-		s.SetStorage(a, u256.New(0), u256.New(5))
+		s.SetStorage(a, u256.New(0), u256.New(5), 0)
 		s.Commit()
 		beforeBal := s.Balance(a)
-		beforeSlot := s.GetStorage(a, u256.New(0))
+		beforeSlot := value(s, a, u256.New(0))
 
 		snap := s.Snapshot()
 		for i, op := range ops {
@@ -244,7 +294,7 @@ func TestRevertRestoresProperty(t *testing.T) {
 			}
 			switch op % 4 {
 			case 0:
-				s.SetStorage(a, u256.New(uint64(op%3)), v)
+				s.SetStorage(a, u256.New(uint64(op%3)), v, 0)
 			case 1:
 				s.SetBalance(a, v)
 			case 2:
@@ -255,7 +305,7 @@ func TestRevertRestoresProperty(t *testing.T) {
 		}
 		s.RevertTo(snap)
 		return s.Balance(a).Eq(beforeBal) &&
-			s.GetStorage(a, u256.New(0)).Eq(beforeSlot) &&
+			value(s, a, u256.New(0)).Eq(beforeSlot) &&
 			!s.Destroyed(a)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -280,7 +330,7 @@ func BenchmarkSnapshotRevert(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		snap := s.Snapshot()
 		for j := 0; j < 16; j++ {
-			s.SetStorage(a, u256.New(uint64(j)), u256.New(uint64(i)))
+			s.SetStorage(a, u256.New(uint64(j)), u256.New(uint64(i)), 0)
 		}
 		s.RevertTo(snap)
 	}
