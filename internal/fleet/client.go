@@ -18,12 +18,12 @@ import (
 )
 
 // Client is the worker-side (and operator-side) HTTP client for a fleet
-// coordinator. Every call sends Content-Type: application/json, carries a
-// per-attempt timeout, and retries transient failures — network errors and
-// 5xx — with exponential backoff plus jitter. Back-pressure responses (429
-// and empty lease polls) honor the coordinator's Retry-After hint.
-// Protocol refusals (4xx other than 429) are never retried: they are
-// answers, not failures.
+// coordinator. Every call sends a JSON body, except a commit, which sends a
+// commitContentType body. Every call carries a per-attempt timeout, and
+// retries transient failures — network errors and 5xx — with exponential
+// backoff plus jitter. Back-pressure responses (429 and empty lease polls)
+// honor the coordinator's Retry-After hint. Protocol refusals (4xx other
+// than 429) are never retried: they are answers, not failures.
 type Client struct {
 	base string
 	http *http.Client
@@ -115,6 +115,11 @@ func (c *Client) doN(ctx context.Context, attempts int, method, path string, in,
 			return fmt.Errorf("fleet client: encode: %w", err)
 		}
 	}
+	return c.send(ctx, attempts, method, path, "application/json", body, out)
+}
+
+// send runs one request with an encoded body under the retry policy.
+func (c *Client) send(ctx context.Context, attempts int, method, path, contentType string, body []byte, out any) error {
 	var lastErr error
 	var wait time.Duration
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -127,7 +132,7 @@ func (c *Client) doN(ctx context.Context, attempts int, method, path string, in,
 		if err != nil {
 			return fmt.Errorf("fleet client: %w", err)
 		}
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 		req.Header.Set("Accept", "application/json")
 		resp, err := c.http.Do(req)
 		if err != nil {
@@ -243,12 +248,17 @@ func (c *Client) Heartbeat(ctx context.Context, leaseID string) error {
 	return unwrapGiveUp(c.do(ctx, http.MethodPost, "/v1/fleet/leases/"+leaseID+"/heartbeat", LeaseRequest{}, nil))
 }
 
-// Complete commits a finished slice. Safe to retry: commits are
-// idempotent on the coordinator. A stale lease returns the coordinator's
-// 409 refusal.
+// Complete commits a finished slice as a commitContentType body, and with
+// req.Next set brings back the next lease in the same round trip. Safe to
+// retry: commits are idempotent on the coordinator. A stale lease returns
+// the coordinator's 409 refusal.
 func (c *Client) Complete(ctx context.Context, leaseID string, req CompleteRequest) (CompleteResponse, error) {
+	body, err := encodeCommit(req)
+	if err != nil {
+		return CompleteResponse{}, fmt.Errorf("fleet client: encode: %w", err)
+	}
 	var resp CompleteResponse
-	err := c.do(ctx, http.MethodPost, "/v1/fleet/leases/"+leaseID+"/complete", req, &resp)
+	err = c.send(ctx, maxAttempts, http.MethodPost, "/v1/fleet/leases/"+leaseID+"/complete", commitContentType, body, &resp)
 	return resp, unwrapGiveUp(err)
 }
 

@@ -87,14 +87,15 @@ type campaign struct {
 	snapshot []byte
 	// chunks is the committed transcript prefix as the raw encoded record
 	// chunks, in commit order — spliced verbatim into the assembled
-	// transcript, never re-encoded. lastIndex is the index of the last
-	// committed record, for chunk-continuity validation.
+	// transcript, never re-encoded, and dropped once it is assembled.
+	// lastIndex is the index of the last committed record, for
+	// chunk-continuity validation.
 	chunks    [][]byte
 	lastIndex int
 
 	// lastLeaseID / lastResp make commits idempotent: a retried commit of
 	// the just-committed lease is acknowledged from here without
-	// reapplying.
+	// reapplying, renewal lease included.
 	lastLeaseID string
 	lastResp    CompleteResponse
 
@@ -246,7 +247,12 @@ func (co *Coordinator) Acquire(req LeaseRequest) (*Lease, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	co.expireLocked(now)
+	return co.acquireLocked(now, req), nil
+}
 
+// acquireLocked is the one grant rule, shared by Acquire and by commits
+// that ask for their next lease. The caller has expired overdue leases.
+func (co *Coordinator) acquireLocked(now time.Time, req LeaseRequest) *Lease {
 	var best *campaign
 	var bestTenant *tenantState
 	for _, id := range co.order {
@@ -263,7 +269,7 @@ func (co *Coordinator) Acquire(req LeaseRequest) (*Lease, error) {
 		}
 	}
 	if best == nil {
-		return nil, nil
+		return nil
 	}
 
 	co.nextLease++
@@ -301,7 +307,7 @@ func (co *Coordinator) Acquire(req LeaseRequest) (*Lease, error) {
 		out.Snapshot = nil
 		out.SnapshotElided = true
 	}
-	return out, nil
+	return out
 }
 
 // Heartbeat extends a lease's TTL. Unknown leases (expired, committed, or
@@ -321,16 +327,20 @@ func (co *Coordinator) Heartbeat(leaseID string) (time.Duration, bool) {
 
 // Complete commits one finished slice under a lease. Commits are
 // idempotent (a retry of the last committed lease acknowledges without
-// reapplying) and stale commits — an expired lease whose slice was
-// re-granted — are refused with errStale so the worker discards its work.
+// reapplying, and answers with the same next lease) and stale commits — an
+// expired lease whose slice was re-granted — are refused with errStale so
+// the worker discards its work. A commit whose Next is set also renews: the
+// response carries the lease an Acquire with Next would get right after the
+// commit, granted under the same lock. A refused commit grants nothing.
 func (co *Coordinator) Complete(leaseID string, req CompleteRequest) (CompleteResponse, error) {
 	now := time.Now()
 	co.mu.Lock()
 	resp, done, err := co.completeLocked(now, leaseID, req)
 	co.mu.Unlock()
 	// The finished transcript goes to the store only after co.mu is
-	// released, so no lease, heartbeat or commit waits for its fsync;
-	// Transcript serves it from memory meanwhile.
+	// released, so no other lease, heartbeat or commit waits for its fsync;
+	// the finishing commit's own response does. Transcript serves it from
+	// memory meanwhile.
 	if done != nil && len(done.transcript) > 0 && co.cfg.Store != nil {
 		_ = co.cfg.Store.Put(store.KindTranscript, done.bucket, done.id, done.transcript)
 	}
@@ -410,6 +420,9 @@ func (co *Coordinator) completeLocked(now time.Time, leaseID string, req Complet
 		c.state = stateQueued
 		st.State = stateQueued
 	}
+	if req.Next != nil {
+		resp.Lease = co.acquireLocked(now, *req.Next)
+	}
 	c.lastLeaseID = leaseID
 	c.lastResp = resp
 	return resp, done, nil
@@ -426,10 +439,13 @@ type errBadSeed struct{ error }
 // assembleTranscriptLocked builds the campaign's conformance transcript
 // from the committed record chain — the byte-identical-migration proof.
 // The options line is the one resolved at submit, exactly as a single-node
-// recording of the canonical spec derives it.
+// recording of the canonical spec derives it. The chunks are dropped
+// either way: the transcript, once assembled, holds their bytes.
 func (co *Coordinator) assembleTranscriptLocked(c *campaign, final *conformance.Summary) {
 	var buf bytes.Buffer
-	if err := conformance.EncodeAssembled(&buf, c.status.Name, c.opts, c.chunks, *final); err != nil {
+	err := conformance.EncodeAssembled(&buf, c.status.Name, c.opts, c.chunks, *final)
+	c.chunks = nil
+	if err != nil {
 		c.state = stateFailed
 		c.status.State = stateFailed
 		c.status.Error = fmt.Sprintf("assemble transcript: %v", err)

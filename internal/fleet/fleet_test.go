@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"mufuzz/internal/conformance"
 	"mufuzz/internal/fuzz"
 	"mufuzz/internal/service"
 	"mufuzz/internal/store"
@@ -36,9 +38,9 @@ func referenceTranscript(t *testing.T, spec service.CampaignSpec, defaultIters i
 
 // TestFleetMigrationEquivalence is the subsystem's cardinal property: a
 // campaign executed as leased slices across two workers — including a
-// lease granted to a worker that dies mid-slice and lapses — produces a
-// conformance transcript byte-identical to an uninterrupted single-node
-// run of the same spec.
+// lease held by a worker that dies before running it, which lapses —
+// produces a conformance transcript byte-identical to an uninterrupted
+// single-node run of the same spec.
 func TestFleetMigrationEquivalence(t *testing.T) {
 	// The live workers hold a TTL no slice outlasts, even race-instrumented
 	// on a loaded host; only the doomed lease gets the short one.
@@ -64,9 +66,17 @@ func TestFleetMigrationEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Worker one executes the first two slices normally.
+	// Worker one executes the first two slices normally. Its first commit
+	// renews the lease for the second slice; the second commit renews one
+	// for the third under the short TTL, and worker one dies holding it:
+	// the lease is never run, heartbeat or committed, so it lapses after
+	// the TTL and the same slice is re-granted from the last committed
+	// snapshot.
 	w1 := NewWorker("w1", client)
 	for i := 0; i < 2; i++ {
+		if i == 1 {
+			setTTL(doomedTTL)
+		}
 		ran, err := w1.RunOne(ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -75,6 +85,7 @@ func TestFleetMigrationEquivalence(t *testing.T) {
 			t.Fatalf("slice %d: no lease granted", i)
 		}
 	}
+	setTTL(liveTTL)
 	mid, err := client.Status(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -82,28 +93,21 @@ func TestFleetMigrationEquivalence(t *testing.T) {
 	if mid.State == stateDone {
 		t.Fatalf("campaign finished in 2 slices; budget too small to exercise migration")
 	}
-
-	// A third worker takes the next lease and dies mid-slice: the lease
-	// is never heartbeat or committed, so it lapses after the TTL and the
-	// same slice is re-granted from the last committed snapshot.
-	setTTL(doomedTTL)
-	dead, err := client.Acquire(ctx, LeaseRequest{Worker: "doomed"})
-	setTTL(liveTTL)
-	if err != nil {
-		t.Fatal(err)
+	dead := w1.held
+	if dead == nil || dead.Seq != 2 || !dead.SnapshotElided {
+		t.Fatalf("worker one holds %+v, want the renewed, snapshot-elided lease for slice 2", dead)
 	}
-	if dead == nil {
-		t.Fatal("no lease for the doomed worker")
-	}
+	committed := w1.warm.snapshot
 	time.Sleep(doomedTTL + 20*time.Millisecond)
 
 	// Worker two drives the campaign to completion, starting with the
-	// re-granted slice: the same slice number the doomed worker held.
+	// re-granted slice: the same slice number the dead worker held, with
+	// the snapshot worker one last committed.
 	w2 := NewWorker("w2", client)
 	if regrant, err := client.Acquire(ctx, LeaseRequest{Worker: "w2"}); err != nil || regrant == nil {
 		t.Fatalf("lapsed lease not re-granted: %v %v", regrant, err)
-	} else if regrant.Seq != dead.Seq || !bytes.Equal(regrant.Snapshot, dead.Snapshot) {
-		t.Fatalf("re-grant is slice %d, want the lapsed slice %d from the same snapshot", regrant.Seq, dead.Seq)
+	} else if regrant.Seq != dead.Seq || regrant.SnapshotElided || !bytes.Equal(regrant.Snapshot, committed) {
+		t.Fatalf("re-grant is slice %d, want the lapsed slice %d from the last committed snapshot", regrant.Seq, dead.Seq)
 	} else if err := w2.runLease(ctx, regrant); err != nil {
 		t.Fatal(err)
 	}
@@ -400,5 +404,146 @@ func TestFleetPollination(t *testing.T) {
 		} else if !ran {
 			time.Sleep(10 * time.Millisecond)
 		}
+	}
+}
+
+// TestFleetCommitRenewsLease pins renewal on commit: the lease a commit's
+// Next brings back equals the grant an Acquire with the same request gets
+// right after the same commit. Two coordinators see the same calls, one
+// renewing in the commit and one acquiring after it. That is the same
+// campaign with its snapshot elided for a warm worker, the next campaign by
+// fair share after a done commit, and none when idle. A duplicate commit
+// answers with the same lease; a stale or malformed commit grants none and
+// leaves the tenant's in-flight count as it was.
+func TestFleetCommitRenewsLease(t *testing.T) {
+	newCo := func() *Coordinator {
+		co := NewCoordinator(CoordinatorConfig{})
+		for _, tenant := range []string{"acme", "acme", "umbrella", "umbrella"} {
+			spec := service.CampaignSpec{Example: "crowdsale", Seed: 3}
+			if _, err := co.Submit(SubmitRequest{Tenant: tenant, Spec: spec, NoTranscript: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return co
+	}
+	renewing, acquiring := newCo(), newCo()
+	acquire := func(worker string) *Lease {
+		t.Helper()
+		got, err := renewing.Acquire(LeaseRequest{Worker: worker})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := acquiring.Acquire(LeaseRequest{Worker: worker})
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("the coordinators diverged: %+v, %+v %v", got, want, err)
+		}
+		return got
+	}
+	mid := CompleteRequest{Worker: "w", Snapshot: []byte("opaque-snapshot")}
+	final := CompleteRequest{Worker: "w", Done: true, Final: &conformance.Summary{}}
+	// commit commits lease on both coordinators and checks the renewal
+	// against the Acquire.
+	commit := func(l *Lease, req CompleteRequest, next LeaseRequest) *Lease {
+		t.Helper()
+		req.Next = &next
+		got, err := renewing.Complete(l.ID, req)
+		if err != nil || !got.Committed {
+			t.Fatalf("commit %s: %+v %v", l.ID, got, err)
+		}
+		req.Next = nil
+		if _, err := acquiring.Complete(l.ID, req); err != nil {
+			t.Fatal(err)
+		}
+		want, err := acquiring.Acquire(next)
+		if err != nil || !reflect.DeepEqual(got.Lease, want) {
+			t.Fatalf("commit %s renewed %+v, Acquire right after it grants %+v %v", l.ID, got.Lease, want, err)
+		}
+		return got.Lease
+	}
+	inFlight := func() map[string]int {
+		renewing.mu.Lock()
+		defer renewing.mu.Unlock()
+		return map[string]int{"acme": renewing.tenants["acme"].inFlight, "umbrella": renewing.tenants["umbrella"].inFlight}
+	}
+
+	a := acquire("w1") // f0001, acme
+	u := acquire("w2") // f0003, umbrella
+	if a.CampaignID != "f0001" || u.CampaignID != "f0003" {
+		t.Fatalf("first grants %s and %s, want f0001 and f0003", a.CampaignID, u.CampaignID)
+	}
+
+	// A warm worker's mid-campaign commit renews its own campaign, acme
+	// being the least recently served tenant, with the snapshot elided.
+	a = commit(a, mid, LeaseRequest{Worker: "w1", WarmCampaign: "f0001", WarmSeq: 1})
+	if a == nil || a.CampaignID != "f0001" || a.Seq != 1 || !a.SnapshotElided || a.Snapshot != nil {
+		t.Fatalf("warm renewal %+v, want f0001 slice 1 with the snapshot elided", a)
+	}
+
+	// Finishing f0001 renews into umbrella's queued f0004, not acme's f0002,
+	// which submission order alone would pick.
+	done := a
+	a = commit(a, final, LeaseRequest{Worker: "w1"})
+	if a == nil || a.CampaignID != "f0004" || a.Seq != 0 {
+		t.Fatalf("renewal after a done commit %+v, want f0004 by fair share", a)
+	}
+
+	// A duplicate commit answers with the same lease and grants no other.
+	before := inFlight()
+	dup, err := renewing.Complete(done.ID, final)
+	if err != nil || !dup.Duplicate || !reflect.DeepEqual(dup.Lease, a) {
+		t.Fatalf("duplicate commit: %+v %v, want the lease %+v", dup, err, a)
+	}
+
+	// A stale commit (409) and a malformed one (400) grant nothing.
+	next := &LeaseRequest{Worker: "w2"}
+	stale := mid
+	stale.Next = next
+	if resp, err := renewing.Complete("l999999", stale); !errors.As(err, new(errStale)) || resp.Lease != nil {
+		t.Fatalf("stale commit: %+v %v, want errStale and no lease", resp, err)
+	}
+	bad := mid
+	bad.Records, bad.Next = []byte("not a record chunk\n"), next
+	if resp, err := renewing.Complete(u.ID, bad); err == nil || errors.As(err, new(errStale)) || resp.Lease != nil {
+		t.Fatalf("malformed commit: %+v %v, want a refusal and no lease", resp, err)
+	}
+	if after := inFlight(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("refused commits moved the in-flight counts from %v to %v", before, after)
+	}
+
+	// Finishing f0003 renews into acme's f0002; after that nothing is queued,
+	// so the last two commits renew nothing.
+	u = commit(u, final, LeaseRequest{Worker: "w2"})
+	if u == nil || u.CampaignID != "f0002" {
+		t.Fatalf("renewal after f0003 finished: %+v, want f0002", u)
+	}
+	if l := commit(a, final, LeaseRequest{Worker: "w1"}); l != nil {
+		t.Fatalf("renewal with nothing queued: %+v", l)
+	}
+	if l := commit(u, final, LeaseRequest{Worker: "w2"}); l != nil {
+		t.Fatalf("renewal on an idle fleet: %+v", l)
+	}
+}
+
+// TestFinishedCampaignDropsChunks pins that a finished campaign keeps its
+// transcript once: the coordinator drops the record chunks when it
+// assembles them, and the transcript endpoint serves the single-node
+// reference's bytes.
+func TestFinishedCampaignDropsChunks(t *testing.T) {
+	spec := buggySpec(600)
+	co, id, _ := drainRecorded(t, spec)
+	co.mu.Lock()
+	chunks := len(co.campaigns[id].chunks)
+	co.mu.Unlock()
+	if chunks != 0 {
+		t.Errorf("finished campaign retains %d record chunks besides its transcript", chunks)
+	}
+	srv := httptest.NewServer(co.Handler())
+	defer srv.Close()
+	got, err := NewClient(srv.URL, 1).Transcript(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := referenceTranscript(t, spec, 0); !bytes.Equal(got, want) {
+		t.Fatalf("transcript endpoint serves %d bytes that differ from the %d-byte reference", len(got), len(want))
 	}
 }

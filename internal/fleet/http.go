@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"mime"
 	"net/http"
 
 	"mufuzz/internal/service"
@@ -26,7 +27,8 @@ const (
 //	GET  /v1/fleet/campaigns/{id}/transcript  assembled conformance transcript (after done)
 //	POST /v1/fleet/leases                     acquire a slice lease — 204 + Retry-After when idle
 //	POST /v1/fleet/leases/{id}/heartbeat      keep a lease alive — 410 when lapsed
-//	POST /v1/fleet/leases/{id}/complete       commit a finished slice — 409 when stale
+//	POST /v1/fleet/leases/{id}/complete       commit a finished slice (commitContentType body),
+//	                                          optionally renewing the lease — 409 when stale
 //	POST /v1/fleet/seeds/{bucket}/sync        push pollination seeds (idempotent)
 //	GET  /healthz                             liveness
 //	GET  /readyz                              readiness
@@ -117,8 +119,17 @@ func (co *Coordinator) Handler() http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/fleet/leases/{id}/complete", func(w http.ResponseWriter, r *http.Request) {
-		var req CompleteRequest
-		if !readJSON(w, r, maxCompleteBody, &req) {
+		if mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); mt != commitContentType {
+			service.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: a commit is %s, not %q", commitContentType, r.Header.Get("Content-Type")))
+			return
+		}
+		size := int64(maxCompleteBody)
+		if r.ContentLength >= 0 && r.ContentLength < size {
+			size = r.ContentLength
+		}
+		req, err := decodeCommit(http.MaxBytesReader(w, r.Body, maxCompleteBody), size)
+		if err != nil {
+			service.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 			return
 		}
 		resp, err := co.Complete(r.PathValue("id"), req)

@@ -8,13 +8,14 @@
 // committed snapshot, and a round budget; the worker resumes the campaign,
 // runs exactly that slice, and commits the successor snapshot plus the
 // slice's conformance record chunk, coverage-fingerprinted seeds, and
-// findings. Because slice boundaries are deterministic schedule points and
-// snapshots resume byte-identically, a campaign that migrates between
-// workers — including through a worker killed mid-slice, whose lease
-// expires and is re-granted from the last committed snapshot — produces a
-// conformance transcript byte-identical to an uninterrupted single-node
-// run. The coordinator assembles and serves that transcript as the
-// campaign's proof of equivalence.
+// findings; the commit's response carries the worker's next lease, so a
+// slice costs one round trip. Because slice boundaries are deterministic
+// schedule points and snapshots resume byte-identically, a campaign that
+// migrates between workers — including through a worker killed mid-slice,
+// whose lease expires and is re-granted from the last committed snapshot —
+// produces a conformance transcript byte-identical to an uninterrupted
+// single-node run. The coordinator assembles and serves that transcript as
+// the campaign's proof of equivalence.
 //
 // Fault tolerance is lease-based: every grant carries a TTL, workers
 // heartbeat to keep it alive, and a silent worker's lease lapses back into
@@ -122,15 +123,24 @@ type Lease struct {
 // slices the engine finished at its natural boundary; a slice interrupted
 // by shutdown or a lost lease is abandoned instead (the coordinator
 // re-grants from the last committed snapshot, preserving determinism).
+//
+// On the wire a commit is one commitContentType body: the request as one
+// JSON line, then its snapshot and record chunk as raw bytes (encodeCommit,
+// decodeCommit). The two payloads never travel inside the JSON.
 type CompleteRequest struct {
 	Worker string `json:"worker"`
 	// Snapshot is the successor snapshot (encoded); required unless Done.
-	Snapshot []byte `json:"snapshot,omitempty"`
+	Snapshot []byte `json:"-"`
+	// SnapshotLen and RecordsLen are the lengths of the raw Snapshot and
+	// Records bytes that follow the JSON line. encodeCommit sets them, and
+	// decodeCommit checks them against the body.
+	SnapshotLen int `json:"snapshot_len"`
+	RecordsLen  int `json:"records_len"`
 	// Done reports the campaign finished during this slice.
 	Done bool `json:"done"`
 	// Records is the slice's conformance record chunk
 	// (conformance.EncodeRecords), appended to the campaign transcript.
-	Records []byte `json:"records,omitempty"`
+	Records []byte `json:"-"`
 	// Imported echoes the fingerprints of lease imports actually injected,
 	// so the coordinator stops re-offering them.
 	Imported []string `json:"imported,omitempty"`
@@ -143,6 +153,10 @@ type CompleteRequest struct {
 	Findings []service.Finding `json:"findings,omitempty"`
 	// Final is the transcript's final summary, required when Done.
 	Final *conformance.Summary `json:"final,omitempty"`
+	// Next asks for the worker's next lease in the same round trip: once
+	// the commit is applied, the coordinator grants exactly what an
+	// Acquire with this request would get right after it.
+	Next *LeaseRequest `json:"next,omitempty"`
 }
 
 // CompleteResponse acknowledges a commit.
@@ -153,6 +167,9 @@ type CompleteResponse struct {
 	Duplicate bool `json:"duplicate,omitempty"`
 	// CampaignDone reports the campaign reached a terminal state.
 	CampaignDone bool `json:"campaign_done,omitempty"`
+	// Lease is the grant the commit's Next asked for, nil when nothing is
+	// runnable. A duplicate commit answers with the same lease.
+	Lease *Lease `json:"lease,omitempty"`
 }
 
 // SyncRequest pushes seeds into a bucket of the coordinator's store —

@@ -56,10 +56,14 @@ func TestProtocolJSONKeys(t *testing.T) {
 			"iterations", "name", "seed_queue_len", "seeds_exported", "seeds_imported", "slices", "state", "tenant",
 			"total_edges", "worker"}},
 		{"fleet.CompleteRequest", CompleteRequest{
-			Worker: "w", Snapshot: []byte("s"), Done: true, Records: []byte("r"), Imported: []string{"f"},
-			Exports: []service.SeedObject{seed}, Progress: progress, Findings: []service.Finding{finding},
-			Final: &conformance.Summary{},
-		}, []string{"done", "exports", "final", "findings", "imported", "progress", "records", "snapshot", "worker"}},
+			Worker: "w", Snapshot: []byte("s"), SnapshotLen: 1, Done: true, Records: []byte("r"), RecordsLen: 1,
+			Imported: []string{"f"}, Exports: []service.SeedObject{seed}, Progress: progress,
+			Findings: []service.Finding{finding}, Final: &conformance.Summary{}, Next: &LeaseRequest{Worker: "w"},
+		}, []string{"done", "exports", "final", "findings", "imported", "next", "progress", "records_len", "snapshot_len", "worker"}},
+		{"fleet.LeaseRequest", LeaseRequest{Worker: "w", WarmCampaign: "f", WarmSeq: 1},
+			[]string{"warm_campaign", "warm_seq", "worker"}},
+		{"fleet.CompleteResponse", CompleteResponse{Committed: true, Duplicate: true, CampaignDone: true, Lease: &Lease{}},
+			[]string{"campaign_done", "committed", "duplicate", "lease"}},
 		{"fleet.CompleteRequest.progress", progress, []string{
 			"classes", "coverage", "covered_edges", "executions", "findings", "seed_queue_len", "total_edges"}},
 		{"fleet.Lease", Lease{

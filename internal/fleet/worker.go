@@ -28,6 +28,10 @@ type Worker struct {
 	// compared against the committed bytes before reuse, and any mismatch
 	// (re-granted elsewhere, lost commit) falls back to a cold resume.
 	warm *warmCampaign
+	// held is the lease the last commit renewed, which the next RunOne runs
+	// without asking. A worker that stops holding one lets it lapse after
+	// its TTL, as a killed worker does.
+	held *Lease
 }
 
 // warmCampaign pairs a live campaign with the identity of the slice it is
@@ -69,21 +73,25 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// RunOne acquires and executes at most one lease; it reports whether a
-// lease was executed. A nil error with ran=false means the coordinator
-// had no work.
+// RunOne executes at most one lease: the one its last commit renewed, or
+// else one it acquires. It reports whether a lease was executed. A nil
+// error with ran=false means the coordinator had no work.
 func (w *Worker) RunOne(ctx context.Context) (bool, error) {
-	req := LeaseRequest{Worker: w.name}
-	if w.warm != nil {
-		req.WarmCampaign = w.warm.campaignID
-		req.WarmSeq = w.warm.seq
-	}
-	lease, err := w.client.Acquire(ctx, req)
-	if err != nil {
-		return false, err
-	}
+	lease := w.held
+	w.held = nil
 	if lease == nil {
-		return false, nil
+		req := LeaseRequest{Worker: w.name}
+		if w.warm != nil {
+			req.WarmCampaign = w.warm.campaignID
+			req.WarmSeq = w.warm.seq
+		}
+		var err error
+		if lease, err = w.client.Acquire(ctx, req); err != nil {
+			return false, err
+		}
+		if lease == nil {
+			return false, nil
+		}
 	}
 	return true, w.runLease(ctx, lease)
 }
@@ -186,12 +194,22 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
 		req.Final = &final
 		req.Findings = service.FindingsOf(res)
 	}
+	// Renew in the same round trip, advertising the state this commit
+	// leaves warm, unless the worker is stopping.
+	if ctx.Err() == nil {
+		req.Next = &LeaseRequest{Worker: w.name}
+		if !done {
+			req.Next.WarmCampaign, req.Next.WarmSeq = lease.CampaignID, lease.Seq+1
+		}
+	}
 
 	// Commit retries ride on the coordinator's idempotency; a stale
 	// refusal means the lease lapsed first and the slice will be re-run.
-	if _, err := w.client.Complete(ctx, lease.ID, req); err != nil {
+	resp, err := w.client.Complete(ctx, lease.ID, req)
+	if err != nil {
 		return fmt.Errorf("worker %s: lease %s: commit: %w", w.name, lease.ID, err)
 	}
+	w.held = resp.Lease
 	if !done {
 		// The campaign is parked at the exact boundary the committed
 		// snapshot encodes; keep it live for the likely follow-on lease.
