@@ -18,7 +18,7 @@
 // Mode fleet-ref records the single-node reference transcript of a fleet
 // campaign spec (a service CampaignSpec JSON file, resolved exactly as the
 // fleet coordinator resolves submissions): the bytes a coordinator's
-// assembled transcript must equal no matter how many workers the campaign
+// transcript must equal no matter how many workers the campaign
 // migrated across. CI's fleet smoke compares this with the transcript of a
 // campaign whose worker was killed mid-slice, and replays it.
 //

@@ -31,7 +31,8 @@
 //	        [-lease-rounds 8] [-lease-ttl 10s]
 //
 // runs the fleet coordinator — a control plane that leases campaign slices
-// to workers and assembles the migration-equivalence transcripts — and
+// to workers and writes the migration-equivalence transcripts to its
+// store as the slices commit — and
 //
 //	mufuzzd -join http://coordinator:8700 [-worker-name node-a] [-addr :8701]
 //

@@ -92,8 +92,8 @@ type Transcript struct {
 // into the transcript's options line. The caller must pass the
 // defaults-applied form (Options.Normalized()); RecordCampaign normalizes
 // before recording, and fleet coordinators and workers derive it from the
-// campaign spec, so an assembled transcript pins the configuration exactly
-// as RecordTargetCampaign would.
+// campaign spec, so a fleet transcript pins the configuration exactly as
+// RecordTargetCampaign would.
 func SummarizeOptions(o fuzz.Options) OptionsSummary {
 	return OptionsSummary{
 		Strategy:      o.Strategy.Name,
@@ -145,67 +145,56 @@ func boolBit(b bool) int {
 // encodings is the package's definition of "identical campaigns".
 func (t *Transcript) Encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	encodeHeader(bw, t.Version, t.Contract, t.Options)
+	_, _ = bw.Write(appendHeader(nil, t.Version, t.Contract, t.Options))
 	for i := range t.Records {
 		encodeRecord(bw, &t.Records[i])
 	}
-	encodeFinal(bw, &t.Final)
+	_, _ = bw.Write(AppendFinal(nil, &t.Final))
 	return bw.Flush()
 }
 
-// encodeHeader writes the magic, contract, and options lines — shared by
-// Encode and EncodeAssembled so assembled transcripts can never drift from
-// the canonical header format.
-func encodeHeader(bw *bufio.Writer, version int, contract string, o OptionsSummary) {
-	fmt.Fprintf(bw, "%s v%d\n", magic, version)
-	fmt.Fprintf(bw, "contract %s\n", contract)
+// AppendHeader appends a transcript's header — the magic, contract and
+// options lines — to dst, exactly as Encode writes it. The header, the
+// record chunks of a campaign's slices (EncodeRecords) in commit order, and
+// AppendFinal's trailer, concatenated, are the bytes Encode writes for the
+// same campaign: that is how the fleet coordinator writes a transcript as
+// its slices commit, without re-encoding a record.
+func AppendHeader(dst []byte, contract string, o OptionsSummary) []byte {
+	return appendHeader(dst, Version, contract, o)
+}
+
+func appendHeader(dst []byte, version int, contract string, o OptionsSummary) []byte {
+	dst = fmt.Appendf(dst, "%s v%d\n", magic, version)
+	dst = fmt.Appendf(dst, "contract %s\n", contract)
 	// workers=, batched= and copystate= name retired engine options; they
 	// stay in the line, always 1, 0 and 0, so committed transcripts and their
 	// hashes are unchanged. maxseq=, gas=, energy= and initseeds= print the
 	// engine's fixed parameters.
-	fmt.Fprintf(bw, "options strategy=%q seed=%d iters=%d maxseq=%d gas=%d energy=%d initseeds=%d workers=1 batched=0 copystate=0 nocache=%d",
+	dst = fmt.Appendf(dst, "options strategy=%q seed=%d iters=%d maxseq=%d gas=%d energy=%d initseeds=%d workers=1 batched=0 copystate=0 nocache=%d",
 		o.Strategy, o.Seed, o.Iterations, fuzz.MaxSeqLen, fuzz.GasPerTx, fuzz.EnergyBase,
 		fuzz.InitialSeeds, boolBit(o.NoPrefixCache))
 	if o.World != "" {
-		fmt.Fprintf(bw, " world=%q", o.World)
+		dst = fmt.Appendf(dst, " world=%q", o.World)
 	}
-	fmt.Fprintf(bw, "\n")
+	return append(dst, '\n')
 }
 
-// encodeFinal writes the final-summary trailer — shared by Encode and
-// EncodeAssembled.
-func encodeFinal(bw *bufio.Writer, f *Summary) {
-	fmt.Fprintf(bw, "final covered=%d total=%d execs=%d queue=%d masks=%d seqmut=%d\n",
+// AppendFinal appends a transcript's trailer — the final summary, through
+// the eof line — to dst, exactly as Encode writes it.
+func AppendFinal(dst []byte, f *Summary) []byte {
+	dst = fmt.Appendf(dst, "final covered=%d total=%d execs=%d queue=%d masks=%d seqmut=%d\n",
 		f.CoveredEdges, f.TotalEdges, f.Executions, f.SeedQueueLen, f.MasksComputed, f.SequencesMutated)
-	fmt.Fprintf(bw, "classes %s\n", strings.Join(f.Classes, ","))
+	dst = fmt.Appendf(dst, "classes %s\n", strings.Join(f.Classes, ","))
 	for _, fd := range f.Findings {
-		fmt.Fprintf(bw, "finding %s\n", fd)
+		dst = fmt.Appendf(dst, "finding %s\n", fd)
 	}
 	for _, rp := range f.Repro {
-		fmt.Fprintf(bw, "repro %s\n", rp)
+		dst = fmt.Appendf(dst, "repro %s\n", rp)
 	}
 	for _, e := range f.Edges {
-		fmt.Fprintf(bw, "fedge %d %d\n", e.PC, boolBit(e.Taken))
+		dst = fmt.Appendf(dst, "fedge %d %d\n", e.PC, boolBit(e.Taken))
 	}
-	fmt.Fprintf(bw, "eof\n")
-}
-
-// EncodeAssembled writes a transcript whose record section is supplied as
-// already-encoded chunks (EncodeRecords output), spliced in verbatim between
-// the canonical header and trailer. This is how the fleet coordinator
-// assembles a campaign transcript from slice commits without re-encoding —
-// byte-identical to Encode on the equivalent in-memory Transcript because
-// chunk concatenation in commit order IS the record section.
-func EncodeAssembled(w io.Writer, contract string, opts OptionsSummary, chunks [][]byte, final Summary) error {
-	bw := bufio.NewWriter(w)
-	encodeHeader(bw, Version, contract, opts)
-	for _, ch := range chunks {
-		if _, err := bw.Write(ch); err != nil {
-			return err
-		}
-	}
-	encodeFinal(bw, &final)
-	return bw.Flush()
+	return append(dst, "eof\n"...)
 }
 
 // encodeRecord writes one record's canonical lines — the unit both the full
@@ -358,7 +347,7 @@ type ChunkStats struct {
 // (rec/tx/edge/class/end prefixes) and rec/end nesting — and extracts the
 // record indexes, without parsing transaction payloads. The fleet
 // coordinator runs it on every slice commit to check chunk continuity;
-// transcript Decode is the full parse, of the assembled transcript.
+// transcript Decode is the full parse, of the whole transcript.
 func ScanRecordChunk(data []byte) (ChunkStats, error) {
 	var st ChunkStats
 	inRec := false

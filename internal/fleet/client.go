@@ -283,7 +283,9 @@ func (c *Client) Findings(ctx context.Context, id string) ([]service.Finding, er
 	return out, unwrapGiveUp(err)
 }
 
-// Transcript fetches a finished campaign's conformance transcript bytes.
+// Transcript fetches a finished campaign's conformance transcript bytes,
+// all of them: a transcript has no size cap, and a response the coordinator
+// aborts is an error.
 func (c *Client) Transcript(ctx context.Context, id string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/fleet/campaigns/"+id+"/transcript", nil)
 	if err != nil {
@@ -297,7 +299,7 @@ func (c *Client) Transcript(ctx context.Context, id string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, &apiError{Status: resp.StatusCode, Msg: resp.Status}
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, maxCompleteBody))
+	return io.ReadAll(resp.Body)
 }
 
 // WaitReady polls /readyz until the coordinator is ready or ctx expires.

@@ -61,22 +61,27 @@ func drainRecorded(t testing.TB, spec service.CampaignSpec) (*Coordinator, strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWorker("w", client)
-	for {
-		ran, err := w.RunOne(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ran {
-			break
-		}
-	}
+	drain(t, NewWorker("w", client))
 	if cur, _ := co.Status(st.ID); cur.State != stateDone {
 		t.Fatalf("campaign %s ended the drain %s (%s)", st.ID, cur.State, cur.Error)
 	}
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
 	return co, st.ID, wc
+}
+
+// drain runs leases on w until the coordinator has none left.
+func drain(t testing.TB, w *Worker) {
+	t.Helper()
+	for {
+		ran, err := w.RunOne(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ran {
+			return
+		}
+	}
 }
 
 // commitHeaderAllowance is what the JSON line of one commit may add to its

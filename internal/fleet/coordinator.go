@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"time"
@@ -15,9 +16,10 @@ import (
 
 // CoordinatorConfig configures a fleet coordinator.
 type CoordinatorConfig struct {
-	// Store persists pollination seeds and finished transcripts. nil runs
-	// fully in memory: no cross-node pollination, transcripts served from
-	// memory only (used by overhead benchmarks).
+	// Store persists pollination seeds and transcripts, each transcript a
+	// log its campaign's commits append to. nil runs fully in memory: no
+	// cross-node pollination, and each recorded campaign keeps its
+	// transcript in memory (tests and overhead benchmarks).
 	Store *store.Store
 	// Rounds is the energy-round budget of each leased slice. Default 8.
 	Rounds int
@@ -85,13 +87,19 @@ type campaign struct {
 	// snapshot is the last committed snapshot (empty before slice 0
 	// commits); the only state a re-granted lease resumes from.
 	snapshot []byte
-	// chunks is the committed transcript prefix as the raw encoded record
-	// chunks, in commit order — spliced verbatim into the assembled
-	// transcript, never re-encoded, and dropped once it is assembled.
+	// log is the end of the campaign's transcript log in the store
+	// (KindTranscript, bucket, id). The first commit that carries records
+	// creates it with the transcript header, each commit appends its record
+	// chunk verbatim, the finishing commit appends the final summary, and
+	// seal seals it. Without a store, mem holds the same bytes instead.
 	// lastIndex is the index of the last committed record, for
 	// chunk-continuity validation.
-	chunks    [][]byte
+	log       store.LogEnd
+	mem       []byte
 	lastIndex int
+	// sealed is made by the finishing commit of a recorded campaign and
+	// closed once seal is through; Transcript waits for it.
+	sealed chan struct{}
 
 	// lastLeaseID / lastResp make commits idempotent: a retried commit of
 	// the just-committed lease is acknowledged from here without
@@ -103,9 +111,8 @@ type campaign struct {
 	// produced.
 	seeds service.SeedLedger
 
-	status     CampaignStatus
-	findings   []service.Finding
-	transcript []byte // assembled once done
+	status   CampaignStatus
+	findings []service.Finding
 }
 
 // lease is one outstanding grant.
@@ -125,7 +132,8 @@ type tenantState struct {
 // Coordinator owns campaign lifecycles and leases slices to workers. It is
 // an HTTP-facing control plane only: all fuzzing happens on workers, and
 // all campaign state the coordinator holds is the deterministic commit
-// chain (snapshots, record chunks, seeds, findings).
+// chain (the last snapshot, seeds, findings); record chunks go to the
+// campaign's transcript log as they commit.
 type Coordinator struct {
 	cfg CoordinatorConfig
 
@@ -337,18 +345,40 @@ func (co *Coordinator) Complete(leaseID string, req CompleteRequest) (CompleteRe
 	co.mu.Lock()
 	resp, done, err := co.completeLocked(now, leaseID, req)
 	co.mu.Unlock()
-	// The finished transcript goes to the store only after co.mu is
-	// released, so no other lease, heartbeat or commit waits for its fsync;
-	// the finishing commit's own response does. Transcript serves it from
-	// memory meanwhile.
-	if done != nil && len(done.transcript) > 0 && co.cfg.Store != nil {
-		_ = co.cfg.Store.Put(store.KindTranscript, done.bucket, done.id, done.transcript)
+	if done != nil {
+		co.seal(done)
 	}
 	return resp, err
 }
 
+// seal seals a finished campaign's transcript log. It runs after co.mu is
+// released, so no other lease, heartbeat or commit waits for its fsync; the
+// finishing commit's own response does, and so does Transcript. A log that
+// cannot be sealed fails the campaign.
+func (co *Coordinator) seal(c *campaign) {
+	if co.cfg.Store != nil {
+		// The finishing commit wrote c.log last, on this goroutine, and no
+		// commit follows it.
+		if err := co.cfg.Store.SealLog(store.KindTranscript, c.bucket, c.id, c.log); err != nil {
+			co.mu.Lock()
+			c.fail(err)
+			co.mu.Unlock()
+		}
+	}
+	close(c.sealed)
+}
+
+// fail ends a campaign failed because its transcript cannot be written: a
+// campaign without its proof has not run as the fleet promises. The caller
+// holds co.mu.
+func (c *campaign) fail(err error) {
+	c.state = stateFailed
+	c.status.State = stateFailed
+	c.status.Error = fmt.Sprintf("transcript: %v", err)
+}
+
 // completeLocked applies one commit under co.mu. It returns the campaign
-// when this commit finished it.
+// when this commit finished it and its transcript log awaits the seal.
 func (co *Coordinator) completeLocked(now time.Time, leaseID string, req CompleteRequest) (CompleteResponse, *campaign, error) {
 	co.expireLocked(now)
 
@@ -368,7 +398,7 @@ func (co *Coordinator) completeLocked(now time.Time, leaseID string, req Complet
 
 	// Validate the record chunk before touching any state. The shallow
 	// scan checks grammar and extracts indexes without the full semantic
-	// parse — the chunk bytes are spliced into the transcript verbatim, so
+	// parse — the chunk bytes go to the transcript log verbatim, so
 	// nothing downstream needs the parsed form.
 	chunk, err := conformance.ScanRecordChunk(req.Records)
 	if err != nil {
@@ -383,42 +413,46 @@ func (co *Coordinator) completeLocked(now time.Time, leaseID string, req Complet
 	if req.Done && req.Final == nil {
 		return CompleteResponse{}, nil, fmt.Errorf("lease %s: final commit without summary", leaseID)
 	}
+	// The transcript append comes before any state changes.
+	logErr := co.appendTranscriptLocked(c, chunk.Count > 0, req)
 
-	// Commit.
+	// Commit, unless the append failed: then nothing of the slice commits,
+	// and the campaign ends failed.
 	delete(co.leases, leaseID)
 	if t := co.tenants[c.tenant]; t != nil && t.inFlight > 0 {
 		t.inFlight--
 	}
-	c.seq++
-	c.snapshot = req.Snapshot
-	if c.record && chunk.Count > 0 {
-		c.chunks = append(c.chunks, req.Records)
-		c.lastIndex = chunk.Last
-	}
-	imported := c.seeds.Absorb(req.Imported)
-	exported := c.seeds.Share(co.cfg.Store, c.bucket, req.Exports)
-
 	st := &c.status
-	st.Slices++
-	st.Progress = req.Progress
-	st.SeedsImported += imported
-	st.SeedsExported += exported
 	st.Worker = ""
-
-	resp := CompleteResponse{Committed: true}
+	var resp CompleteResponse
 	var done *campaign
-	if req.Done {
-		c.state = stateDone
-		st.State = stateDone
-		c.findings = req.Findings
-		if c.record {
-			co.assembleTranscriptLocked(c, req.Final)
-		}
+	if logErr != nil {
+		c.fail(logErr)
 		resp.CampaignDone = true
-		done = c
 	} else {
-		c.state = stateQueued
-		st.State = stateQueued
+		c.seq++
+		c.snapshot = req.Snapshot
+		if c.record && chunk.Count > 0 {
+			c.lastIndex = chunk.Last
+		}
+		st.Slices++
+		st.Progress = req.Progress
+		st.SeedsImported += c.seeds.Absorb(req.Imported)
+		st.SeedsExported += c.seeds.Share(co.cfg.Store, c.bucket, req.Exports)
+		resp.Committed = true
+		if req.Done {
+			c.state = stateDone
+			st.State = stateDone
+			c.findings = req.Findings
+			resp.CampaignDone = true
+			if c.record {
+				c.sealed = make(chan struct{})
+				done = c
+			}
+		} else {
+			c.state = stateQueued
+			st.State = stateQueued
+		}
 	}
 	if req.Next != nil {
 		resp.Lease = co.acquireLocked(now, *req.Next)
@@ -436,22 +470,40 @@ type errStale struct{ error }
 // HTTP layer maps it to 400.
 type errBadSeed struct{ error }
 
-// assembleTranscriptLocked builds the campaign's conformance transcript
-// from the committed record chain — the byte-identical-migration proof.
-// The options line is the one resolved at submit, exactly as a single-node
-// recording of the canonical spec derives it. The chunks are dropped
-// either way: the transcript, once assembled, holds their bytes.
-func (co *Coordinator) assembleTranscriptLocked(c *campaign, final *conformance.Summary) {
-	var buf bytes.Buffer
-	err := conformance.EncodeAssembled(&buf, c.status.Name, c.opts, c.chunks, *final)
-	c.chunks = nil
-	if err != nil {
-		c.state = stateFailed
-		c.status.State = stateFailed
-		c.status.Error = fmt.Sprintf("assemble transcript: %v", err)
-		return
+// appendTranscriptLocked appends what a commit adds to its recorded
+// campaign's transcript, in one append: the header if the log does not
+// exist yet, the commit's record chunk if it carries records, and the
+// final summary if it finishes the campaign. The header carries the options
+// line resolved at submit, exactly as a single-node recording of the
+// canonical spec derives it, so the transcript is the byte-identical
+// migration proof. Without a store the same bytes go to the campaign's
+// in-memory copy.
+func (co *Coordinator) appendTranscriptLocked(c *campaign, records bool, req CompleteRequest) error {
+	if !c.record || (!records && !req.Done) {
+		return nil
 	}
-	c.transcript = buf.Bytes()
+	parts := make([][]byte, 0, 3)
+	if c.log == (store.LogEnd{}) && len(c.mem) == 0 {
+		parts = append(parts, conformance.AppendHeader(nil, c.status.Name, c.opts))
+	}
+	if records {
+		parts = append(parts, req.Records)
+	}
+	if req.Done {
+		parts = append(parts, conformance.AppendFinal(nil, req.Final))
+	}
+	if co.cfg.Store == nil {
+		for _, p := range parts {
+			c.mem = append(c.mem, p...)
+		}
+		return nil
+	}
+	end, err := co.cfg.Store.AppendLog(store.KindTranscript, c.bucket, c.id, c.log, parts...)
+	if err != nil {
+		return err
+	}
+	c.log = end
+	return nil
 }
 
 // SyncSeeds stores pushed seeds into a bucket — the idempotent cross-node
@@ -524,14 +576,44 @@ func (co *Coordinator) Findings(id string) ([]service.Finding, error) {
 	return out, nil
 }
 
-// Transcript returns a finished campaign's assembled conformance
-// transcript, or ok=false while the campaign is still running.
+// Transcript returns a finished campaign's conformance transcript, read
+// back from its log, or ok=false while the campaign is still running, when
+// it records no transcript or failed, and when its log does not read back.
 func (co *Coordinator) Transcript(id string) ([]byte, bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	c, ok := co.campaigns[id]
-	if !ok || len(c.transcript) == 0 {
+	var buf bytes.Buffer
+	if ok, err := co.copyTranscript(id, &buf); !ok || err != nil {
 		return nil, false
 	}
-	return c.transcript, true
+	return buf.Bytes(), true
+}
+
+// copyTranscript writes a finished campaign's transcript to w once the
+// finishing commit has sealed its log, so a done status never comes before
+// a readable transcript. It reports false, having written nothing, when the
+// campaign is unknown, records no transcript, has not finished, or failed.
+// An error is the log's; w then holds at most the records before the bad
+// one.
+func (co *Coordinator) copyTranscript(id string, w io.Writer) (bool, error) {
+	co.mu.Lock()
+	c, ok := co.campaigns[id]
+	var sealed chan struct{}
+	if ok {
+		sealed = c.sealed
+	}
+	co.mu.Unlock()
+	if sealed == nil {
+		return false, nil
+	}
+	<-sealed
+	co.mu.Lock()
+	failed, mem := c.state == stateFailed, c.mem
+	co.mu.Unlock()
+	if failed {
+		return false, nil
+	}
+	if co.cfg.Store == nil {
+		_, err := w.Write(mem)
+		return true, err
+	}
+	return true, co.cfg.Store.ReadLog(store.KindTranscript, c.bucket, c.id, w)
 }

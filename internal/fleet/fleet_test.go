@@ -8,8 +8,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -524,26 +528,389 @@ func TestFleetCommitRenewsLease(t *testing.T) {
 	}
 }
 
-// TestFinishedCampaignDropsChunks pins that a finished campaign keeps its
-// transcript once: the coordinator drops the record chunks when it
-// assembles them, and the transcript endpoint serves the single-node
-// reference's bytes.
-func TestFinishedCampaignDropsChunks(t *testing.T) {
-	spec := buggySpec(600)
-	co, id, _ := drainRecorded(t, spec)
-	co.mu.Lock()
-	chunks := len(co.campaigns[id].chunks)
-	co.mu.Unlock()
-	if chunks != 0 {
-		t.Errorf("finished campaign retains %d record chunks besides its transcript", chunks)
+// lastCommit wraps a coordinator's handler and keeps the path and body of
+// the last commit, and nothing before it.
+type lastCommit struct {
+	next http.Handler
+
+	mu   sync.Mutex
+	path string
+	body []byte
+}
+
+func (m *lastCommit) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/complete") {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		m.mu.Lock()
+		m.path, m.body = r.URL.Path, body
+		m.mu.Unlock()
 	}
-	srv := httptest.NewServer(co.Handler())
+	m.next.ServeHTTP(w, r)
+}
+
+// heapGateBudget is what a store-backed coordinator may keep on its heap
+// after one finished recorded campaign of heapGateExecs executions.
+const (
+	heapGateBudget = 2 << 20
+	heapGateExecs  = 50000
+)
+
+// TestCoordinatorHeapGate is the coordinator's retained-heap gate. One
+// recorded crowdsale-buggy campaign (seed 7, 50,000 executions, about
+// 13 MB of transcript) drains through a store-backed coordinator over
+// httptest and one worker. After a GC the heap may have grown by at most
+// heapGateBudget: the record chunks went to the campaign's log as they
+// committed, and the coordinator keeps neither them nor an assembled copy.
+// The transcript endpoint, which reads the log back, then serves the
+// single-node reference's bytes, and a duplicate of the finishing commit
+// leaves the log's length as it was.
+func TestCoordinatorHeapGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes heap accounting")
+	}
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := NewCoordinator(CoordinatorConfig{Store: st})
+	last := &lastCommit{next: co.Handler()}
+	srv := httptest.NewServer(last)
 	defer srv.Close()
-	got, err := NewClient(srv.URL, 1).Transcript(context.Background(), id)
+	client := NewClient(srv.URL, 1)
+	ctx := context.Background()
+	spec := buggySpec(heapGateExecs)
+	sub, err := client.Submit(ctx, SubmitRequest{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker("w", client)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	drain(t, w)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("heap %+.1f MiB after a %d-execution recorded campaign (budget %d MiB)",
+		float64(growth)/(1<<20), heapGateExecs, heapGateBudget>>20)
+	if growth > heapGateBudget {
+		t.Errorf("the coordinator keeps %.1f MiB after the campaign, more than %d MiB", float64(growth)/(1<<20), heapGateBudget>>20)
+	}
+	if cur, _ := co.Status(sub.ID); cur.State != stateDone {
+		t.Fatalf("campaign ended %s (%s)", cur.State, cur.Error)
+	}
+
+	got, err := client.Transcript(ctx, sub.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := referenceTranscript(t, spec, 0); !bytes.Equal(got, want) {
 		t.Fatalf("transcript endpoint serves %d bytes that differ from the %d-byte reference", len(got), len(want))
+	}
+
+	logPath := filepath.Join(dir, string(store.KindTranscript), sub.Contract, sub.ID)
+	size := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(logPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	sealed := size()
+	last.mu.Lock()
+	path, body := last.path, last.body
+	last.mu.Unlock()
+	resp, err := http.Post(srv.URL+path, commitContentType, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dup CompleteResponse
+	if err := json.NewDecoder(resp.Body).Decode(&dup); err != nil || !dup.Duplicate {
+		t.Fatalf("resent finishing commit: %d %+v %v, want a duplicate", resp.StatusCode, dup, err)
+	}
+	resp.Body.Close()
+	if now := size(); now != sealed {
+		t.Fatalf("a duplicate commit moved the log from %d to %d bytes", sealed, now)
+	}
+}
+
+// holdFinal wraps a coordinator's handler and keeps a campaign's finishing
+// commit from it: the commit is decoded and kept, and the worker is told
+// its lease is stale, so the test can apply the commit itself.
+type holdFinal struct {
+	next http.Handler
+
+	mu    sync.Mutex
+	lease string
+	req   *CompleteRequest
+}
+
+func (h *holdFinal) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if id, ok := strings.CutSuffix(strings.TrimPrefix(r.URL.Path, "/v1/fleet/leases/"), "/complete"); ok {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if req, err := decodeCommit(bytes.NewReader(body), int64(len(body))); err == nil && req.Done {
+			h.mu.Lock()
+			h.lease, h.req = id, &req
+			h.mu.Unlock()
+			http.Error(w, "held", http.StatusConflict)
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+	}
+	h.next.ServeHTTP(w, r)
+}
+
+// finishUnsealed drains a recorded campaign of spec through a store-backed
+// coordinator and applies its finishing commit under co.mu, as Complete
+// does, but does not seal the log. It returns the coordinator, the store's
+// directory, the campaign's status, and the campaign awaiting its seal.
+func finishUnsealed(t *testing.T, spec service.CampaignSpec) (*Coordinator, string, CampaignStatus, *campaign) {
+	t.Helper()
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := NewCoordinator(CoordinatorConfig{Store: st})
+	hold := &holdFinal{next: co.Handler()}
+	srv := httptest.NewServer(hold)
+	t.Cleanup(srv.Close)
+	client := NewClient(srv.URL, 1)
+	ctx := context.Background()
+	sub, err := client.Submit(ctx, SubmitRequest{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorker("w", client)
+	for {
+		_, err := w.RunOne(ctx)
+		hold.mu.Lock()
+		lease, req := hold.lease, hold.req
+		hold.mu.Unlock()
+		if req == nil {
+			if err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		co.mu.Lock()
+		_, done, err := co.completeLocked(time.Now(), lease, *req)
+		co.mu.Unlock()
+		if err != nil || done == nil {
+			t.Fatalf("finishing commit: %v, campaign %v", err, done)
+		}
+		if cur, _ := co.Status(sub.ID); cur.State != stateDone {
+			t.Fatalf("campaign is %s after its finishing commit", cur.State)
+		}
+		return co, dir, sub, done
+	}
+}
+
+// TestTranscriptWaitsForSeal pins that a done status never comes before a
+// readable transcript. Readers ask for the transcript of a campaign whose
+// finishing commit is applied but whose log is not yet sealed: each must
+// wait for the seal and then read the single-node reference's bytes.
+func TestTranscriptWaitsForSeal(t *testing.T) {
+	spec := buggySpec(600)
+	co, _, sub, done := finishUnsealed(t, spec)
+	const readers = 4
+	got := make(chan []byte, readers) // one send per reader
+	for range readers {
+		go func() {
+			data, _ := co.Transcript(sub.ID)
+			got <- data
+		}()
+	}
+	select {
+	case data := <-got:
+		t.Fatalf("a transcript read returned %d bytes before the seal", len(data))
+	case <-time.After(20 * time.Millisecond):
+	}
+	co.seal(done)
+	want := referenceTranscript(t, spec, 0)
+	for range readers {
+		if data := <-got; !bytes.Equal(data, want) {
+			t.Errorf("a reader waiting for the seal read %d bytes that differ from the %d-byte reference", len(data), len(want))
+		}
+	}
+}
+
+// TestUnsealableTranscriptFailsCampaign pins that a log the finishing
+// commit cannot seal fails its campaign: a directory stands where the log
+// was, so the seal cannot open it.
+func TestUnsealableTranscriptFailsCampaign(t *testing.T) {
+	co, dir, sub, done := finishUnsealed(t, buggySpec(600))
+	logPath := filepath.Join(dir, string(store.KindTranscript), sub.Contract, sub.ID)
+	if err := os.Remove(logPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(logPath, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	co.seal(done)
+	if cur, _ := co.Status(sub.ID); cur.State != stateFailed || !strings.Contains(cur.Error, "transcript") {
+		t.Fatalf("campaign whose log cannot be sealed ended %s (%q), want failed naming the transcript", cur.State, cur.Error)
+	}
+	if data, ok := co.Transcript(sub.ID); ok {
+		t.Fatalf("a failed campaign serves %d transcript bytes", len(data))
+	}
+}
+
+// TestUnwritableTranscriptFailsCampaign pins that a campaign whose
+// transcript cannot be written ends failed, with the cause in its status,
+// instead of reporting done. A regular file stands where the first
+// campaign's transcripts bucket directory goes, which stops its log from
+// being created even for root, so its first commit fails and commits
+// nothing; the second campaign, on another bucket, still finishes with its
+// reference transcript.
+func TestUnwritableTranscriptFailsCampaign(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := NewCoordinator(CoordinatorConfig{Store: st})
+	srv := httptest.NewServer(co.Handler())
+	defer srv.Close()
+	client := NewClient(srv.URL, 1)
+	ctx := context.Background()
+	specA := buggySpec(600)
+	specB := service.CampaignSpec{Example: "game", Seed: 11, Iterations: 600}
+	a, err := client.Submit(ctx, SubmitRequest{Spec: specA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := client.Submit(ctx, SubmitRequest{Spec: specB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Contract == b.Contract {
+		t.Fatalf("both campaigns share bucket %s", a.Contract)
+	}
+	if err := os.WriteFile(filepath.Join(dir, string(store.KindTranscript), a.Contract), []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, NewWorker("w", client))
+
+	sa, _ := client.Status(ctx, a.ID)
+	if sa.State != stateFailed || !strings.Contains(sa.Error, "transcript") {
+		t.Fatalf("campaign with an unwritable transcript ended %s (%q), want failed naming the transcript", sa.State, sa.Error)
+	}
+	if sa.Slices != 0 {
+		t.Fatalf("the commit whose transcript append failed committed: %d slices", sa.Slices)
+	}
+	if _, err := client.Transcript(ctx, a.ID); err == nil {
+		t.Fatal("a failed campaign serves a transcript")
+	}
+	sb, _ := client.Status(ctx, b.ID)
+	if sb.State != stateDone {
+		t.Fatalf("campaign on another bucket ended %s (%q)", sb.State, sb.Error)
+	}
+	got, err := client.Transcript(ctx, b.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := referenceTranscript(t, specB, 0); !bytes.Equal(got, want) {
+		t.Fatalf("transcript of the campaign on another bucket differs from its reference")
+	}
+}
+
+// TestTranscriptEndpointRefusesBadLog pins that the transcript endpoint
+// serves only a log that reads back whole. A log whose trailer is gone is
+// answered 500 before any byte, and a log with a corrupt record is aborted
+// mid-stream; the client reports both as errors, and Transcript as absent.
+func TestTranscriptEndpointRefusesBadLog(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := NewCoordinator(CoordinatorConfig{Store: st})
+	srv := httptest.NewServer(co.Handler())
+	defer srv.Close()
+	client := NewClient(srv.URL, 1)
+	ctx := context.Background()
+	sub, err := client.Submit(ctx, SubmitRequest{Spec: buggySpec(600)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(t, NewWorker("w", client))
+	good, err := client.Transcript(ctx, sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(dir, string(store.KindTranscript), sub.Contract, sub.ID)
+	sealed, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := append([]byte(nil), sealed...)
+	corrupt[len(corrupt)-100] ^= 1 // in the final summary's record
+	for _, tc := range []struct {
+		name string
+		log  []byte
+		code int // the status, when the endpoint answers before streaming
+	}{
+		{"unsealed", sealed[:len(sealed)-16], http.StatusInternalServerError},
+		{"corrupt record", corrupt, 0},
+	} {
+		if err := os.WriteFile(logPath, tc.log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if data, ok := co.Transcript(sub.ID); ok {
+			t.Errorf("%s: Transcript returns %d bytes", tc.name, len(data))
+		}
+		got, err := client.Transcript(ctx, sub.ID)
+		if err == nil {
+			t.Errorf("%s: the endpoint served %d of the transcript's %d bytes without an error", tc.name, len(got), len(good))
+		}
+		var ae *apiError
+		if tc.code != 0 && (!errors.As(err, &ae) || ae.Status != tc.code) {
+			t.Errorf("%s: %v, want status %d", tc.name, err, tc.code)
+		}
+	}
+}
+
+// TestClientTranscriptReadsWholeBody pins that Client.Transcript returns a
+// transcript longer than the commit body cap whole, and that a response
+// the coordinator aborts part way is an error, not a short transcript.
+func TestClientTranscriptReadsWholeBody(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector shadows a 64 MiB body many times over")
+	}
+	const size = maxCompleteBody + 1
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		block := bytes.Repeat([]byte("rec 1\n"), 1<<13)
+		for n := 0; n < size; {
+			m := min(len(block), size-n)
+			if r.URL.Path == "/v1/fleet/campaigns/aborted/transcript" && n > 0 {
+				panic(http.ErrAbortHandler)
+			}
+			if _, err := w.Write(block[:m]); err != nil {
+				return
+			}
+			n += m
+		}
+	}))
+	defer srv.Close()
+	client := NewClient(srv.URL, 1)
+	got, err := client.Transcript(context.Background(), "whole")
+	if err != nil || len(got) != size {
+		t.Fatalf("Client.Transcript read %d of %d bytes, %v", len(got), size, err)
+	}
+	if got, err := client.Transcript(context.Background(), "aborted"); err == nil {
+		t.Fatalf("an aborted response read as a %d-byte transcript", len(got))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"mime"
 	"net/http"
 
@@ -24,7 +25,7 @@ const (
 //	GET  /v1/fleet/campaigns                  list campaign statuses
 //	GET  /v1/fleet/campaigns/{id}             one campaign's status
 //	GET  /v1/fleet/campaigns/{id}/findings    findings with PoCs (after done)
-//	GET  /v1/fleet/campaigns/{id}/transcript  assembled conformance transcript (after done)
+//	GET  /v1/fleet/campaigns/{id}/transcript  conformance transcript, streamed from its log (after done)
 //	POST /v1/fleet/leases                     acquire a slice lease — 204 + Retry-After when idle
 //	POST /v1/fleet/leases/{id}/heartbeat      keep a lease alive — 410 when lapsed
 //	POST /v1/fleet/leases/{id}/complete       commit a finished slice (commitContentType body),
@@ -81,14 +82,19 @@ func (co *Coordinator) Handler() http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/fleet/campaigns/{id}/transcript", func(w http.ResponseWriter, r *http.Request) {
-		data, ok := co.Transcript(r.PathValue("id"))
-		if !ok {
-			service.WriteError(w, http.StatusNotFound, fmt.Errorf("campaign %s has no transcript yet", r.PathValue("id")))
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(data)
+		cw := &countingWriter{w: w}
+		ok, err := co.copyTranscript(r.PathValue("id"), cw)
+		switch {
+		case !ok:
+			service.WriteError(w, http.StatusNotFound, fmt.Errorf("campaign %s has no transcript yet", r.PathValue("id")))
+		case err != nil && cw.n == 0:
+			service.WriteError(w, http.StatusInternalServerError, err)
+		case err != nil:
+			// Part of the transcript is out: abort the response, so the
+			// client reads a broken stream, never a short transcript.
+			panic(http.ErrAbortHandler)
+		}
 	})
 
 	mux.HandleFunc("POST /v1/fleet/leases", func(w http.ResponseWriter, r *http.Request) {
@@ -163,6 +169,18 @@ func (co *Coordinator) Handler() http.Handler {
 	})
 
 	return mux
+}
+
+// countingWriter counts the bytes written through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // readJSON decodes a size-capped JSON body, answering 400 itself on

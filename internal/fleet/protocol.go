@@ -14,8 +14,10 @@
 // migrates between workers — including through a worker killed mid-slice,
 // whose lease expires and is re-granted from the last committed snapshot —
 // produces a conformance transcript byte-identical to an uninterrupted
-// single-node run. The coordinator assembles and serves that transcript as
-// the campaign's proof of equivalence.
+// single-node run. The coordinator appends each commit's record chunk to the
+// campaign's transcript log in the store as it commits, seals the log with
+// the finishing commit, and serves it as the campaign's proof of
+// equivalence.
 //
 // Fault tolerance is lease-based: every grant carries a TTL, workers
 // heartbeat to keep it alive, and a silent worker's lease lapses back into
@@ -47,7 +49,7 @@ type SubmitRequest struct {
 	// service accepts it.
 	Spec service.CampaignSpec `json:"spec"`
 	// NoTranscript disables conformance recording for this campaign:
-	// workers skip the per-execution recorder and the coordinator assembles
+	// workers skip the per-execution recorder and the coordinator writes
 	// no transcript. Default off — the byte-identical migration proof is
 	// the fleet's core guarantee — but campaigns that don't need the proof
 	// (e.g. throughput benchmarks) can shed the recording cost.
@@ -161,6 +163,9 @@ type CompleteRequest struct {
 
 // CompleteResponse acknowledges a commit.
 type CompleteResponse struct {
+	// Committed reports the slice was applied. It is false, with
+	// CampaignDone set, when the coordinator could not append the slice's
+	// records to the campaign's transcript and ended the campaign failed.
 	Committed bool `json:"committed"`
 	// Duplicate reports the lease was already committed (idempotent
 	// retry); the commit was acknowledged without reapplying.

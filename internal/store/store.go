@@ -1,6 +1,7 @@
 // Package store is the crash-safe on-disk artifact store of the campaign
 // service: corpus seeds (deduplicated by coverage fingerprint), findings
-// with proof-of-concept sequences, campaign snapshots, and campaign metadata.
+// with proof-of-concept sequences, campaign snapshots, campaign metadata,
+// and fleet transcripts.
 //
 // Two properties drive the design:
 //
@@ -18,9 +19,15 @@
 //     mid-write, a truncated disk — detects it by frame validation and skips
 //     it instead of returning garbage. Open sweeps orphaned temporaries.
 //
+// Logs (log.go) are the exception: a fleet transcript grows as its
+// campaign's slices commit, so it is written in place, one CRC-32C-framed
+// record per append, and published by a trailer that SealLog writes and
+// fsyncs. Readers refuse a log without its trailer, and Get refuses a log.
+//
 // The store is safe for concurrent use by multiple goroutines and multiple
-// processes sharing the directory: writers never modify files in place, and
-// the first writer of a content address wins.
+// processes sharing the directory: writers never modify framed objects in
+// place, and the first writer of a content address wins. A log has one
+// writer, the coordinator of its campaign.
 package store
 
 import (
@@ -151,11 +158,17 @@ func (s *Store) writeAtomic(path string, payload []byte) error {
 		_ = os.Remove(tmp)
 		return fmt.Errorf("store: %w", err)
 	}
+	syncDir(dir)
+	return nil
+}
+
+// syncDir fsyncs a directory, so a name just placed in it survives a crash.
+// Best effort: not every filesystem can sync a directory.
+func syncDir(dir string) {
 	if d, err := os.Open(dir); err == nil {
 		_ = d.Sync()
 		_ = d.Close()
 	}
-	return nil
 }
 
 // writeAtomicClaim writes a framed payload like writeAtomic but publishes it
@@ -188,17 +201,14 @@ func (s *Store) writeAtomicClaim(path string, payload []byte) (bool, error) {
 		}
 		return false, fmt.Errorf("store: %w", lerr)
 	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
+	syncDir(dir)
 	return true, nil
 }
 
 // Put stores a payload under (kind, bucket, name); bucket may be "" for
 // unbucketed kinds. Existing objects are overwritten atomically.
 func (s *Store) Put(kind Kind, bucket, name string, payload []byte) error {
-	path, err := s.objectPath(kind, bucket, name)
+	path, err := s.objectPath(kind, bucket, name, true)
 	if err != nil {
 		return err
 	}
@@ -215,7 +225,7 @@ func (s *Store) Put(kind Kind, bucket, name string, payload []byte) error {
 // exists. Losers leave the winner's object untouched, so retried
 // cross-node seed syncs are free.
 func (s *Store) PutIfAbsent(kind Kind, bucket, name string, payload []byte) (bool, error) {
-	path, err := s.objectPath(kind, bucket, name)
+	path, err := s.objectPath(kind, bucket, name, true)
 	if err != nil {
 		return false, err
 	}
@@ -247,9 +257,10 @@ func (s *Store) PutIfAbsent(kind Kind, bucket, name string, payload []byte) (boo
 }
 
 // Get returns the payload at (kind, bucket, name). Partial or corrupt
-// objects return an error, never garbage.
+// objects return an error, never garbage, and so does a log (ReadLog reads
+// those).
 func (s *Store) Get(kind Kind, bucket, name string) ([]byte, error) {
-	path, err := s.objectPath(kind, bucket, name)
+	path, err := s.objectPath(kind, bucket, name, false)
 	if err != nil {
 		return nil, err
 	}
@@ -264,7 +275,7 @@ func (s *Store) Has(kind Kind, bucket, name string) bool {
 
 // Delete removes the object at the address (no error if absent).
 func (s *Store) Delete(kind Kind, bucket, name string) error {
-	path, err := s.objectPath(kind, bucket, name)
+	path, err := s.objectPath(kind, bucket, name, false)
 	if err != nil {
 		return err
 	}
@@ -312,7 +323,9 @@ func (s *Store) List(kind Kind, bucket string) ([]Entry, error) {
 	return out, nil
 }
 
-func (s *Store) objectPath(kind Kind, bucket, name string) (string, error) {
+// objectPath returns the file of (kind, bucket, name). Only a write creates
+// the bucket's directory, so reading an absent object leaves nothing behind.
+func (s *Store) objectPath(kind Kind, bucket, name string, create bool) (string, error) {
 	if err := cleanName(name); err != nil {
 		return "", err
 	}
@@ -322,8 +335,10 @@ func (s *Store) objectPath(kind Kind, bucket, name string) (string, error) {
 			return "", err
 		}
 		dir = filepath.Join(dir, bucket)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return "", fmt.Errorf("store: %w", err)
+		if create {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				return "", fmt.Errorf("store: %w", err)
+			}
 		}
 	}
 	return filepath.Join(dir, name), nil

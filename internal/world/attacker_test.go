@@ -3,6 +3,7 @@ package world
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mufuzz/internal/abi"
@@ -36,6 +37,30 @@ func TestSpecRoundTrip(t *testing.T) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", got, s)
 		}
 	}
+}
+
+// FuzzDecodeAttackerSpec feeds arbitrary bytes to the attacker-spec
+// decoder, seeded with encoded specs. Every input either fails, or decodes
+// to a spec whose encoding is the input and decodes to the same spec.
+func FuzzDecodeAttackerSpec(f *testing.F) {
+	f.Add([]byte(nil))
+	f.Add(EncodeSpec(AttackerSpec{Depth: 1}))
+	f.Add(EncodeSpec(AttackerSpec{Selector: [4]byte{0xde, 0xad, 0xbe, 0xef}, Depth: 3, Revert: true}))
+	f.Add(EncodeSpec(AttackerSpec{Selector: [4]byte{1, 2, 3, 4}, Depth: 2, Args: []u256.Int{u256.One, u256.New(77), u256.Max}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, ok := DecodeSpec(data)
+		if !ok {
+			return
+		}
+		enc := EncodeSpec(s)
+		again, ok := DecodeSpec(enc)
+		if !ok || !reflect.DeepEqual(again, s) {
+			t.Fatalf("spec %+v re-encodes to % x, which decodes to %+v (%v)", s, enc, again, ok)
+		}
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("decoded % x, encoded % x", data, enc)
+		}
+	})
 }
 
 func TestSpecDecodeRejects(t *testing.T) {

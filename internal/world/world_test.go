@@ -315,3 +315,26 @@ member vault v.bin v.abi.json 0x00000000000000000000000000000000000000c9
 		}
 	}
 }
+
+// FuzzParseManifest feeds arbitrary text to the world-manifest parser,
+// seeded with well-formed and malformed manifests. It must never panic, and
+// every manifest it accepts names each member once, with a nonempty name.
+func FuzzParseManifest(f *testing.F) {
+	f.Add([]byte("# world manifest\nmember token fixtures/erc20.bin fixtures/erc20.abi.json\n"))
+	f.Add([]byte("member vault v.bin v.abi.json 0x00000000000000000000000000000000000000c9\n\nmember t t.bin t.abi\n"))
+	f.Add([]byte("member dup a b\nmember dup c d\n"))
+	f.Add([]byte("member x a b notanaddress\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		members, err := ParseManifest(data)
+		if err != nil {
+			return
+		}
+		seen := map[string]bool{}
+		for _, m := range members {
+			if m.Name == "" || seen[m.Name] {
+				t.Fatalf("accepted manifest %q names member %q twice or empty: %+v", data, m.Name, members)
+			}
+			seen[m.Name] = true
+		}
+	})
+}
